@@ -39,7 +39,8 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
-    integrate_line,
+    RowResults,
+    integrate_rows,
 )
 
 __all__ = [
@@ -289,34 +290,33 @@ def indicator(region: Region) -> Callable:
     return chi
 
 
-def _elementwise(func: Callable) -> Callable:
-    """Adapter so that a scalar-only callable accepts array arguments."""
-
-    def wrapped(*args):
-        arrs = [np.asarray(a) for a in args]
-        shape = np.broadcast_shapes(*(a.shape for a in arrs))
-        if shape == ():
-            return func(*(a.item() for a in arrs))
-        out = np.empty(shape, dtype=complex)
-        it = np.broadcast(*arrs)
-        for idx, vals in zip(np.ndindex(shape), it):
-            out[idx] = func(*vals)
-        return out
-
-    return wrapped
-
-
 @dataclass
 class _ErrorBudget:
     total: float = 0.0
     converged: bool = True
 
-    def absorb(self, r: QuadratureResult, weight: float = 1.0):
-        if r.diverged:
+    def absorb(self, r: RowResults):
+        if r.diverged.any():
             raise _Diverged
-        self.total += abs(weight) * r.error_estimate
-        if not r.converged:
+        self.total += float(r.error_estimate.sum())
+        if not r.converged.all():
             self.converged = False
+
+
+def _line(g: Callable, nrows: int, cfg: QuadratureConfig, budget: _ErrorBudget,
+          center=0.0, halfwidth=1.0) -> np.ndarray:
+    """Line integrals of ``g(x, rows)`` for ``nrows`` rows in one batched solve."""
+    r = integrate_rows(g, nrows, cfg, center=center, halfwidth=halfwidth)
+    budget.absorb(r)
+    return r.value
+
+
+def _atom_sum(atoms, vals: np.ndarray) -> np.ndarray:
+    """Sum over the atoms of weight times ``vals[..., i]``, atom by atom."""
+    total = np.zeros(vals.shape[:-1], dtype=complex)
+    for i, (_, w) in enumerate(atoms):
+        total += w * vals[..., i]
+    return total
 
 
 def integrate(mu: Measure, f: Callable,
@@ -324,15 +324,15 @@ def integrate(mu: Measure, f: Callable,
     """Integral of ``f`` against ``mu``.
 
     ``f`` takes ``mu.dimension`` positional arguments and must broadcast when
-    the innermost integration variable arrives as an array.  Divergence is
-    reported through the result, not raised.
+    any of them arrives as an array; arrays passed together have one length.
+    Divergence is reported through the result, not raised.
     """
     try:
         budget = _ErrorBudget()
         value = _integrate(mu, f, cfg, budget)
     except _Diverged:
         return QuadratureResult(complex("nan"), math.inf, False, True)
-    return QuadratureResult(value, budget.total, budget.converged, False)
+    return QuadratureResult(complex(value), budget.total, budget.converged, False)
 
 
 def _integrate(mu: Measure, f: Callable, cfg: QuadratureConfig,
@@ -366,46 +366,39 @@ def _integrate_lebesgue(mu: LebesgueDensity, f: Callable, cfg: QuadratureConfig,
     k = mu.dim
     dens = mu.density
 
-    def rec(fixed: tuple[float, ...], depth: int) -> complex:
+    def rec(fixed: tuple, nrows: int) -> np.ndarray:
         # Axis 0 is outermost; the last axis is the innermost integral.
+        depth = len(fixed)
         lcfg = cfg.tighter(0.1 ** depth) if depth else cfg
-        innermost = depth == k - 1
-        if innermost:
-            def g(x):
-                args = fixed + (x,)
-                vals = np.asarray(f(*args), dtype=complex)
-                if dens is not None:
-                    vals = vals * np.asarray(dens(*args))
-                return vals
-        else:
-            def g(x):
-                return rec(fixed + (float(x),), depth + 1)
-            g = _elementwise(g)
-        r = integrate_line(g, lcfg)
-        budget.absorb(r)
-        return r.value
 
-    return rec((), 0)
+        def g(x, rows):
+            args = tuple(t[rows] for t in fixed) + (x,)
+            if depth < k - 1:
+                return rec(args, x.size)
+            vals = np.asarray(f(*args), dtype=complex)
+            return vals * np.asarray(dens(*args)) if dens is not None else vals
+
+        return _line(g, nrows, lcfg, budget)
+
+    return rec((), 1)[0]
 
 
 def _against_base(base: Measure, g: Callable, cfg: QuadratureConfig,
                   budget: _ErrorBudget) -> complex:
-    """Integral of scalar callable ``g`` against a one-dimensional base."""
+    """Integral of ``g`` against a one-dimensional base; ``g`` maps an array
+    of base points to an array of values (all atoms are evaluated at once)."""
     if isinstance(base, Atomic):
-        total = 0.0 + 0.0j
-        for (x,), w in base.atoms:
-            total += w * complex(g(x))
-        return total
+        if not base.atoms:
+            return 0.0 + 0.0j
+        return _atom_sum(base.atoms, g(np.array([x for (x,), _ in base.atoms])))[()]
     if isinstance(base, LebesgueDensity):
         dens = base.density
 
-        def h(x):
+        def h(x, rows):
             v = g(x)
-            return v * complex(dens(x)) if dens is not None else v
+            return v * np.asarray(dens(x)) if dens is not None else v
 
-        r = integrate_line(_elementwise(h), cfg)
-        budget.absorb(r)
-        return r.value
+        return _line(h, 1, cfg, budget)[0]
     raise DomainError("base measure must be atomic or a Lebesgue density")
 
 
@@ -413,9 +406,10 @@ def _integrate_pushforward2d(mu: Pushforward2D, f: Callable, cfg: QuadratureConf
                              budget: _ErrorBudget) -> complex:
     a, b, g_, d = mu.coefficients
 
-    def inner(t1: float) -> complex:
-        def h(t2):
-            return f(a * t1 + b * t2, g_ * t1 + d * t2)
+    def inner(t1: np.ndarray) -> np.ndarray:
+        def h(t2, rows):
+            s = t1[rows]
+            return f(a * s + b * t2, g_ * s + d * t2)
 
         # Recenter the substitution where the image coordinates are small,
         # otherwise the node layout degrades as |t1| grows.
@@ -427,12 +421,12 @@ def _integrate_pushforward2d(mu: Pushforward2D, f: Callable, cfg: QuadratureConf
         if d != 0:
             centers.append(-g_ * t1 / d)
             width = max(width, 1.0 / abs(d))
-        center = float(np.mean(centers)) if centers else 0.0
         if len(centers) == 2:
-            width = max(width, 0.5 * abs(centers[0] - centers[1]))
-        r = integrate_line(h, cfg.tighter(), center=center, halfwidth=width)
-        budget.absorb(r)
-        return r.value
+            center = 0.5 * (centers[0] + centers[1])
+            width = np.maximum(width, 0.5 * np.abs(centers[0] - centers[1]))
+        else:
+            center = centers[0] if centers else 0.0
+        return _line(h, t1.size, cfg.tighter(), budget, center=center, halfwidth=width)
 
     return _against_base(mu.base, inner, cfg, budget)
 
@@ -447,34 +441,29 @@ def _integrate_ladder(mu: PushforwardLadder, f: Callable, cfg: QuadratureConfig,
         out.append(t1 + sum(rest))
         return out
 
-    def inner(t1: float) -> complex:
-        def rec(fixed: tuple[float, ...]) -> complex:
-            depth = len(fixed)
-            lcfg = cfg.tighter(0.1 ** (depth + 1))
-            j = depth  # integrating t_{j+2}, entering u_{j+1} = t1 - b_j t_{j+2}
-            c1 = t1 / b[j]
-            width = max(1.0, 1.0 / b[j])
-            if depth == n - 2:  # integrating t_n, vectorised
-                c2 = -(t1 + sum(fixed))
-                center = 0.5 * (c1 + c2)
-                width = max(width, 0.5 * abs(c1 - c2))
+    def rec(t1: np.ndarray, fixed: tuple) -> np.ndarray:
+        depth = len(fixed)
+        lcfg = cfg.tighter(0.1 ** (depth + 1))
+        j = depth  # integrating t_{j+2}, entering u_{j+1} = t1 - b_j t_{j+2}
+        c1 = t1 / b[j]
+        width = max(1.0, 1.0 / b[j])
+        innermost = depth == n - 2
+        if innermost:  # integrating t_n
+            c2 = -(t1 + sum(fixed))
+            center = 0.5 * (c1 + c2)
+            width = np.maximum(width, 0.5 * np.abs(c1 - c2))
+        else:
+            center = c1
 
-                def g(x):
-                    rest = fixed + (x,)
-                    return f(*coords(t1, rest))
-            else:
-                center = c1
+        def g(x, rows):
+            rest = tuple(t[rows] for t in fixed) + (x,)
+            if innermost:
+                return f(*coords(t1[rows], rest))
+            return rec(t1[rows], rest)
 
-                def g(x):
-                    return rec(fixed + (float(x),))
-                g = _elementwise(g)
-            r = integrate_line(g, lcfg, center=center, halfwidth=width)
-            budget.absorb(r)
-            return r.value
+        return _line(g, t1.size, lcfg, budget, center=center, halfwidth=width)
 
-        return rec(())
-
-    value = _against_base(mu.base, inner, cfg, budget)
+    value = _against_base(mu.base, lambda t1: rec(t1, ()), cfg, budget)
     return mu.scale * value
 
 
@@ -482,47 +471,41 @@ def _integrate_product(mu: Product, f: Callable, cfg: QuadratureConfig,
                        budget: _ErrorBudget) -> complex:
     k = len(mu.factors)
 
-    def rec(fixed: tuple[float, ...]) -> complex:
+    def rec(fixed: tuple, nrows: int) -> np.ndarray:
         axis = len(fixed)
         factor = mu.factors[axis]
         lcfg = cfg.tighter(0.1 ** axis) if axis else cfg
-        innermost = axis == k - 1
+
+        def g(x, rows):
+            args = tuple(t[rows] for t in fixed) + (x,)
+            return f(*args) if axis == k - 1 else rec(args, x.size)
 
         if isinstance(factor, Atomic):
-            total = 0.0 + 0.0j
-            for (x,), w in factor.atoms:
-                if innermost:
-                    total += w * complex(f(*fixed, x))
-                else:
-                    total += w * rec(fixed + (x,))
-            return total
+            if not factor.atoms:
+                return np.zeros(nrows, dtype=complex)
+            # One entry per (row, atom) pair, rows outermost.
+            xs = np.array([x for (x,), _ in factor.atoms])
+            rows = np.repeat(np.arange(nrows), xs.size)
+            vals = np.asarray(g(np.tile(xs, nrows), rows), dtype=complex)
+            return _atom_sum(factor.atoms, np.broadcast_to(vals, rows.shape).reshape(nrows, -1))
 
         if isinstance(factor, LebesgueDensity):
             dens = factor.density
-            if innermost:
-                def g(x):
-                    vals = np.asarray(f(*fixed, x), dtype=complex)
-                    if dens is not None:
-                        vals = vals * np.asarray(dens(x))
-                    return vals
-            else:
-                def g(x):
-                    v = rec(fixed + (float(x),))
-                    return v * complex(dens(x)) if dens is not None else v
-                g = _elementwise(g)
-            r = integrate_line(g, lcfg)
-            budget.absorb(r)
-            return r.value
+
+            def h(x, rows):
+                v = np.asarray(g(x, rows), dtype=complex)
+                return v * np.asarray(dens(x)) if dens is not None else v
+
+            return _line(h, nrows, lcfg, budget)
 
         raise DomainError("product factors must be atomic or Lebesgue densities")
 
-    return rec(())
+    return rec((), 1)[0]
 
 
 def _integrate_padded(mu: LebesguePad, f: Callable, cfg: QuadratureConfig,
                       budget: _ErrorBudget) -> complex:
     pad = mu.padded_axes
-    inner_axes = mu.axes
 
     if not pad:
         return _integrate(mu.inner, f, cfg, budget)
@@ -530,35 +513,24 @@ def _integrate_padded(mu: LebesguePad, f: Callable, cfg: QuadratureConfig,
     # Padding axes run first, innermost the largest index.
     pad_desc = tuple(sorted(pad, reverse=True))
 
+    def rec(fixed: dict, depth: int, nrows: int) -> np.ndarray:
+        # ``fixed`` maps each axis already set to its value in every row.
+        axis = pad_desc[len(pad) - 1 - depth]  # outermost pad axis first
+
+        def h(x, rows):
+            sub = {j: t[rows] for j, t in fixed.items()}
+            sub[axis] = x
+            if depth == len(pad) - 1:
+                return f(*(sub[j] for j in range(mu.dim)))
+            return rec(sub, depth + 1, x.size)
+
+        return _line(h, nrows, cfg.tighter(0.1 ** (depth + 1)), budget)
+
     def g(*s_vals):
-        s_scalars = tuple(float(np.real(v)) for v in s_vals)
+        s = np.broadcast_arrays(*(np.atleast_1d(np.real(v)).astype(float) for v in s_vals))
+        return rec(dict(zip(mu.axes, s)), 0, s[0].size).reshape(np.shape(s_vals[0]))
 
-        def rec(fixed: dict[int, float], depth: int) -> complex:
-            axis = pad_desc[len(pad) - 1 - depth]  # outermost pad axis first
-            lcfg = cfg.tighter(0.1 ** (depth + 1))
-            innermost = depth == len(pad) - 1
-            if innermost:
-                def h(x):
-                    args: list = [None] * mu.dim
-                    for j, sv in zip(inner_axes, s_scalars):
-                        args[j] = sv
-                    for j, fv in fixed.items():
-                        args[j] = fv
-                    args[axis] = x
-                    return f(*args)
-            else:
-                def h(x):
-                    sub = dict(fixed)
-                    sub[axis] = float(x)
-                    return rec(sub, depth + 1)
-                h = _elementwise(h)
-            r = integrate_line(h, lcfg)
-            budget.absorb(r)
-            return r.value
-
-        return rec({}, 0)
-
-    return _integrate(mu.inner, _elementwise(g), cfg, budget)
+    return _integrate(mu.inner, g, cfg, budget)
 
 
 def mass(mu: Measure, region: Region,

@@ -7,21 +7,36 @@ segments go through the same substitution restricted to the matching
 theta-interval, so indicator-type integrands and box masses reuse one code
 path.
 
+One row-batched engine does all the work.  ``integrate_rows`` solves many
+integrals at once: its integrand ``f(x, rows)`` receives a flat array of
+nodes and, for each node, the index of the row (integral) it belongs to.
+Every row keeps its own panels, running total and error and stops by its
+own rules (tolerance met, total past the divergence threshold, subdivision
+cap, noise floor).  The initial panels of all rows are evaluated in one call
+of ``f``; after that each round splits the worst panel of every row still
+running and evaluates all new panels in one more call.  A nest level whose
+integrand is itself an integral thus evaluates all of its nodes with one
+batched inner solve.  ``integrate_line`` and ``integrate_segment`` are the
+one-row case.
+
 Divergence cannot be proven numerically.  It is declared heuristically:
-when the adaptive pass fails to settle, partial integrals over the windows
-[-2^j, 2^j] are compared across doublings, and monotone growth past
-``divergence_threshold`` flags the integral as divergent.  Integrands that
+when the adaptive pass of a row fails to settle, partial integrals over the
+windows [-2^j, 2^j] are compared across doublings, and monotone growth past
+``divergence_threshold`` flags that row as divergent.  Integrands that
 oscillate themselves to a conditionally finite value are outside the scope
 of the detector.
 
 Iterated integrals never reorder axes: the caller states the order and the
 first listed axis is innermost.  Inner levels run at a tighter tolerance so
-the outer error estimate is not drowned by inner noise.
+the outer error estimate is not drowned by inner noise.  The integrand of
+an iterated integral receives every argument as an array of one length: the
+innermost variable's nodes and, for each outer variable, its value at the
+row each node belongs to.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -33,9 +48,11 @@ from .errors import DomainError, IntegrandError
 __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
+    "RowResults",
     "DEFAULT_CONFIG",
     "integrate_line",
     "integrate_segment",
+    "integrate_rows",
     "integrate_iterated",
 ]
 
@@ -76,6 +93,16 @@ class QuadratureResult:
             raise DomainError("converged and diverged are mutually exclusive")
 
 
+@dataclass(frozen=True)
+class RowResults:
+    """Outcome of ``integrate_rows``: one entry per row in each array."""
+
+    value: np.ndarray
+    error_estimate: np.ndarray
+    converged: np.ndarray
+    diverged: np.ndarray
+
+
 DEFAULT_CONFIG = QuadratureConfig()
 
 
@@ -106,100 +133,138 @@ _WG = np.array([
     0.417959183673469,
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
+# Both rules as the columns of one matrix, so one product applies them.
+_WKG = np.zeros((_XK.size, 2), dtype=complex)
+_WKG[:, 0], _WKG[1::2, 1] = _WK, _WG
+
+# A row whose error estimate has not dropped below 98% of its value this
+# many rounds ago is stuck at the noise floor.
+_NOISE_ROUNDS = 50
 
 
-def _panel(g: Callable, a: float, b: float) -> tuple[complex, float]:
-    """One Gauss-Kronrod panel on [a, b]; returns (integral, error estimate)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c + h * _XK
-    y = np.asarray(g(x), dtype=complex)
-    if y.shape != x.shape:
-        y = np.broadcast_to(y, x.shape)
+def _panels(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
+    """Gauss-Kronrod panels [a[p], b[p]] of rows ``rows[p]``, all evaluated in
+    one call of ``g``; returns (integrals, error estimates)."""
+    d = b - a
+    h = 0.5 * d
+    x = (0.5 * (a + b))[:, None] + h[:, None] * _XK
+    y = np.asarray(g(x.ravel(), rows.repeat(_XK.size)), dtype=complex)
+    if y.shape != (x.size,):
+        y = np.broadcast_to(y, (x.size,))
+    y = y.reshape(x.shape)
     mags = np.abs(y)
-    total_mag = float(mags.sum())
-    if not math.isfinite(total_mag):
+    resabs = h * np.dot(mags, _WK)
+    if not math.isfinite(np.add.reduce(resabs)):
         raise IntegrandError("integrand not finite")
-    ik = h * np.dot(_WK, y)
-    ig = h * np.dot(_WG, y[1::2])
-    diff = abs(ik - ig)
+    kg = np.dot(y, _WKG)
+    ik = h * kg[:, 0]
+    diff = np.abs(ik - h * kg[:, 1])
     # QUADPACK-style estimate: scale the raw Gauss/Kronrod difference by the
     # variation of the integrand so that non-smooth panels are not trusted.
-    resabs = abs(h) * float(np.dot(_WK, mags))
-    resasc = abs(h) * float(np.dot(_WK, np.abs(y - ik / (b - a))))
-    if resasc > 0.0 and diff > 0.0:
-        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-    else:
-        err = diff
-    err = max(err, 1e-15 * resabs)
-    return complex(ik), err
+    resasc = h * np.dot(np.abs(y - (ik / d)[:, None]), _WK)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5), diff)
+    return ik, np.maximum(err, 1e-15 * resabs)
 
 
-def _adaptive(g: Callable, lo: float, hi: float, cfg: QuadratureConfig,
-              initial_panels: int = 8) -> tuple[complex, float, bool, bool]:
-    """Adaptive bisection on [lo, hi].
+def _adaptive(g: Callable, nrows: int, lo: float, hi: float, cfg: QuadratureConfig,
+              initial_panels: int = 8):
+    """Adaptive bisection of [lo, hi] for ``nrows`` integrals at once.
 
-    Returns (value, error, converged, suspect) where ``suspect`` means the
-    running total blew past the divergence threshold.
+    ``g(x, rows)`` evaluates node ``x[i]`` of row ``rows[i]``.  Returns the
+    arrays (value, error, converged, suspect), where ``suspect`` means the
+    row's running total blew past the divergence threshold.
+
+    Panels live in tables with one slot per (insertion step, row): each round
+    fills two new slots of every row still running, so slot order is
+    insertion order in every row.  ``pk`` holds each panel's error estimate
+    as its priority (0 for a panel at floating-point resolution, -inf for a
+    free slot); the first maximum of a row is the panel a heap keyed on
+    (error, insertion order) would pop.
     """
-    edges = np.linspace(lo, hi, initial_panels + 1)
-    heap = []
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    tiebreak = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, e = _panel(g, a, b)
-        total += v
-        total_err += e
-        heapq.heappush(heap, (-e, tiebreak, a, b, v))
-        tiebreak += 1
-
-    splits = 0
-    err_history: list[float] = []
-    while True:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if total_err <= tol:
-            return total, total_err, True, False
-        if abs(total) > cfg.divergence_threshold:
-            return total, total_err, False, True
-        if splits >= cfg.max_subdivisions or not heap:
-            return total, total_err, False, False
-        # Noise floor: when fifty further splits have not reduced the error
+    p0 = initial_panels
+    edges = np.linspace(lo, hi, p0 + 1)
+    ids = np.arange(nrows)
+    v, e = _panels(g, edges[:-1].repeat(nrows), edges[1:].repeat(nrows), np.tile(ids, p0))
+    pa, pb = np.empty((4 * p0, nrows)), np.empty((4 * p0, nrows))
+    pv, pk = np.empty(pa.shape, dtype=complex), np.full(pa.shape, -np.inf)
+    pa[:p0], pb[:p0] = edges[:-1, None], edges[1:, None]
+    pv[:p0], pk[:p0] = v.reshape(p0, nrows), e.reshape(p0, nrows)
+    total = pv[:p0].sum(axis=0)
+    total_err = pk[:p0].sum(axis=0)
+    pushed = np.zeros(nrows, dtype=int)  # rounds in which the row could not split
+    history = np.empty((_NOISE_ROUNDS + 1, nrows))
+    value, error = np.empty(nrows, dtype=complex), np.empty(nrows)
+    converged, suspect = np.zeros(nrows, dtype=bool), np.zeros(nrows, dtype=bool)
+    reshape = True
+    for rounds in itertools.count():
+        mag = np.abs(total)
+        conv = total_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * mag)
+        done = conv | (mag > cfg.divergence_threshold)
+        if rounds >= cfg.max_subdivisions:
+            done |= rounds - pushed >= cfg.max_subdivisions
+        # Noise floor: when fifty further rounds have not reduced the error
         # estimate, the integrand is rough at round-off level (typically an
         # inner quadrature feeding this one) and refinement cannot help.
-        err_history.append(total_err)
-        if len(err_history) > 50 and total_err > 0.98 * err_history[-51]:
-            return total, total_err, False, False
-        neg_e, _, a, b, v = heapq.heappop(heap)
+        history[rounds % (_NOISE_ROUNDS + 1)] = total_err
+        if rounds >= _NOISE_ROUNDS:
+            done |= total_err > 0.98 * history[(rounds + 1) % (_NOISE_ROUNDS + 1)]
+        if np.count_nonzero(done):
+            out = ids[done]
+            value[out], error[out], converged[out] = total[done], total_err[done], conv[done]
+            suspect[out] = ~conv[done] & (mag[done] > cfg.divergence_threshold)
+            keep = ~done
+            if not np.count_nonzero(keep):
+                return value, error, converged, suspect
+            ids, total, total_err, pushed = ids[keep], total[keep], total_err[keep], pushed[keep]
+            history, pa, pb, pv, pk = (x.compress(keep, axis=1) for x in (history, pa, pb, pv, pk))
+            reshape = True
+        u = p0 + 2 * rounds
+        if u + 2 > pk.shape[0]:
+            pa, pb, pv = (np.concatenate((x, np.empty_like(x))) for x in (pa, pb, pv))
+            pk = np.concatenate((pk, np.full_like(pk, -np.inf)))
+            reshape = True
+        if reshape:
+            # Flat views for gathering one panel per row.
+            fa, fb, fv, fk = (x.reshape(-1) for x in (pa, pb, pv, pk))
+            n, r = ids.size, np.arange(ids.size)
+            ids2 = np.concatenate((ids, ids))
+            reshape = False
+
+        sel = pk.argmax(axis=0) * n + r
+        a, b, v_old, e_old = fa[sel], fb[sel], fv[sel], fk[sel]
+        fk[sel] = -np.inf
         mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:  # interval at floating-point resolution
-            heapq.heappush(heap, (0.0, tiebreak, a, b, v))
-            tiebreak += 1
-            continue
-        v1, e1 = _panel(g, a, mid)
-        v2, e2 = _panel(g, mid, b)
-        total += v1 + v2 - v
-        total_err += e1 + e2 - (-neg_e)
-        heapq.heappush(heap, (-e1, tiebreak, a, mid, v1))
-        heapq.heappush(heap, (-e2, tiebreak + 1, mid, b, v2))
-        tiebreak += 2
-        splits += 1
+        stuck = (mid <= a) | (mid >= b)
+        left, right = np.concatenate((a, mid)), np.concatenate((mid, b))
+        if not np.count_nonzero(stuck):
+            v, e = _panels(g, left, right, ids2)
+            k = e
+        else:
+            # A panel at floating-point resolution cannot be split: it moves
+            # to the back of its row's queue with priority 0, next to a free
+            # slot, and leaves the row's total and error unchanged.
+            pushed += stuck
+            v = np.concatenate((v_old, np.zeros(n, dtype=complex)))
+            e = np.concatenate((e_old, np.zeros(n)))
+            s = np.flatnonzero(~stuck)
+            if s.size:
+                s2 = np.concatenate((s, s + n))
+                v[s2], e[s2] = _panels(g, left[s2], right[s2], ids2[s2])
+            k = np.where(np.concatenate((stuck, stuck)), np.repeat([0.0, -np.inf], n), e)
+            right[:n] = np.where(stuck, b, mid)
+        total += v[:n] + v[n:] - v_old
+        total_err += e[:n] + e[n:] - e_old
+        pa[u:u + 2] = left.reshape(2, n)
+        pb[u:u + 2] = right.reshape(2, n)
+        pv[u:u + 2] = v.reshape(2, n)
+        pk[u:u + 2] = k.reshape(2, n)
 
 
-def _theta_integrand(f: Callable, center: float = 0.0, halfwidth: float = 1.0) -> Callable:
-    def g(theta):
-        u = np.tan(theta)
-        return np.asarray(f(center + halfwidth * u), dtype=complex) * (halfwidth * (1.0 + u * u))
-    return g
-
-
-def _composite(f: Callable, a: float, b: float, panels: int) -> complex:
-    total = 0.0 + 0.0j
-    edges = np.linspace(a, b, panels + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, _ = _panel(f, lo, hi)
-        total += v
-    return total
+def _composite(f: Callable, a: np.ndarray, b: np.ndarray) -> complex:
+    """Sum of one Gauss-Kronrod panel of ``f(x)`` on each [a[p], b[p]]."""
+    v, _ = _panels(lambda x, rows: f(x), a, b, np.zeros(a.size, dtype=int))
+    return complex(v.sum())
 
 
 def _windows_grow(f: Callable, cfg: QuadratureConfig) -> bool:
@@ -209,12 +274,14 @@ def _windows_grow(f: Callable, cfg: QuadratureConfig) -> bool:
     The windows are accumulated as a core piece plus dyadic shells so the
     fixed panel count stays adequate at every scale.
     """
-    partial = _composite(f, -1.0, 1.0, 16)
+    core = np.linspace(-1.0, 1.0, 17)
+    partial = _composite(f, core[:-1], core[1:])
     mags = [abs(partial)]
     settled = 0
     for j in range(1, 28):
-        lo, hi = 2.0 ** (j - 1), 2.0 ** j
-        partial += _composite(f, lo, hi, 8) + _composite(f, -hi, -lo, 8)
+        shell = np.linspace(2.0 ** (j - 1), 2.0 ** j, 9)
+        partial += _composite(f, np.concatenate((shell[:-1], -shell[1:])),
+                              np.concatenate((shell[1:], -shell[:-1])))
         mag = abs(partial)
         mags.append(mag)
         if abs(mag - mags[-2]) <= max(cfg.abs_tol, 10.0 * cfg.rel_tol * mag):
@@ -228,6 +295,48 @@ def _windows_grow(f: Callable, cfg: QuadratureConfig) -> bool:
             if all(x <= y * (1.0 + 1e-9) for x, y in zip(recent, recent[1:])):
                 return True
     return False
+
+
+def _solve(f: Callable, nrows: int, lo: float, hi: float, cfg: QuadratureConfig,
+           center, halfwidth) -> RowResults:
+    """``nrows`` integrals of ``f(x, rows)`` over [lo, hi] under the
+    substitution x = center + halfwidth * tan(theta), with per-row or shared
+    ``center`` and ``halfwidth``; unconverged rows get the divergence scan."""
+    if not (np.all(np.greater(halfwidth, 0)) and np.all(np.isfinite(center))
+            and np.all(np.isfinite(halfwidth))):
+        raise DomainError("need a finite center and a positive halfwidth")
+    th_lo = -0.5 * math.pi if lo == -math.inf else math.atan((lo - center) / halfwidth)
+    th_hi = 0.5 * math.pi if hi == math.inf else math.atan((hi - center) / halfwidth)
+    c_rows, w_rows = np.ndim(center) > 0, np.ndim(halfwidth) > 0
+
+    def g(theta, rows):
+        u = np.tan(theta)
+        c = center[rows] if c_rows else center
+        w = halfwidth[rows] if w_rows else halfwidth
+        return np.asarray(f(c + w * u, rows), dtype=complex) * (w * (1.0 + u * u))
+
+    value, err, converged, suspect = _adaptive(g, nrows, th_lo, th_hi, cfg)
+    diverged = np.zeros(nrows, dtype=bool)
+    if math.isinf(lo) or math.isinf(hi):
+        # A near-zero non-converged estimate cannot hide a divergence, so the
+        # window scan is only consulted for suspicious or sizeable values.
+        scan = ~converged & (suspect | (np.abs(value) > 1000.0 * cfg.abs_tol))
+        for row in np.flatnonzero(scan):
+            diverged[row] = _windows_grow(lambda x: f(x, np.full(x.shape, row)), cfg)
+        err[diverged] = math.inf
+    return RowResults(value, err, converged, diverged)
+
+
+def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONFIG, *,
+                   center=0.0, halfwidth=1.0) -> RowResults:
+    """``nrows`` integrals over the whole real line in one batched solve.
+
+    ``f(x, rows)`` receives a 1-d array of nodes and an equally long integer
+    array naming the row of each node, and returns the integrand at every
+    node.  ``center`` and ``halfwidth`` are scalars or arrays with one entry
+    per row; like in ``integrate_line`` they only shape the node layout.
+    """
+    return _solve(f, nrows, -math.inf, math.inf, cfg, center, halfwidth)
 
 
 def integrate_line(f: Callable, cfg: QuadratureConfig = DEFAULT_CONFIG, *,
@@ -251,21 +360,9 @@ def integrate_segment(f: Callable, lo: float, hi: float,
         raise DomainError("segment endpoints must satisfy lo <= hi")
     if lo == hi:
         return QuadratureResult(0.0 + 0.0j, 0.0, True, False)
-    if not (halfwidth > 0 and math.isfinite(center) and math.isfinite(halfwidth)):
-        raise DomainError("need a finite center and a positive halfwidth")
-    th_lo = -0.5 * math.pi if lo == -math.inf else math.atan((lo - center) / halfwidth)
-    th_hi = 0.5 * math.pi if hi == math.inf else math.atan((hi - center) / halfwidth)
-    g = _theta_integrand(f, center, halfwidth)
-    value, err, converged, suspect = _adaptive(g, th_lo, th_hi, cfg)
-    if converged:
-        return QuadratureResult(value, err, True, False)
-    unbounded = math.isinf(lo) or math.isinf(hi)
-    # A near-zero non-converged estimate cannot hide a divergence, so the
-    # window scan is only consulted for suspicious or sizeable values.
-    worth_scanning = suspect or abs(value) > 1000.0 * cfg.abs_tol
-    if unbounded and worth_scanning and _windows_grow(f, cfg):
-        return QuadratureResult(value, math.inf, False, True)
-    return QuadratureResult(value, err, False, False)
+    r = _solve(lambda x, rows: f(x), 1, lo, hi, cfg, center, halfwidth)
+    return QuadratureResult(complex(r.value[0]), float(r.error_estimate[0]),
+                            bool(r.converged[0]), bool(r.diverged[0]))
 
 
 def integrate_iterated(f: Callable, order: Sequence[int],
@@ -273,55 +370,46 @@ def integrate_iterated(f: Callable, order: Sequence[int],
     """Iterated integral of ``f(t_0, ..., t_{k-1})`` over all of R^k.
 
     ``order`` is a permutation of the axis indices; ``order[0]`` is the
-    innermost integration variable and axes are never reordered.  Inner
-    divergence propagates outward as ``diverged=True``.
+    innermost integration variable and axes are never reordered.  ``f``
+    receives every argument as an array of one length.  Inner divergence
+    propagates outward as ``diverged=True``.
     """
     k = len(order)
     if sorted(order) != list(range(k)):
         raise DomainError("order must be a permutation of range(k)")
 
-    worst_inner = [0.0]
-    all_converged = [True]
+    worst_inner = 0.0
+    all_converged = True
 
-    def level(depth: int, fixed: dict[int, float]) -> QuadratureResult:
-        # depth counts from the outermost axis, i.e. order[k-1] has depth 0.
+    def level(depth: int, fixed: dict, nrows: int) -> RowResults:
+        # depth counts from the outermost axis, i.e. order[k-1] has depth 0;
+        # ``fixed`` maps each outer axis to its value in every row.
         axis = order[k - 1 - depth]
         lcfg = cfg.tighter(0.1 ** depth) if depth else cfg
-        innermost = depth == k - 1
 
-        if innermost:
-            def g(x):
-                args: list = [None] * k
-                for j, v in fixed.items():
-                    args[j] = v
-                args[axis] = x
-                return f(*args)
-        else:
-            def g(x):
-                xs = np.atleast_1d(np.asarray(x, dtype=float))
-                out = np.empty(xs.shape, dtype=complex)
-                for idx in np.ndindex(xs.shape):
-                    sub = dict(fixed)
-                    sub[axis] = float(xs[idx])
-                    r_in = level(depth + 1, sub)
-                    worst_inner[0] = max(worst_inner[0], r_in.error_estimate)
-                    if not r_in.converged:
-                        all_converged[0] = False
-                    out[idx] = r_in.value
-                return out if np.ndim(x) else out[0]
+        def g(x, rows):
+            nonlocal worst_inner, all_converged
+            args = {j: v[rows] for j, v in fixed.items()}
+            args[axis] = x
+            if depth == k - 1:
+                return f(*(args[j] for j in range(k)))
+            r_in = level(depth + 1, args, x.size)
+            worst_inner = max(worst_inner, float(r_in.error_estimate.max()))
+            all_converged = all_converged and bool(r_in.converged.all())
+            return r_in.value
 
-        r = integrate_segment(g, -math.inf, math.inf, lcfg)
-        if r.diverged:
+        r = integrate_rows(g, nrows, lcfg)
+        if r.diverged.any():
             raise _InnerDiverged
         return r
 
     try:
-        r = level(0, {})
+        r = level(0, {}, 1)
     except _InnerDiverged:
         return QuadratureResult(complex("nan"), math.inf, False, True)
     return QuadratureResult(
-        r.value,
-        r.error_estimate + worst_inner[0],
-        r.converged and all_converged[0],
+        complex(r.value[0]),
+        float(r.error_estimate[0]) + worst_inner,
+        bool(r.converged[0]) and all_converged,
         False,
     )
