@@ -40,7 +40,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import DomainError
 from .measures import Box, Measure, integrate, is_zero_measure, mass
@@ -199,11 +198,32 @@ def nevanlinna_zero_tolerance(scale: float) -> float:
     return max(1e-8, 1e-6 * scale)
 
 
+def _radical_inverse(i: int, base: int) -> float:
+    """The digits of i in ``base`` mirrored behind the radix point."""
+    x, scale = 0.0, 1.0 / base
+    while i > 0:
+        i, digit = divmod(i, base)
+        x += digit * scale
+        scale /= base
+    return x
+
+
+def _halton(d: int, count: int) -> list[list[float]]:
+    """The first ``count`` points of the unscrambled Halton sequence in
+    [0, 1)^d, starting at the origin, one prime base per coordinate."""
+    primes: list[int] = []
+    p = 2
+    while len(primes) < d:
+        if all(p % q for q in primes):
+            primes.append(p)
+        p += 1
+    return [[_radical_inverse(i, q) for q in primes] for i in range(count)]
+
+
 def default_z_grid(n: int = 2, count: int = 25) -> list[tuple[complex, ...]]:
     """Deterministic quasi-random sample of the box
     {Re in [-10, 10], Im in [0.1, 10]}^n used for "for all z" checks."""
-    sampler = qmc.Halton(d=2 * n, scramble=False)
-    pts = sampler.random(count)
+    pts = _halton(2 * n, count)
     grid = []
     for row in pts:
         z = tuple(

@@ -19,6 +19,7 @@ numpy array, which is how the adaptive quadrature drives them.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from typing import Sequence
 
@@ -44,10 +45,13 @@ POLE_PROXIMITY = 1e-12
 
 
 def require_upper_half(z: Sequence[complex]) -> tuple[complex, ...]:
-    """Validate that every coordinate has strictly positive imaginary part."""
+    """Validate that every coordinate is finite with strictly positive
+    imaginary part."""
     zs = tuple(complex(v) for v in (z if isinstance(z, (tuple, list, np.ndarray)) else (z,)))
     if any(v.imag <= 0 for v in zs):
         raise DomainError("point not in poly-upper half-plane")
+    if not all(cmath.isfinite(v) for v in zs):
+        raise DomainError("point coordinates must be finite")
     return zs
 
 

@@ -19,8 +19,12 @@ Variants
                       axis order.
 
 Integration order is part of each variant's definition and is never
-reversed.  Test functions receive one argument per axis and must evaluate
-elementwise when the innermost integration variable arrives as an array.
+reversed.  Test functions receive one argument per axis and must broadcast
+when any argument arrives as an array; arrays passed together have one
+length.  Every nest level is one row-batched solve (``integrate_rows``): the
+inner integrals for all nodes of the level above, and for all atoms of an
+atomic base, are the rows of a single adaptive pass, so outer coordinates
+reach the test function as arrays as long as the innermost variable's nodes.
 
 Sets are finite unions of closed axis-aligned boxes.  Atoms sitting on a
 box boundary count as inside.
@@ -90,6 +94,8 @@ class Atomic(Measure):
             loc = tuple(float(x) for x in (loc if isinstance(loc, (tuple, list, np.ndarray)) else (loc,)))
             if not w > 0:
                 raise DomainError("atomic weights must be strictly positive")
+            if not (math.isfinite(w) and all(math.isfinite(x) for x in loc)):
+                raise DomainError("atom locations and weights must be finite")
             norm.append((loc, float(w)))
         object.__setattr__(self, "atoms", tuple(norm))
         if self.atoms:

@@ -137,6 +137,9 @@ _WG = np.array([
 _WKG = np.zeros((_XK.size, 2), dtype=complex)
 _WKG[:, 0], _WKG[1::2, 1] = _WK, _WG
 
+# Rows per batched solve; larger batches are solved in chunks of this size.
+_ROW_CHUNK = 1024
+
 # A row whose error estimate has not dropped below 98% of its value this
 # many rounds ago is stuck at the noise floor.
 _NOISE_ROUNDS = 50
@@ -336,7 +339,19 @@ def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONF
     node.  ``center`` and ``halfwidth`` are scalars or arrays with one entry
     per row; like in ``integrate_line`` they only shape the node layout.
     """
-    return _solve(f, nrows, -math.inf, math.inf, cfg, center, halfwidth)
+    if nrows <= _ROW_CHUNK:
+        return _solve(f, nrows, -math.inf, math.inf, cfg, center, halfwidth)
+    # Rows are independent: solving them in chunks bounds the node arrays
+    # (and the integrand's temporaries) that one round allocates.
+    parts = []
+    for start in range(0, nrows, _ROW_CHUNK):
+        part = slice(start, min(start + _ROW_CHUNK, nrows))
+        parts.append(_solve(lambda x, rows, s=start: f(x, rows + s), part.stop - start,
+                            -math.inf, math.inf, cfg,
+                            center[part] if np.ndim(center) else center,
+                            halfwidth[part] if np.ndim(halfwidth) else halfwidth))
+    return RowResults(*(np.concatenate([getattr(p, name) for p in parts])
+                        for name in ("value", "error_estimate", "converged", "diverged")))
 
 
 def integrate_line(f: Callable, cfg: QuadratureConfig = DEFAULT_CONFIG, *,

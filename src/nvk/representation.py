@@ -14,7 +14,7 @@ evaluation; use the conditions module for explicit checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +40,8 @@ class RepresentationData:
         bs = self.b if isinstance(self.b, (tuple, list, np.ndarray)) else (self.b,)
         object.__setattr__(self, "b", tuple(float(x) for x in bs))
         object.__setattr__(self, "a", float(self.a))
+        if not (isfinite(self.a) and all(isfinite(x) for x in self.b)):
+            raise DomainError("a and b must be finite")
         if any(x < 0 for x in self.b):
             raise DomainError("linear coefficients must be nonnegative")
         if self.mu.dimension != len(self.b):

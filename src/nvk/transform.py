@@ -42,6 +42,8 @@ def validate_convex_coefficients(k: Sequence[float], strict: bool = False) -> np
     ks = np.asarray(k, dtype=float)
     if ks.ndim != 1 or ks.size < 2:
         raise DomainError("need at least two convex coefficients")
+    if not np.all(np.isfinite(ks)):
+        raise DomainError("convex coefficients must be finite")
     if np.any(ks < 0):
         raise DomainError("convex coefficients must be nonnegative")
     if abs(ks.sum() - 1.0) > 1e-12:

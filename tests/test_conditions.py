@@ -202,3 +202,31 @@ def test_nevanlinna_inner_closed_forms_match_oracle():
                                                   0.3 + 2j, -0.5 + 1j))
     assert abs(got) < 1e-10
     assert nevanlinna_inner_value(0.3, 1.2, -0.4, -0.9, 0.5, 0.3 + 2j, -0.5 + 1j) == 0
+
+
+# Leading points of the grid for n = 3 (Halton bases 2, 3, 5, 7, 11, 13); the
+# grids for n = 1 and 2 are their first coordinates.
+_GRID_HEAD = (
+    (complex(-10.0, 0.1),) * 3,
+    (3.4j, -6 + 1.5142857142857145j, -8.181818181818182 + 0.8615384615384616j),
+    (-5 + 6.699999999999999j, -2 + 2.928571428571429j, -6.363636363636363 + 1.6230769230769233j),
+)
+_GRID_LAST = (-8.125 + 3.033333333333333j, 9.200000000000003 + 4.948979591836735j,
+              -6.033057851239669 + 8.535502958579883j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_default_z_grid_pinned(n):
+    grid = default_z_grid(n, 25)
+    assert len(grid) == 25 and all(len(z) == n for z in grid)
+    assert grid[:3] == [z[:n] for z in _GRID_HEAD]
+    assert grid[24] == _GRID_LAST[:n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_default_z_grid_matches_scipy_halton(n):
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    pts = qmc.Halton(d=2 * n, scramble=False).random(25)
+    expected = [tuple((-10.0 + 20.0 * row[2 * j]) + 1j * (0.1 + 9.9 * row[2 * j + 1])
+                      for j in range(n)) for row in pts]
+    assert default_z_grid(n, 25) == expected

@@ -14,9 +14,9 @@ from nvk.ladder import (
     verify_main_theorem,
     verify_step,
 )
-from nvk.measures import PushforwardLadder
+from nvk.measures import Atomic, PushforwardLadder
 from nvk.quadrature import QuadratureConfig
-from nvk.representation import RepresentationData
+from nvk.representation import RepresentationData, evaluate
 from nvk.sampling import (
     draw_atomic_data,
     draw_convex_coefficients,
@@ -24,7 +24,7 @@ from nvk.sampling import (
     draw_upper_point,
     rng_for,
 )
-from nvk.transform import ladder_to_coefficients
+from nvk.transform import ladder_to_coefficients, transform
 
 PI = math.pi
 
@@ -184,3 +184,17 @@ def test_rung_report_collects_samples(cfg):
 def test_verify_step_preconditions(cfg):
     with pytest.raises(DomainError):
         verify_step(2, 0, (1.0,), (1j, 1j), (0.0,), cfg)
+
+
+@pytest.mark.parametrize("n, k, z", [
+    (3, (0.2, 0.3, 0.5), (0.1 + 1j, -0.3 + 0.8j, 0.2 + 1.2j)),
+    (4, (0.1, 0.2, 0.3, 0.4), (0.1 + 1j, -0.3 + 0.8j, 0.2 + 1.2j, 0.4 + 0.5j)),
+])
+def test_transformed_atomic_evaluation_matches_closed_form(n, k, z):
+    # Nested quadrature over n - 1 batched ladder levels, atoms as rows.
+    atoms = (((0.3,), 1.5),) if n == 4 else (((0.3,), 1.5), ((-0.2,), 0.7))
+    tilde = transform(RepresentationData(0.2, (0.4,), Atomic(atoms)), k)
+    quad = evaluate(tilde, z, QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10))
+    linear = tilde.a + sum(bl * zl for bl, zl in zip(tilde.b, z))
+    closed = linear + ladder_closed_form(z, tilde.mu) / math.pi ** n
+    assert abs(quad - closed) <= 1e-7 * max(1.0, abs(closed))

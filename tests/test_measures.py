@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nvk.cli import CLASSIFICATION_FIXTURES, fixture_base_measure
+from nvk.conditions import check_growth, check_nevanlinna_2var, default_z_grid
 from nvk.errors import DimensionMismatchError, DomainError
 from nvk.measures import (
     Atomic,
@@ -139,3 +142,39 @@ def test_validation_errors():
         Box(((1.0, 0.0),))
     with pytest.raises(DimensionMismatchError):
         mass(Atomic.single(1.0, 0.0), Box(((0, 1), (0, 1))))
+
+
+@given(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3), st.floats(0.1, 5.0),
+       st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_non_finite_atoms_rejected(loc, w, bad, data):
+    where = data.draw(st.integers(0, len(loc)))  # len(loc) marks the weight
+    if where == len(loc):
+        w = bad
+    else:
+        loc[where] = bad
+    with pytest.raises(DomainError):
+        Atomic(((tuple(loc), w),))
+
+
+def test_product_divergence_of_some_rows_propagates(cfg):
+    # The inner Lebesgue factor sees a non-decaying integrand for t1 > 2 only.
+    mu = Product((LebesgueDensity(1, density=lambda t: 1.0 / (1.0 + t * t)), lebesgue()))
+    r = integrate(mu, lambda t1, t2: np.where(t1 > 2.0, 1.0, 1.0 / (1.0 + t2 * t2)) + 0j, cfg)
+    assert r.diverged and not r.converged
+
+
+# (converged, diverged) of the growth integral and of the two-variable
+# Nevanlinna integral at the first three grid points, per classification
+# fixture; only the degenerate fixture diverges or stays undecided.
+_FIXTURE_FLAGS = {"neg_degenerate": ((False, True), ((False, False),) * 3)}
+
+
+@pytest.mark.parametrize("fixture", CLASSIFICATION_FIXTURES, ids=lambda f: f[0])
+def test_fixture_convergence_flags(fixture, cfg_nested):
+    name, coeffs, kind, _, _ = fixture
+    mu = Pushforward2D(fixture_base_measure(kind), *coeffs)
+    g = check_growth(mu, cfg_nested)
+    nev = [check_nevanlinna_2var(mu, z, cfg_nested) for z in default_z_grid(2, 3)]
+    flags = ((g.converged, g.diverged), tuple((r.converged, r.diverged) for r in nev))
+    assert flags == _FIXTURE_FLAGS.get(name, ((True, False), ((True, False),) * 3))

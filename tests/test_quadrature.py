@@ -12,6 +12,7 @@ from nvk.quadrature import (
     QuadratureResult,
     integrate_iterated,
     integrate_line,
+    integrate_rows,
     integrate_segment,
 )
 from nvk.residues import line_integral
@@ -144,3 +145,59 @@ def test_random_rationals_match_residue_oracle():
         quad = integrate_line(f)
         assert quad.converged
         assert abs(quad.value - oracle) <= 1e-8 * abs(oracle)
+
+
+# Rows of one batch: double poles at -s - 0.3i (lower half-plane) and at q.
+# Even rows put q in the upper half-plane, so the integral is nonzero; odd
+# rows put it in the lower one, where the integral vanishes.
+_S = np.array([-2.0, -0.3, 0.0, 0.7, 3.1])
+_Q = np.array([(s - 1j) / 2 if i % 2 else (s + 1j) / 2 for i, s in enumerate(_S)])
+
+
+def _row_integrand(x, rows):
+    return 1.0 / ((x + _S[rows] + 0.3j) ** 2 * (2.0 * x - 2.0 * _Q[rows]) ** 2)
+
+
+def test_rows_match_one_at_a_time():
+    cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
+    centers = 0.5 * (-_S + _Q.real)
+    widths = np.maximum(1.0, 0.5 * np.abs(-_S - _Q.real))
+    batch = integrate_rows(_row_integrand, _S.size, cfg, center=centers, halfwidth=widths)
+    for i in range(_S.size):
+        one = integrate_line(lambda x: _row_integrand(x, np.full(x.shape, i)), cfg,
+                             center=centers[i], halfwidth=widths[i])
+        assert batch.converged[i] == one.converged and batch.diverged[i] == one.diverged
+        if abs(one.value) > 1e-12:
+            assert abs(batch.value[i] - one.value) <= 1e-13 * abs(one.value)
+        else:
+            assert abs(batch.value[i] - one.value) <= 1e-15
+    assert np.all(np.abs(batch.value[1::2]) < 1e-12) and np.all(np.abs(batch.value[::2]) > 1e-3)
+
+
+def test_rows_divergence_is_per_row():
+    shift = np.array([0.0, 1.0, 0.0])
+    r = integrate_rows(lambda x, rows: 1.0 / (1.0 + x * x) + shift[rows], 3)
+    assert list(r.diverged) == [False, True, False]
+    assert list(r.converged) == [True, False, True]
+    assert abs(r.value[0] - math.pi) < 1e-12 and r.error_estimate[1] == math.inf
+
+
+def test_iterated_divergence_of_some_rows_propagates():
+    # Inner integrals diverge only for outer nodes t1 > 2.
+    f = lambda t1, t2: np.where(t1 > 2.0, 1.0, 1.0 / (1.0 + t2 * t2)) / (1.0 + t1 * t1)
+    r = integrate_iterated(f, [1, 0])
+    assert r.diverged and not r.converged
+
+
+def test_rows_subdivision_cap_is_per_row():
+    # Row 1 is a Lorentzian of width 1e-4 that needs far more than five
+    # splits; rows 0 and 2 converge within them.
+    width = np.array([1.0, 1e-4, 2.0])
+    cfg = QuadratureConfig(max_subdivisions=5)
+    f = lambda x, rows: width[rows] / (width[rows] ** 2 + (x - 0.3) ** 2)
+    r = integrate_rows(f, 3, cfg)
+    assert list(r.converged) == [True, False, True]
+    assert not r.diverged.any()
+    for i in range(3):
+        one = integrate_line(lambda x: f(x, np.full(x.shape, i)), cfg)
+        assert one.converged == r.converged[i] and one.value == pytest.approx(r.value[i], rel=1e-13)

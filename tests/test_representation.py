@@ -3,9 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvk.errors import DimensionMismatchError, DomainError, GrowthConditionError
-from nvk.measures import LebesgueDensity, PushforwardLadder, zero_measure
+from nvk.measures import Atomic, LebesgueDensity, PushforwardLadder, zero_measure
 from nvk.representation import (
     RepresentationData,
     check_herglotz,
@@ -121,3 +122,27 @@ def test_validation():
         evaluate(data, (1.0 - 1j,))
     with pytest.raises(DimensionMismatchError):
         evaluate(data, (1j, 1j))
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(_NON_FINITE, st.integers(0, 2), st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_non_finite_data_rejected(bad, where, n):
+    a, b = 0.5, [1.0] * n
+    if where == 0:
+        a = bad
+    else:
+        b[where % n] = bad
+    with pytest.raises(DomainError):
+        RepresentationData(a, tuple(b), zero_measure(n))
+
+
+@given(_NON_FINITE, st.booleans(), st.floats(-3.0, 3.0), st.floats(0.1, 3.0))
+@settings(max_examples=30, deadline=None)
+def test_non_finite_point_rejected(bad, in_real, x, y):
+    data = RepresentationData(0.0, (0.0,), Atomic.single(math.pi, 0.0))
+    z = complex(bad, y) if in_real else complex(x, bad)
+    with pytest.raises(DomainError):
+        evaluate(data, (z,))

@@ -17,6 +17,7 @@ from nvk.transform import (
     ladder_to_coefficients,
     transform,
     transform_general,
+    validate_convex_coefficients,
 )
 
 PI = math.pi
@@ -159,3 +160,16 @@ def test_errors(pi_delta0):
         transform_general(data, (0.0, 0.0))
     with pytest.raises(DomainError):
         coefficients_to_ladder((1.2, -0.2))
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5), st.data())
+@settings(max_examples=30, deadline=None)
+def test_non_finite_coefficients_rejected(ks, data):
+    i = data.draw(st.integers(0, len(ks) - 1))
+    ks[i] = data.draw(_NON_FINITE)
+    for strict in (True, False):
+        with pytest.raises(DomainError):
+            validate_convex_coefficients(ks, strict=strict)
