@@ -133,9 +133,11 @@ _WG = np.array([
     0.417959183673469,
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
-# Both rules as the columns of one matrix, so one product applies them.
-_WKG = np.zeros((_XK.size, 2), dtype=complex)
-_WKG[:, 0], _WKG[1::2, 1] = _WK, _WG
+# The Kronrod rule and its difference from the Gauss rule as the columns of
+# one matrix, so one product yields the integral and the raw error.
+_WKD = np.zeros((_XK.size, 2), dtype=complex)
+_WKD[:, 0], _WKD[:, 1] = _WK, _WK
+_WKD[1::2, 1] -= _WG
 
 # Rows per batched solve; larger batches are solved in chunks of this size.
 _ROW_CHUNK = 1024
@@ -159,9 +161,9 @@ def _panels(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     resabs = h * np.dot(mags, _WK)
     if not math.isfinite(np.add.reduce(resabs)):
         raise IntegrandError("integrand not finite")
-    kg = np.dot(y, _WKG)
-    ik = h * kg[:, 0]
-    diff = np.abs(ik - h * kg[:, 1])
+    kd = np.dot(y, _WKD)
+    ik = h * kd[:, 0]
+    diff = np.abs(h * kd[:, 1])
     # QUADPACK-style estimate: scale the raw Gauss/Kronrod difference by the
     # variation of the integrand so that non-smooth panels are not trusted.
     resasc = h * np.dot(np.abs(y - (ik / d)[:, None]), _WK)
@@ -258,10 +260,8 @@ def _adaptive(g: Callable, nrows: int, lo: float, hi: float, cfg: QuadratureConf
             right[:n] = np.where(stuck, b, mid)
         total += v[:n] + v[n:] - v_old
         total_err += e[:n] + e[n:] - e_old
-        pa[u:u + 2] = left.reshape(2, n)
-        pb[u:u + 2] = right.reshape(2, n)
-        pv[u:u + 2] = v.reshape(2, n)
-        pk[u:u + 2] = k.reshape(2, n)
+        new = slice(u * n, (u + 2) * n)
+        fa[new], fb[new], fv[new], fk[new] = left, right, v, k
 
 
 def _composite(f: Callable, a: np.ndarray, b: np.ndarray) -> complex:
@@ -320,7 +320,7 @@ def _solve(f: Callable, nrows: int, lo: float, hi: float, cfg: QuadratureConfig,
 
     value, err, converged, suspect = _adaptive(g, nrows, th_lo, th_hi, cfg)
     diverged = np.zeros(nrows, dtype=bool)
-    if math.isinf(lo) or math.isinf(hi):
+    if (math.isinf(lo) or math.isinf(hi)) and not converged.all():
         # A near-zero non-converged estimate cannot hide a divergence, so the
         # window scan is only consulted for suspicious or sizeable values.
         scan = ~converged & (suspect | (np.abs(value) > 1000.0 * cfg.abs_tol))
