@@ -413,9 +413,10 @@ def _integrate_pushforward2d(mu: Pushforward2D, f: Callable, cfg: QuadratureConf
     a, b, g_, d = mu.coefficients
 
     def inner(t1: np.ndarray) -> np.ndarray:
+        at1, gt1 = a * t1, g_ * t1
+
         def h(t2, rows):
-            s = t1[rows]
-            return f(a * s + b * t2, g_ * s + d * t2)
+            return f(at1[rows] + b * t2, gt1[rows] + d * t2)
 
         # Recenter the substitution where the image coordinates are small,
         # otherwise the node layout degrades as |t1| grows.

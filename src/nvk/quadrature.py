@@ -36,6 +36,7 @@ row each node belongs to.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -147,6 +148,14 @@ _ROW_CHUNK = 1024
 _NOISE_ROUNDS = 50
 
 
+@functools.lru_cache(maxsize=64)
+def _edges(lo: float, hi: float, panels: int) -> np.ndarray:
+    """Read-only equispaced edges of ``panels`` panels on [lo, hi]."""
+    edges = np.linspace(lo, hi, panels + 1)
+    edges.flags.writeable = False
+    return edges
+
+
 def _panels(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     """Gauss-Kronrod panels [a[p], b[p]] of rows ``rows[p]``, all evaluated in
     one call of ``g``; returns (integrals, error estimates)."""
@@ -167,8 +176,9 @@ def _panels(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     # QUADPACK-style estimate: scale the raw Gauss/Kronrod difference by the
     # variation of the integrand so that non-smooth panels are not trusted.
     resasc = h * np.dot(np.abs(y - (ik / d)[:, None]), _WK)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5), diff)
+    rough = resasc > 0.0
+    ratio = 200.0 * diff / np.where(rough, resasc, 1.0)
+    err = np.where(rough, resasc * np.minimum(1.0, ratio ** 1.5), diff)
     return ik, np.maximum(err, 1e-15 * resabs)
 
 
@@ -188,7 +198,11 @@ def _adaptive(g: Callable, nrows: int, lo: float, hi: float, cfg: QuadratureConf
     (error, insertion order) would pop.
     """
     p0 = initial_panels
-    edges = np.linspace(lo, hi, p0 + 1)
+    edges = _edges(lo, hi, p0)
+    # A panel after k splits is at least (hi - lo) / p0 / 2**k - ulp wide, so
+    # none can be at floating-point resolution (midpoint on an endpoint)
+    # while that bound exceeds a few ulps of the endpoints.
+    resolution = 2.0 ** -50 * max(abs(lo), abs(hi)) + 1e-300
     ids = np.arange(nrows)
     v, e = _panels(g, edges[:-1].repeat(nrows), edges[1:].repeat(nrows), np.tile(ids, p0))
     pa, pb = np.empty((4 * p0, nrows)), np.empty((4 * p0, nrows))
@@ -240,9 +254,10 @@ def _adaptive(g: Callable, nrows: int, lo: float, hi: float, cfg: QuadratureConf
         a, b, v_old, e_old = fa[sel], fb[sel], fv[sel], fk[sel]
         fk[sel] = -np.inf
         mid = 0.5 * (a + b)
-        stuck = (mid <= a) | (mid >= b)
         left, right = np.concatenate((a, mid)), np.concatenate((mid, b))
-        if not np.count_nonzero(stuck):
+        narrow = (hi - lo) / p0 * 0.5 ** rounds <= resolution
+        stuck = (mid <= a) | (mid >= b) if narrow else None
+        if not (narrow and np.count_nonzero(stuck)):
             v, e = _panels(g, left, right, ids2)
             k = e
         else:

@@ -201,3 +201,22 @@ def test_rows_subdivision_cap_is_per_row():
     for i in range(3):
         one = integrate_line(lambda x: f(x, np.full(x.shape, i)), cfg)
         assert one.converged == r.converged[i] and one.value == pytest.approx(r.value[i], rel=1e-13)
+
+
+def test_rows_at_floating_point_resolution_match_one_at_a_time():
+    # On [1 - 1e-15, 1 + 1e-15] the initial panels above 1 are one ulp wide
+    # and cannot be split, those below 1 can: row 0 is rough above 1 and
+    # gets stuck, row 1 is rough below 1 and keeps splitting for a while.
+    from nvk.quadrature import _adaptive
+
+    def g(t, rows):
+        rough = np.where(rows == 0, t > 1.0, t < 1.0)
+        return np.where(rough, np.cos(7e15 * t), 0.0) + 1.0 + 0j
+
+    cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300)
+    lo, hi = 1.0 - 1e-15, 1.0 + 1e-15
+    value, err, converged, suspect = _adaptive(g, 2, lo, hi, cfg)
+    assert not converged.any() and not suspect.any()
+    for i in range(2):
+        v1, e1, c1, s1 = _adaptive(lambda t, rows: g(t, np.full(t.shape, i)), 1, lo, hi, cfg)
+        assert value[i] == pytest.approx(v1[0], rel=1e-13) and err[i] == pytest.approx(e1[0], rel=1e-13)
