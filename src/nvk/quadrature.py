@@ -143,8 +143,7 @@ _WKD[1::2, 1] -= _WG
 # Rows per batched solve; larger batches are solved in chunks of this size.
 _ROW_CHUNK = 1024
 
-# A row whose error estimate has not dropped below 98% of its value this
-# many rounds ago is stuck at the noise floor.
+# Rounds over which a row's error estimate must drop by 2% (noise floor).
 _NOISE_ROUNDS = 50
 
 
@@ -215,7 +214,7 @@ def _adaptive(g: Callable, nrows: int, lo: float, hi: float, cfg: QuadratureConf
     history = np.empty((_NOISE_ROUNDS + 1, nrows))
     value, error = np.empty(nrows, dtype=complex), np.empty(nrows)
     converged, suspect = np.zeros(nrows, dtype=bool), np.zeros(nrows, dtype=bool)
-    reshape = True
+    stale = True
     for rounds in itertools.count():
         mag = np.abs(total)
         conv = total_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * mag)
@@ -236,19 +235,20 @@ def _adaptive(g: Callable, nrows: int, lo: float, hi: float, cfg: QuadratureConf
             if not np.count_nonzero(keep):
                 return value, error, converged, suspect
             ids, total, total_err, pushed = ids[keep], total[keep], total_err[keep], pushed[keep]
+            # compress returns C-contiguous copies, as the flat views need.
             history, pa, pb, pv, pk = (x.compress(keep, axis=1) for x in (history, pa, pb, pv, pk))
-            reshape = True
+            stale = True
         u = p0 + 2 * rounds
         if u + 2 > pk.shape[0]:
             pa, pb, pv = (np.concatenate((x, np.empty_like(x))) for x in (pa, pb, pv))
             pk = np.concatenate((pk, np.full_like(pk, -np.inf)))
-            reshape = True
-        if reshape:
+            stale = True
+        if stale:
             # Flat views for gathering one panel per row.
             fa, fb, fv, fk = (x.reshape(-1) for x in (pa, pb, pv, pk))
             n, r = ids.size, np.arange(ids.size)
             ids2 = np.concatenate((ids, ids))
-            reshape = False
+            stale = False
 
         sel = pk.argmax(axis=0) * n + r
         a, b, v_old, e_old = fa[sel], fb[sel], fv[sel], fk[sel]
@@ -354,6 +354,8 @@ def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONF
     node.  ``center`` and ``halfwidth`` are scalars or arrays with one entry
     per row; like in ``integrate_line`` they only shape the node layout.
     """
+    if nrows < 1:
+        raise DomainError("need at least one row")
     if nrows <= _ROW_CHUNK:
         return _solve(f, nrows, -math.inf, math.inf, cfg, center, halfwidth)
     # Rows are independent: solving them in chunks bounds the node arrays

@@ -116,6 +116,11 @@ def test_iterated_order_validation():
         integrate_iterated(lambda a, b: 1.0, [0, 0])
 
 
+def test_rows_need_at_least_one_row():
+    with pytest.raises(DomainError):
+        integrate_rows(lambda x, rows: 1.0 / (1.0 + x * x), 0)
+
+
 @given(st.complex_numbers(max_magnitude=3.0), st.complex_numbers(max_magnitude=3.0))
 @settings(max_examples=25, deadline=None)
 def test_linearity(alpha, beta):
