@@ -19,6 +19,7 @@ from .conditions import (
     classify_pushforward2d,
     default_z_grid,
     derive_traits,
+    nevanlinna_grid,
 )
 from .errors import (
     DimensionMismatchError,
@@ -58,6 +59,7 @@ from .measures import (
     PushforwardLadder,
     indicator,
     integrate,
+    integrate_many,
     lebesgue,
     mass,
     zero_measure,

@@ -22,7 +22,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from math import pi
 from typing import Optional
 
@@ -274,7 +273,8 @@ def suite_rows(suite: str, n: int, seed: int, index: int,
 
 def classification_evidence(mu1, coeffs, grid_count: int, cfg: QuadratureConfig):
     """Classifier verdict for a planar pushforward, plus numerical evidence:
-    the growth integral and the maximum Nevanlinna modulus over the z-grid.
+    the growth integral and the maximum Nevanlinna modulus over the z-grid,
+    whose points are solved together (``conditions.nevanlinna_grid``).
     Declared traits outrank the numerics; a disagreement is reported in the
     ``trait_conflict`` field."""
     from .measures import Pushforward2D
@@ -292,12 +292,11 @@ def classification_evidence(mu1, coeffs, grid_count: int, cfg: QuadratureConfig)
     scale = 0.0
     if growth_ok:
         scale_cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
-        for z in cond.default_z_grid(2, grid_count):
-            v = cond.check_nevanlinna_2var(planar, z, cfg)
-            if v.diverged:
-                nevan_ok = False
-                break
-            s = cond.nevanlinna_modulus_scale(planar, z, scale_cfg)
+        values, scales = cond.nevanlinna_grid(planar, cond.default_z_grid(2, grid_count),
+                                              cfg, scale_cfg)
+        # Scales stop at the first diverged point, like a per-point loop.
+        nevan_ok = len(scales) == len(values)
+        for v, s in zip(values, scales):
             scale = max(scale, s)
             max_mod = max(max_mod, abs(v.value))
             if abs(v.value) > cond.nevanlinna_zero_tolerance(s):
@@ -327,6 +326,9 @@ def cmd_verify(args) -> int:
         samples = len(CLASSIFICATION_FIXTURES)
 
     if args.jobs > 1:
+        # Imported here: multiprocessing is heavy, and only --jobs needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunks = list(pool.map(
                 suite_rows,

@@ -22,7 +22,12 @@ of 25 points per variable pair with Im in [0.1, 10] and Re in [-10, 10];
 this is the strongest desk-scale surrogate for the universally quantified
 statement.  A value counts as zero when |value| <= max(1e-8, 1e-6 * S)
 where S integrates the modulus of the integrand (cancellation-dominated
-integrals need a relative yardstick).
+integrals need a relative yardstick).  The points of a grid are the members
+of one ``measures.integrate_many`` call (``nevanlinna_grid``): the values
+at all points take one batched solve and their scales one more, and the
+one-point checkers are the one-member case.  The sign vectors of the
+n-variable sum and the points of the cubic condition are batched the same
+way.
 
 The classifier for measures of the planar pushforward family decides from
 the affine coefficients and declared traits of the base measure which of
@@ -42,7 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .measures import Box, Measure, integrate, is_zero_measure, mass
+from .measures import Box, Measure, integrate, integrate_many, is_zero_measure, mass
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult
 from .residues import RationalFunction
 
@@ -53,6 +58,7 @@ __all__ = [
     "check_growth",
     "check_nevanlinna_2var",
     "check_nevanlinna_nvar",
+    "nevanlinna_grid",
     "nevanlinna_modulus_scale",
     "default_z_grid",
     "nevanlinna_zero_tolerance",
@@ -82,27 +88,35 @@ class Case(str, Enum):
 
 @dataclass(frozen=True)
 class MeasureTraits:
-    """Declared analytic properties of a one-dimensional base measure."""
+    """Declared analytic properties of a one-dimensional base measure; None
+    marks a property that is unknown (numerics neither converged nor
+    diverged, or the cubic condition was not evaluated)."""
 
-    is_zero: bool
-    is_finite: bool
-    satisfies_1var_growth: bool
+    is_zero: Optional[bool]
+    is_finite: Optional[bool]
+    satisfies_1var_growth: Optional[bool]
     satisfies_cubic_condition: Optional[bool] = None
 
     def __post_init__(self):
-        if self.is_zero and not self.is_finite:
+        if self.is_zero is True and self.is_finite is False:
             raise DomainError("a zero measure is finite")
-        if self.is_finite and not self.satisfies_1var_growth:
+        if self.is_finite is True and self.satisfies_1var_growth is False:
             raise DomainError("a finite measure satisfies the growth condition")
 
 
 @dataclass(frozen=True)
 class Classification:
-    """Outcome of the classifier; ``representing`` is None when the cubic
-    condition would decide but is unknown."""
+    """Outcome of the classifier; ``representing`` is None when the trait
+    that decides is unknown, and ``case`` then names the case it decides."""
 
     case: Case
     representing: Optional[bool]
+
+
+def _decide(case: Case, ok: Optional[bool]) -> Classification:
+    if ok is None:
+        return Classification(case, None)
+    return Classification(case if ok else Case.NOT_REPRESENTING, ok)
 
 
 def check_growth(mu: Measure, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
@@ -118,26 +132,52 @@ def check_growth(mu: Measure, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Quadrat
     return integrate(mu, f, cfg)
 
 
+def _grid_columns(zs: Sequence[Sequence[complex]]) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate arrays (z1, z2) of two-variable sample points."""
+    return (np.array([complex(z[0]) for z in zs]), np.array([complex(z[1]) for z in zs]))
+
+
+def nevanlinna_grid(mu: Measure, zs: Sequence[Sequence[complex]],
+                    cfg: QuadratureConfig = DEFAULT_CONFIG,
+                    scale_cfg: Optional[QuadratureConfig] = None,
+                    ) -> tuple[list[QuadratureResult], list[float]]:
+    """The two-variable Nevanlinna integral at every point of ``zs`` and,
+    given ``scale_cfg``, the modulus scales of the points before the first
+    one whose integral diverged (a "for all z" check stops there).
+
+    The points are the members of one ``integrate_many`` call, and the
+    scales of one more, so the grid costs two batched solves.
+    """
+    z1, z2 = _grid_columns(zs)
+    if np.any(z1.imag <= 0) or np.any(z2.imag <= 0):
+        raise DomainError("sample point must lie in the poly-upper half-plane")
+    z2c = z2.conj()
+
+    def f(t1, t2, k):
+        return 1.0 / ((t1 - z1[k]) ** 2 * (t2 - z2c[k]) ** 2)
+
+    values = integrate_many(mu, f, len(zs), cfg)
+    if scale_cfg is None:
+        return values, []
+    upto = next((i for i, v in enumerate(values) if v.diverged), len(values))
+    return values, _modulus_scales(mu, zs[:upto], scale_cfg)
+
+
+def _modulus_scales(mu: Measure, zs: Sequence[Sequence[complex]],
+                    cfg: QuadratureConfig) -> list[float]:
+    z1, z2 = _grid_columns(zs)
+    z2c = z2.conj()
+
+    def f(t1, t2, k):
+        return 1.0 / (np.abs(t1 - z1[k]) ** 2 * np.abs(t2 - z2c[k]) ** 2) + 0.0j
+
+    return [abs(r.value) for r in integrate_many(mu, f, len(zs), cfg)]
+
+
 def check_nevanlinna_2var(mu: Measure, z: Sequence[complex],
                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """int dmu / ((t1 - z1)^2 (t2 - conj(z2))^2) at one sample point z."""
-    z1, z2 = (complex(v) for v in z)
-    if z1.imag <= 0 or z2.imag <= 0:
-        raise DomainError("sample point must lie in the poly-upper half-plane")
-    z2c = z2.conjugate()
-
-    def f(t1, t2):
-        return 1.0 / ((t1 - z1) ** 2 * (t2 - z2c) ** 2)
-
-    return integrate(mu, f, cfg)
-
-
-def _nevanlinna_factor(rho_j: int, zj: complex):
-    if rho_j == -1:
-        return lambda tj: 1.0 / (tj - zj) - 1.0 / (tj - 1j)
-    if rho_j == 0:
-        return lambda tj: 1.0 / (tj - 1j) - 1.0 / (tj + 1j)
-    return lambda tj: 1.0 / (tj + 1j) - 1.0 / (tj - zj.conjugate())
+    return nevanlinna_grid(mu, [z], cfg)[0][0]
 
 
 def _mixed_sign_vectors(n: int):
@@ -150,33 +190,32 @@ def check_nevanlinna_nvar(mu: Measure, z: Sequence[complex],
                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """The n-variable Nevanlinna sum at one sample point: every sign vector
     containing both -1 and +1 contributes one integral (3^n - 2*2^n + 1
-    terms in total)."""
+    terms in total), each a member of one ``integrate_many`` call."""
     zs = tuple(complex(v) for v in z)
     if any(v.imag <= 0 for v in zs):
         raise DomainError("sample point must lie in the poly-upper half-plane")
     n = len(zs)
     if mu.dimension != n:
         raise DomainError("measure dimension must match the sample point")
+    choice = np.array(list(_mixed_sign_vectors(n))) + 1  # rho_j + 1, one row per term
 
-    total = 0.0 + 0.0j
-    err = 0.0
-    converged = True
-    for rho in _mixed_sign_vectors(n):
-        factors = [_nevanlinna_factor(r, zj) for r, zj in zip(rho, zs)]
+    def f(*args):
+        *ts, k = args
+        v = 1.0 + 0.0j
+        for j, (tj, zj) in enumerate(zip(ts, zs)):
+            a, b = 1.0 / (tj - 1j), 1.0 / (tj + 1j)
+            # N_{-1,j}, N_{0,j} and N_{+1,j}; each term picks its own.
+            factors = (1.0 / (tj - zj) - a, a - b, b - 1.0 / (tj - zj.conjugate()))
+            v = v * np.choose(choice[k, j], factors)
+        return v
 
-        def f(*ts, factors=factors):
-            v = 1.0 + 0.0j
-            for fac, tj in zip(factors, ts):
-                v = v * fac(tj)
-            return v
-
-        r = integrate(mu, f, cfg)
-        if r.diverged:
-            return r
-        total += r.value
-        err += r.error_estimate
-        converged = converged and r.converged
-    return QuadratureResult(total, err, converged, False)
+    terms = integrate_many(mu, f, len(choice), cfg)
+    diverged = next((r for r in terms if r.diverged), None)
+    if diverged is not None:
+        return diverged
+    return QuadratureResult(sum((r.value for r in terms), 0j),
+                            sum(r.error_estimate for r in terms),
+                            all(r.converged for r in terms), False)
 
 
 def nevanlinna_modulus_scale(mu: Measure, z: Sequence[complex],
@@ -184,14 +223,7 @@ def nevanlinna_modulus_scale(mu: Measure, z: Sequence[complex],
     """int |integrand| dmu for the two-variable Nevanlinna integral; the
     reference scale for deciding that a cancellation-dominated value is
     numerically zero."""
-    z1, z2 = (complex(v) for v in z)
-    z2c = z2.conjugate()
-
-    def f(t1, t2):
-        return 1.0 / (np.abs(t1 - z1) ** 2 * np.abs(t2 - z2c) ** 2) + 0.0j
-
-    r = integrate(mu, f, cfg)
-    return abs(r.value)
+    return _modulus_scales(mu, [z], cfg)[0]
 
 
 def nevanlinna_zero_tolerance(scale: float) -> float:
@@ -248,22 +280,21 @@ def check_cubic_condition(coeff_det: float, delta: float, beta: float,
         return True
     if z_samples is None:
         z_samples = default_z_grid(2)
-    for z1, z2 in z_samples:
-        w = -delta * complex(z1) + beta * complex(z2).conjugate()
+    w = np.array([-delta * complex(z1) + beta * complex(z2).conjugate()
+                  for z1, z2 in z_samples])
 
-        def f(t1):
-            return 1.0 / (coeff_det * t1 + w) ** 3
+    def f(t1, k):
+        return 1.0 / (coeff_det * t1 + w[k]) ** 3
 
-        def f_abs(t1):
-            return 1.0 / np.abs(coeff_det * t1 + w) ** 3 + 0.0j
+    def f_abs(t1, k):
+        return 1.0 / np.abs(coeff_det * t1 + w[k]) ** 3 + 0.0j
 
-        r = integrate(mu1, f, cfg)
-        if r.diverged:
-            return False
-        scale = abs(integrate(mu1, f_abs, cfg).value)
-        if abs(r.value) > nevanlinna_zero_tolerance(scale):
-            return False
-    return True
+    values = integrate_many(mu1, f, w.size, cfg)
+    if any(r.diverged for r in values):
+        return False
+    scales = integrate_many(mu1, f_abs, w.size, cfg)
+    return all(abs(r.value) <= nevanlinna_zero_tolerance(abs(s.value))
+               for r, s in zip(values, scales))
 
 
 def classify_pushforward2d(alpha: float, beta: float, gamma: float, delta: float,
@@ -281,36 +312,27 @@ def classify_pushforward2d(alpha: float, beta: float, gamma: float, delta: float
 
     if beta == 0:  # delta != 0
         if alpha == 0:
-            ok = traits.is_finite
-            return Classification(Case.I1 if ok else Case.NOT_REPRESENTING, ok)
-        ok = traits.satisfies_1var_growth
-        return Classification(Case.I2 if ok else Case.NOT_REPRESENTING, ok)
+            return _decide(Case.I1, traits.is_finite)
+        return _decide(Case.I2, traits.satisfies_1var_growth)
 
     if delta == 0:  # beta != 0
         if gamma == 0:
-            ok = traits.is_finite
-            return Classification(Case.II1 if ok else Case.NOT_REPRESENTING, ok)
-        ok = traits.satisfies_1var_growth
-        return Classification(Case.II2 if ok else Case.NOT_REPRESENTING, ok)
+            return _decide(Case.II1, traits.is_finite)
+        return _decide(Case.II2, traits.satisfies_1var_growth)
 
     det = alpha * delta - beta * gamma
     if beta * delta < 0:
         if det == 0:
-            ok = traits.is_finite
-            return Classification(Case.III1A if ok else Case.NOT_REPRESENTING, ok)
-        ok = traits.satisfies_1var_growth
-        return Classification(Case.III1B if ok else Case.NOT_REPRESENTING, ok)
+            return _decide(Case.III1A, traits.is_finite)
+        return _decide(Case.III1B, traits.satisfies_1var_growth)
 
-    # beta * delta > 0
+    # beta * delta > 0; with det != 0 growth decides first, then the cubic
+    # condition.
     if det == 0:
-        ok = traits.is_zero
-        return Classification(Case.III2A if ok else Case.NOT_REPRESENTING, ok)
-    if not traits.satisfies_1var_growth:
-        return Classification(Case.NOT_REPRESENTING, False)
-    cubic = True if traits.is_zero else traits.satisfies_cubic_condition
-    if cubic is None:
-        return Classification(Case.III2B, None)
-    return Classification(Case.III2B if cubic else Case.NOT_REPRESENTING, bool(cubic))
+        return _decide(Case.III2A, traits.is_zero)
+    if traits.satisfies_1var_growth is not True:
+        return _decide(Case.III2B, traits.satisfies_1var_growth)
+    return _decide(Case.III2B, True if traits.is_zero else traits.satisfies_cubic_condition)
 
 
 def derive_traits(mu1: Measure, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -319,22 +341,28 @@ def derive_traits(mu1: Measure, cfg: QuadratureConfig = DEFAULT_CONFIG,
 
     When ``coefficients`` with beta*delta > 0 and a nonzero determinant are
     supplied, the cubic condition is evaluated as well; otherwise it is left
-    unknown.  Numerical divergence detection is heuristic, so a declared
-    trait always outranks the derived one.
+    unknown.  A mass or growth integral that neither converged nor diverged
+    leaves its traits unknown (None) rather than satisfied.  Numerical
+    divergence detection is heuristic, so a declared trait always outranks
+    the derived one.
     """
     if mu1.dimension != 1:
         raise DomainError("traits are derived for one-dimensional measures")
     if is_zero_measure(mu1):
         return MeasureTraits(True, True, True, True)
 
+    def decided(r: QuadratureResult) -> Optional[bool]:
+        """Finite (True), infinite (False), or None when undecided."""
+        return r.converged if (r.converged or r.diverged) else None
+
     total = mass(mu1, Box(((-math.inf, math.inf),)), cfg)
-    zero = (not total.diverged) and abs(total.value) <= 1e-12
-    finite = not total.diverged
+    finite = decided(total)
+    zero = finite and abs(total.value) <= 1e-12
 
     def g(t):
         return 1.0 / (1.0 + t * t) + 0.0j
 
-    growth = not integrate(mu1, g, cfg).diverged
+    growth = decided(integrate(mu1, g, cfg))
 
     cubic: Optional[bool] = True if zero else None
     if coefficients is not None and not zero:

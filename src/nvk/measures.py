@@ -26,6 +26,16 @@ inner integrals for all nodes of the level above, and for all atoms of an
 atomic base, are the rows of a single adaptive pass, so outer coordinates
 reach the test function as arrays as long as the innermost variable's nodes.
 
+A family of test functions shares those solves: ``integrate_many(mu, f, m)``
+computes int f(t, k) dmu for the members k = 0, ..., m-1, and ``f`` receives
+the integer array of member indices as an extra last argument.  The members
+are the outermost rows of every nest level and are carried down like an
+outer coordinate.  Each member keeps its own error estimate, ``converged``
+and ``diverged``: one whose inner integral diverges reports (nan, inf,
+False, True), its rows leave the later solves, and the other members go on.
+The work stops early only when every member has diverged.  ``integrate`` is
+the one-member case.
+
 Sets are finite unions of closed axis-aligned boxes.  Atoms sitting on a
 box boundary count as inside.
 """
@@ -60,6 +70,7 @@ __all__ = [
     "zero_measure",
     "indicator",
     "integrate",
+    "integrate_many",
     "mass",
     "is_zero_measure",
 ]
@@ -298,22 +309,43 @@ def indicator(region: Region) -> Callable:
 
 @dataclass
 class _ErrorBudget:
-    total: float = 0.0
-    converged: bool = True
+    """Error totals and flags per member of one ``integrate_many`` call."""
 
-    def absorb(self, r: RowResults):
+    total: np.ndarray
+    converged: np.ndarray
+    diverged: np.ndarray
+
+    @classmethod
+    def for_members(cls, m: int) -> "_ErrorBudget":
+        return cls(np.zeros(m), np.ones(m, dtype=bool), np.zeros(m, dtype=bool))
+
+    def absorb(self, r: RowResults, k: np.ndarray):
+        """Fold in one solve whose row i belongs to member ``k[i]``."""
         if r.diverged.any():
-            raise _Diverged
-        self.total += float(r.error_estimate.sum())
-        if not r.converged.all():
-            self.converged = False
+            self.diverged[k[r.diverged]] = True
+            if self.diverged.all():
+                raise _Diverged
+        self.total += np.bincount(k, weights=r.error_estimate, minlength=self.total.size)
+        self.converged[k[~r.converged]] = False
 
 
-def _line(g: Callable, nrows: int, cfg: QuadratureConfig, budget: _ErrorBudget,
+def _line(g: Callable, k: np.ndarray, cfg: QuadratureConfig, budget: _ErrorBudget,
           center=0.0, halfwidth=1.0) -> np.ndarray:
-    """Line integrals of ``g(x, rows)`` for ``nrows`` rows in one batched solve."""
-    r = integrate_rows(g, nrows, cfg, center=center, halfwidth=halfwidth)
-    budget.absorb(r)
+    """Line integrals of ``g(x, rows)`` in one batched solve, row i for member
+    ``k[i]``.  Rows of diverged members are not solved and read 0, so the
+    levels above them settle at once."""
+    if budget.diverged.any() and budget.diverged[k].any():
+        live = np.flatnonzero(~budget.diverged[k])
+        out = np.zeros(k.size, dtype=complex)
+        if live.size:
+            out[live] = _line(lambda x, rows: g(x, live[rows]), k[live], cfg, budget,
+                              center[live] if np.ndim(center) else center,
+                              halfwidth[live] if np.ndim(halfwidth) else halfwidth)
+        return out
+    r = integrate_rows(g, k.size, cfg, center=center, halfwidth=halfwidth)
+    budget.absorb(r, k)
+    if r.diverged.any():
+        return np.where(budget.diverged[k], 0.0, r.value)
     return r.value
 
 
@@ -325,98 +357,122 @@ def _atom_sum(atoms, vals: np.ndarray) -> np.ndarray:
     return total
 
 
+def integrate_many(mu: Measure, f: Callable, m: int,
+                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[QuadratureResult]:
+    """The ``m`` integrals of ``f(t, k)`` against ``mu`` for k = 0, ..., m-1.
+
+    ``f`` takes ``mu.dimension`` coordinates followed by an integer array of
+    member indices, and must broadcast when any argument arrives as an
+    array.  The members are the outermost rows of every batched solve; each
+    keeps its own error estimate and flags, and one whose integral diverges
+    reports ``(nan, inf, False, True)`` without disturbing the others.
+    """
+    if m < 0:
+        raise DomainError("need a nonnegative member count")
+    if m == 0:
+        return []
+    budget = _ErrorBudget.for_members(m)
+    try:
+        values = _integrate(mu, f, np.arange(m), cfg, budget)
+    except _Diverged:
+        values = np.full(m, complex("nan"))
+    return [QuadratureResult(complex("nan"), math.inf, False, True) if budget.diverged[j]
+            else QuadratureResult(complex(values[j]), float(budget.total[j]),
+                                  bool(budget.converged[j]), False)
+            for j in range(m)]
+
+
 def integrate(mu: Measure, f: Callable,
               cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """Integral of ``f`` against ``mu``.
+    """Integral of ``f`` against ``mu``: ``integrate_many`` with one member.
 
     ``f`` takes ``mu.dimension`` positional arguments and must broadcast when
     any of them arrives as an array; arrays passed together have one length.
     Divergence is reported through the result, not raised.
     """
-    try:
-        budget = _ErrorBudget()
-        value = _integrate(mu, f, cfg, budget)
-    except _Diverged:
-        return QuadratureResult(complex("nan"), math.inf, False, True)
-    return QuadratureResult(complex(value), budget.total, budget.converged, False)
+    return integrate_many(mu, lambda *args: f(*args[:-1]), 1, cfg)[0]
 
 
-def _integrate(mu: Measure, f: Callable, cfg: QuadratureConfig,
-               budget: _ErrorBudget) -> complex:
+def _integrate(mu: Measure, f: Callable, k: np.ndarray, cfg: QuadratureConfig,
+               budget: _ErrorBudget) -> np.ndarray:
+    """Integrals of ``f(t, k[i])`` against ``mu``, one per entry of ``k``."""
     if isinstance(mu, Atomic):
-        total = 0.0 + 0.0j
+        total = np.zeros(k.size, dtype=complex)
         for loc, w in mu.atoms:
-            total += w * complex(f(*loc))
+            total += w * np.asarray(f(*loc, k), dtype=complex)
         return total
 
     if isinstance(mu, LebesgueDensity):
-        return _integrate_lebesgue(mu, f, cfg, budget)
+        return _integrate_lebesgue(mu, f, k, cfg, budget)
 
     if isinstance(mu, Product):
-        return _integrate_product(mu, f, cfg, budget)
+        return _integrate_product(mu, f, k, cfg, budget)
 
     if isinstance(mu, Pushforward2D):
-        return _integrate_pushforward2d(mu, f, cfg, budget)
+        return _integrate_pushforward2d(mu, f, k, cfg, budget)
 
     if isinstance(mu, PushforwardLadder):
-        return _integrate_ladder(mu, f, cfg, budget)
+        return _integrate_ladder(mu, f, k, cfg, budget)
 
     if isinstance(mu, LebesguePad):
-        return _integrate_padded(mu, f, cfg, budget)
+        return _integrate_padded(mu, f, k, cfg, budget)
 
     raise DomainError(f"unknown measure variant {type(mu).__name__}")
 
 
-def _integrate_lebesgue(mu: LebesgueDensity, f: Callable, cfg: QuadratureConfig,
-                        budget: _ErrorBudget) -> complex:
-    k = mu.dim
+def _integrate_lebesgue(mu: LebesgueDensity, f: Callable, k: np.ndarray,
+                        cfg: QuadratureConfig, budget: _ErrorBudget) -> np.ndarray:
+    dim = mu.dim
     dens = mu.density
 
-    def rec(fixed: tuple, nrows: int) -> np.ndarray:
+    def rec(fixed: tuple, k: np.ndarray) -> np.ndarray:
         # Axis 0 is outermost; the last axis is the innermost integral.
         depth = len(fixed)
         lcfg = cfg.tighter(0.1 ** depth) if depth else cfg
 
         def g(x, rows):
             args = tuple(t[rows] for t in fixed) + (x,)
-            if depth < k - 1:
-                return rec(args, x.size)
-            vals = np.asarray(f(*args), dtype=complex)
+            if depth < dim - 1:
+                return rec(args, k[rows])
+            vals = np.asarray(f(*args, k[rows]), dtype=complex)
             return vals * np.asarray(dens(*args)) if dens is not None else vals
 
-        return _line(g, nrows, lcfg, budget)
+        return _line(g, k, lcfg, budget)
 
-    return rec((), 1)[0]
+    return rec((), k)
 
 
-def _against_base(base: Measure, g: Callable, cfg: QuadratureConfig,
-                  budget: _ErrorBudget) -> complex:
-    """Integral of ``g`` against a one-dimensional base; ``g`` maps an array
-    of base points to an array of values (all atoms are evaluated at once)."""
+def _against_base(base: Measure, g: Callable, k: np.ndarray, cfg: QuadratureConfig,
+                  budget: _ErrorBudget) -> np.ndarray:
+    """Integrals of ``g`` against a one-dimensional base, one per entry of
+    ``k``; ``g(x, k)`` maps arrays of base points and their members to values
+    (all atoms of all members are evaluated at once, members outermost)."""
     if isinstance(base, Atomic):
         if not base.atoms:
-            return 0.0 + 0.0j
-        return _atom_sum(base.atoms, g(np.array([x for (x,), _ in base.atoms])))[()]
+            return np.zeros(k.size, dtype=complex)
+        xs = np.array([x for (x,), _ in base.atoms])
+        vals = np.asarray(g(np.tile(xs, k.size), k.repeat(xs.size)), dtype=complex)
+        return _atom_sum(base.atoms, vals.reshape(k.size, xs.size))
     if isinstance(base, LebesgueDensity):
         dens = base.density
 
         def h(x, rows):
-            v = g(x)
+            v = g(x, k[rows])
             return v * np.asarray(dens(x)) if dens is not None else v
 
-        return _line(h, 1, cfg, budget)[0]
+        return _line(h, k, cfg, budget)
     raise DomainError("base measure must be atomic or a Lebesgue density")
 
 
-def _integrate_pushforward2d(mu: Pushforward2D, f: Callable, cfg: QuadratureConfig,
-                             budget: _ErrorBudget) -> complex:
+def _integrate_pushforward2d(mu: Pushforward2D, f: Callable, k: np.ndarray,
+                             cfg: QuadratureConfig, budget: _ErrorBudget) -> np.ndarray:
     a, b, g_, d = mu.coefficients
 
-    def inner(t1: np.ndarray) -> np.ndarray:
+    def inner(t1: np.ndarray, k: np.ndarray) -> np.ndarray:
         at1, gt1 = a * t1, g_ * t1
 
         def h(t2, rows):
-            return f(at1[rows] + b * t2, gt1[rows] + d * t2)
+            return f(at1[rows] + b * t2, gt1[rows] + d * t2, k[rows])
 
         # Recenter the substitution where the image coordinates are small,
         # otherwise the node layout degrades as |t1| grows.
@@ -433,13 +489,13 @@ def _integrate_pushforward2d(mu: Pushforward2D, f: Callable, cfg: QuadratureConf
             width = np.maximum(width, 0.5 * np.abs(centers[0] - centers[1]))
         else:
             center = centers[0] if centers else 0.0
-        return _line(h, t1.size, cfg.tighter(), budget, center=center, halfwidth=width)
+        return _line(h, k, cfg.tighter(), budget, center=center, halfwidth=width)
 
-    return _against_base(mu.base, inner, cfg, budget)
+    return _against_base(mu.base, inner, k, cfg, budget)
 
 
-def _integrate_ladder(mu: PushforwardLadder, f: Callable, cfg: QuadratureConfig,
-                      budget: _ErrorBudget) -> complex:
+def _integrate_ladder(mu: PushforwardLadder, f: Callable, k: np.ndarray,
+                      cfg: QuadratureConfig, budget: _ErrorBudget) -> np.ndarray:
     b = mu.b
     n = len(b) + 1
 
@@ -448,7 +504,7 @@ def _integrate_ladder(mu: PushforwardLadder, f: Callable, cfg: QuadratureConfig,
         out.append(t1 + sum(rest))
         return out
 
-    def rec(t1: np.ndarray, fixed: tuple) -> np.ndarray:
+    def rec(t1: np.ndarray, fixed: tuple, k: np.ndarray) -> np.ndarray:
         depth = len(fixed)
         lcfg = cfg.tighter(0.1 ** (depth + 1))
         j = depth  # integrating t_{j+2}, entering u_{j+1} = t1 - b_j t_{j+2}
@@ -465,36 +521,36 @@ def _integrate_ladder(mu: PushforwardLadder, f: Callable, cfg: QuadratureConfig,
         def g(x, rows):
             rest = tuple(t[rows] for t in fixed) + (x,)
             if innermost:
-                return f(*coords(t1[rows], rest))
-            return rec(t1[rows], rest)
+                return f(*coords(t1[rows], rest), k[rows])
+            return rec(t1[rows], rest, k[rows])
 
-        return _line(g, t1.size, lcfg, budget, center=center, halfwidth=width)
+        return _line(g, k, lcfg, budget, center=center, halfwidth=width)
 
-    value = _against_base(mu.base, lambda t1: rec(t1, ()), cfg, budget)
+    value = _against_base(mu.base, lambda t1, k: rec(t1, (), k), k, cfg, budget)
     return mu.scale * value
 
 
-def _integrate_product(mu: Product, f: Callable, cfg: QuadratureConfig,
-                       budget: _ErrorBudget) -> complex:
-    k = len(mu.factors)
+def _integrate_product(mu: Product, f: Callable, k: np.ndarray,
+                       cfg: QuadratureConfig, budget: _ErrorBudget) -> np.ndarray:
+    dim = len(mu.factors)
 
-    def rec(fixed: tuple, nrows: int) -> np.ndarray:
+    def rec(fixed: tuple, k: np.ndarray) -> np.ndarray:
         axis = len(fixed)
         factor = mu.factors[axis]
         lcfg = cfg.tighter(0.1 ** axis) if axis else cfg
 
         def g(x, rows):
             args = tuple(t[rows] for t in fixed) + (x,)
-            return f(*args) if axis == k - 1 else rec(args, x.size)
+            return f(*args, k[rows]) if axis == dim - 1 else rec(args, k[rows])
 
         if isinstance(factor, Atomic):
             if not factor.atoms:
-                return np.zeros(nrows, dtype=complex)
+                return np.zeros(k.size, dtype=complex)
             # One entry per (row, atom) pair, rows outermost.
             xs = np.array([x for (x,), _ in factor.atoms])
-            rows = np.repeat(np.arange(nrows), xs.size)
-            vals = np.asarray(g(np.tile(xs, nrows), rows), dtype=complex)
-            return _atom_sum(factor.atoms, np.broadcast_to(vals, rows.shape).reshape(nrows, -1))
+            rows = np.repeat(np.arange(k.size), xs.size)
+            vals = np.asarray(g(np.tile(xs, k.size), rows), dtype=complex)
+            return _atom_sum(factor.atoms, np.broadcast_to(vals, rows.shape).reshape(k.size, -1))
 
         if isinstance(factor, LebesgueDensity):
             dens = factor.density
@@ -503,24 +559,24 @@ def _integrate_product(mu: Product, f: Callable, cfg: QuadratureConfig,
                 v = np.asarray(g(x, rows), dtype=complex)
                 return v * np.asarray(dens(x)) if dens is not None else v
 
-            return _line(h, nrows, lcfg, budget)
+            return _line(h, k, lcfg, budget)
 
         raise DomainError("product factors must be atomic or Lebesgue densities")
 
-    return rec((), 1)[0]
+    return rec((), k)
 
 
-def _integrate_padded(mu: LebesguePad, f: Callable, cfg: QuadratureConfig,
-                      budget: _ErrorBudget) -> complex:
+def _integrate_padded(mu: LebesguePad, f: Callable, k: np.ndarray,
+                      cfg: QuadratureConfig, budget: _ErrorBudget) -> np.ndarray:
     pad = mu.padded_axes
 
     if not pad:
-        return _integrate(mu.inner, f, cfg, budget)
+        return _integrate(mu.inner, f, k, cfg, budget)
 
     # Padding axes run first, innermost the largest index.
     pad_desc = tuple(sorted(pad, reverse=True))
 
-    def rec(fixed: dict, depth: int, nrows: int) -> np.ndarray:
+    def rec(fixed: dict, depth: int, k: np.ndarray) -> np.ndarray:
         # ``fixed`` maps each axis already set to its value in every row.
         axis = pad_desc[len(pad) - 1 - depth]  # outermost pad axis first
 
@@ -528,16 +584,19 @@ def _integrate_padded(mu: LebesguePad, f: Callable, cfg: QuadratureConfig,
             sub = {j: t[rows] for j, t in fixed.items()}
             sub[axis] = x
             if depth == len(pad) - 1:
-                return f(*(sub[j] for j in range(mu.dim)))
-            return rec(sub, depth + 1, x.size)
+                return f(*(sub[j] for j in range(mu.dim)), k[rows])
+            return rec(sub, depth + 1, k[rows])
 
-        return _line(h, nrows, cfg.tighter(0.1 ** (depth + 1)), budget)
+        return _line(h, k, cfg.tighter(0.1 ** (depth + 1)), budget)
 
-    def g(*s_vals):
-        s = np.broadcast_arrays(*(np.atleast_1d(np.real(v)).astype(float) for v in s_vals))
-        return rec(dict(zip(mu.axes, s)), 0, s[0].size).reshape(np.shape(s_vals[0]))
+    def g(*args):
+        # The inner measure's coordinates, then its members; one row each.
+        shape = np.broadcast(*args).shape
+        *s, kk = (np.broadcast_to(v, shape).reshape(-1) for v in args)
+        s = [np.real(v).astype(float) for v in s]
+        return rec(dict(zip(mu.axes, s)), 0, kk).reshape(shape)
 
-    return _integrate(mu.inner, g, cfg, budget)
+    return _integrate(mu.inner, g, k, cfg, budget)
 
 
 def mass(mu: Measure, region: Region,

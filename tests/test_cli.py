@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -10,7 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from nvk.cli import main
+import nvk
+from nvk import conditions as cond
+from nvk.cli import CLASSIFICATION_FIXTURES, classification_evidence, fixture_base_measure, main
+from nvk.measures import Pushforward2D
+from nvk.quadrature import QuadratureConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -228,3 +233,51 @@ def test_invalid_descriptor_schema_exit_code(tmp_path):
     path.write_text(json.dumps({"schema": "nvk-1", "measure": {"type": "bogus"}}))
     rc, _ = run_main(["eval", str(path), "--z", "0+1i"])
     assert rc == 2
+
+
+def _evidence_per_point(mu1, coeffs, grid_count, cfg):
+    """The Nevanlinna half of ``classification_evidence`` as a loop of
+    one-point solves that stops at the first diverged point (reference)."""
+    planar = Pushforward2D(mu1, *coeffs)
+    growth = cond.check_growth(planar, cfg)
+    nevan_ok = growth_ok = growth.converged and not growth.diverged
+    max_mod = scale = 0.0
+    if growth_ok:
+        scale_cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
+        for z in cond.default_z_grid(2, grid_count):
+            v = cond.check_nevanlinna_2var(planar, z, cfg)
+            if v.diverged:
+                nevan_ok = False
+                break
+            s = cond.nevanlinna_modulus_scale(planar, z, scale_cfg)
+            scale, max_mod = max(scale, s), max(max_mod, abs(v.value))
+            if abs(v.value) > cond.nevanlinna_zero_tolerance(s):
+                nevan_ok = False
+    return growth_ok and nevan_ok, max_mod, scale
+
+
+@pytest.mark.parametrize("fixture", CLASSIFICATION_FIXTURES, ids=lambda f: f[0])
+def test_classification_evidence_matches_per_point_loop(fixture):
+    name, coeffs, kind, expected_case, expected_rep = fixture
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
+    mu1 = fixture_base_measure(kind)
+    got, evidence = classification_evidence(mu1, coeffs, 25, cfg)
+    numeric_rep, max_mod, scale = _evidence_per_point(mu1, coeffs, 25, cfg)
+    assert (got.case, got.representing) == (expected_case, expected_rep)
+    assert evidence["evidence_representing"] == numeric_rep
+    conflict = None if numeric_rep == expected_rep else "declared traits disagree with numerical evidence"
+    assert evidence["trait_conflict"] == conflict
+    assert abs(evidence["nevanlinna_max_modulus"] - max_mod) <= 1e-12 * max_mod
+    assert abs(evidence["nevanlinna_scale"] - scale) <= 1e-12 * scale
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # The process pool is imported only when --jobs asks for one.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(nvk.__file__).parents[1])] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nvk.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,7 +1,9 @@
 """Growth/Nevanlinna checkers and the planar pushforward classifier."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from nvk.cli import CLASSIFICATION_FIXTURES, fixture_base_measure
@@ -18,6 +20,7 @@ from nvk.conditions import (
     growth_inner_rational,
     growth_inner_value,
     nevanlinna_inner_rational,
+    nevanlinna_grid,
     nevanlinna_inner_value,
     nevanlinna_modulus_scale,
     nevanlinna_zero_tolerance,
@@ -28,10 +31,11 @@ from nvk.measures import (
     LebesgueDensity,
     Product,
     Pushforward2D,
+    integrate,
     lebesgue,
     zero_measure,
 )
-from nvk.quadrature import QuadratureConfig
+from nvk.quadrature import QuadratureConfig, QuadratureResult
 from nvk.residues import line_integral
 from nvk.sampling import rng_for
 from nvk.transform import transform
@@ -230,3 +234,130 @@ def test_default_z_grid_matches_scipy_halton(n):
     expected = [tuple((-10.0 + 20.0 * row[2 * j]) + 1j * (0.1 + 9.9 * row[2 * j + 1])
                       for j in range(n)) for row in pts]
     assert default_z_grid(n, 25) == expected
+
+
+# A planar density growing fast enough that every Nevanlinna integral of it
+# diverges.
+_GROWING_2D = LebesgueDensity(2, density=lambda a, b: (1.0 + a ** 4) * (1.0 + b ** 4))
+
+
+def _nvar_term_by_term(mu, z, cfg):
+    """The sign-vector sum with one ``integrate`` per term (reference)."""
+    def factor(r, zj):
+        if r == -1:
+            return lambda t: 1.0 / (t - zj) - 1.0 / (t - 1j)
+        if r == 0:
+            return lambda t: 1.0 / (t - 1j) - 1.0 / (t + 1j)
+        return lambda t: 1.0 / (t + 1j) - 1.0 / (t - zj.conjugate())
+
+    total, err, conv, moduli = 0j, 0.0, True, 0.0
+    for rho in itertools.product((-1, 0, 1), repeat=len(z)):
+        if not (-1 in rho and 1 in rho):
+            continue
+        facs = [factor(r, complex(zj)) for r, zj in zip(rho, z)]
+
+        def f(*ts, facs=facs):
+            v = 1.0 + 0.0j
+            for fac, t in zip(facs, ts):
+                v = v * fac(t)
+            return v
+
+        r = integrate(mu, f, cfg)
+        if r.diverged:
+            return r, math.inf
+        total, err, conv = total + r.value, err + r.error_estimate, conv and r.converged
+        moduli += abs(integrate(mu, lambda *ts, f=f: abs(f(*ts)) + 0j, cfg).value)
+    return QuadratureResult(total, err, conv, False), moduli
+
+
+@pytest.mark.parametrize("case", ["diagonal", "antidiagonal", "density", "atom3", "diverges"])
+def test_nevanlinna_nvar_matches_term_by_term(case, pi_delta0, cfg_nested):
+    mu, z = {
+        "diagonal": (Pushforward2D(pi_delta0, 0, 1, 0, 1), GENERIC_Z2),
+        "antidiagonal": (Pushforward2D(pi_delta0, 1, 1, 1, -1), GENERIC_Z2),
+        "density": (Pushforward2D(LebesgueDensity(1, density=lambda t: 1.0 / (1.0 + t * t)),
+                                  1, 1, 1, 2), GENERIC_Z2),
+        "atom3": (Atomic.single(1.0, 0.2, -0.1, 0.4), (0.5 + 1.5j, -0.3 + 0.8j, 1.1 + 0.6j)),
+        "diverges": (_GROWING_2D, GENERIC_Z2),
+    }[case]
+    got = check_nevanlinna_nvar(mu, z, cfg_nested)
+    want, moduli = _nvar_term_by_term(mu, z, cfg_nested)
+    if case == "diverges":
+        assert (got.converged, got.diverged) == (want.converged, want.diverged) == (False, True)
+        return
+    assert (got.converged, got.diverged) == (want.converged, False)
+    assert abs(got.value - want.value) <= 1e-13 * moduli
+    assert abs(got.error_estimate - want.error_estimate) <= 1e-13 * moduli
+
+
+@pytest.mark.parametrize("kind", ["atom", "density"])
+def test_nevanlinna_grid_matches_per_point(kind, pi_delta0, cfg_nested):
+    base = pi_delta0 if kind == "atom" else LebesgueDensity(1, density=lambda t: 1.0 / (1.0 + t * t))
+    mu = Pushforward2D(base, 1, 1, 1, 2)
+    grid = default_z_grid(2, 6)
+    scale_cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
+    values, scales = nevanlinna_grid(mu, grid, cfg_nested, scale_cfg)
+    assert len(values) == len(scales) == len(grid)
+    for z, v, s in zip(grid, values, scales):
+        want_v = check_nevanlinna_2var(mu, z, cfg_nested)
+        want_s = nevanlinna_modulus_scale(mu, z, scale_cfg)
+        assert (v.converged, v.diverged) == (want_v.converged, want_v.diverged)
+        assert abs(v.value - want_v.value) <= 1e-13 * want_s
+        assert abs(s - want_s) <= 1e-13 * want_s
+
+
+def test_nevanlinna_grid_scales_stop_at_divergence(pi_delta0, cfg_nested):
+    values, scales = nevanlinna_grid(_GROWING_2D, default_z_grid(2, 3),
+                                     cfg_nested, QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9))
+    assert [v.diverged for v in values] == [True] * 3 and scales == []
+    assert nevanlinna_grid(Pushforward2D(pi_delta0, 1, 1, 1, 2), [], cfg_nested) == ([], [])
+    with pytest.raises(DomainError):
+        nevanlinna_grid(Pushforward2D(pi_delta0, 1, 1, 1, 2), [(1j, 1j), (1j, -1j)], cfg_nested)
+
+
+def _cubic_per_point(coeff_det, delta, beta, mu1, z_samples, cfg):
+    """``check_cubic_condition`` as one pair of integrals per point (reference)."""
+    for z1, z2 in z_samples:
+        w = -delta * complex(z1) + beta * complex(z2).conjugate()
+        r = integrate(mu1, lambda t: 1.0 / (coeff_det * t + w) ** 3, cfg)
+        if r.diverged:
+            return False
+        scale = abs(integrate(mu1, lambda t: 1.0 / np.abs(coeff_det * t + w) ** 3 + 0j, cfg).value)
+        if abs(r.value) > nevanlinna_zero_tolerance(scale):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("mu1", [Atomic.single(PI, 0.0), Atomic.single(1.0, 0.5), lebesgue(),
+                                 LebesgueDensity(1, density=lambda t: 1.0 / (1.0 + t * t))],
+                         ids=["pi_delta0", "atom", "lebesgue", "cauchy"])
+def test_cubic_condition_matches_per_point(mu1, cfg):
+    grid = default_z_grid(2, 9)
+    for det, delta, beta in ((1.0, 2.0, 1.0), (-0.5, 1.0, 3.0)):
+        assert check_cubic_condition(det, delta, beta, mu1, grid, cfg) == \
+            _cubic_per_point(det, delta, beta, mu1, grid, cfg)
+
+
+def test_undecided_growth_is_unknown_not_satisfied(cfg):
+    # (1+t^2)/(1+|t|) makes the growth integrand 1/(1+|t|): log-divergent,
+    # which the quadrature can neither converge nor flag as divergent.
+    mu1 = LebesgueDensity(1, density=lambda t: (1.0 + t * t) / (1.0 + np.abs(t)))
+    traits = derive_traits(mu1, cfg, coefficients=(1, 0, 1, 1))
+    assert traits.satisfies_1var_growth is None
+    assert traits.is_finite is False
+    got = classify_pushforward2d(1, 0, 1, 1, traits)
+    assert (got.case, got.representing) == (Case.I2, None)
+
+
+@pytest.mark.parametrize(
+    "name,coeffs,kind,expected_case,expected_rep", CLASSIFICATION_FIXTURES)
+def test_classifier_unknown_traits(name, coeffs, kind, expected_case, expected_rep):
+    # Nothing known but that the base is not zero: every branch that reads
+    # finiteness, growth or the cubic condition is indeterminate.
+    got = classify_pushforward2d(*coeffs, MeasureTraits(False, None, None, None))
+    if name == "neg_degenerate" or coeffs == (1.0, 1.0, 1.0, 1.0):
+        # beta = delta = 0, or the zero-determinant case that reads is_zero.
+        want = (Case.NOT_REPRESENTING, False)
+    else:
+        want = (Case.III2B if name == "neg_iii2b_atom" else expected_case, None)
+    assert (got.case, got.representing) == want

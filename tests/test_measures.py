@@ -19,6 +19,7 @@ from nvk.measures import (
     PushforwardLadder,
     indicator,
     integrate,
+    integrate_many,
     lebesgue,
     mass,
     zero_measure,
@@ -178,3 +179,69 @@ def test_fixture_convergence_flags(fixture, cfg_nested):
     nev = [check_nevanlinna_2var(mu, z, cfg_nested) for z in default_z_grid(2, 3)]
     flags = ((g.converged, g.diverged), tuple((r.converged, r.diverged) for r in nev))
     assert flags == _FIXTURE_FLAGS.get(name, ((True, False), ((True, False),) * 3))
+
+
+# Member-axis integration: each member's integral must equal the one-member
+# route, whatever nesting the variant has.
+_W = np.array([0.3 + 1.1j, -0.7 + 0.4j, 1.5 + 2.0j])
+_CAUCHY = LebesgueDensity(1, density=lambda t: 1.0 / (1.0 + t * t))
+_MANY_MEASURES = {
+    "atomic": Atomic((((0.0, 1.0), 2.0), ((-0.5, 0.3), 1.0))),
+    "density_1d": _CAUCHY,
+    "lebesgue_2d": lebesgue(2),
+    "product": Product((_CAUCHY, Atomic((((0.4,), 1.0), ((-1.2,), 0.5))))),
+    "pushforward2d_atomic": Pushforward2D(Atomic((((0.0,), PI), ((0.8,), 1.0))), 1, 1, 1, 2),
+    "pushforward2d_density": Pushforward2D(_CAUCHY, 1, 1, 1, 2),
+    "ladder": PushforwardLadder(Atomic((((0.2,), 1.0),)), (1.0, 0.5), 0.7),
+    "pad_atomic": LebesguePad(Atomic((((0.5,), 2.0),)), (1,), 2),
+    "pad_density": LebesguePad(_CAUCHY, (0,), 2),
+}
+
+
+def _member_integrand(*args):
+    """prod_j 1/((t_j - w_k)(t_j + i)): decays like |t_j|^-2 on every axis."""
+    *ts, k = args
+    w = _W[k]
+    v = 1.0 + 0.0j
+    for j, t in enumerate(ts):
+        v = v / ((t - w * (1 + 0.1 * j)) * (t + 1j))
+    return v
+
+
+@pytest.mark.parametrize("name", sorted(_MANY_MEASURES))
+def test_integrate_many_matches_per_member(name, cfg_nested):
+    mu = _MANY_MEASURES[name]
+    many = integrate_many(mu, _member_integrand, _W.size, cfg_nested)
+    for k, got in enumerate(many):
+        want = integrate(mu, lambda *ts: _member_integrand(*ts, k), cfg_nested)
+        assert (got.converged, got.diverged) == (want.converged, want.diverged)
+        assert abs(got.value - want.value) <= 1e-13 * abs(want.value)
+        # Estimates sum round-off-level panel errors, which the batch layout
+        # may perturb; they agree to round-off of the value.
+        assert abs(got.error_estimate - want.error_estimate) <= 1e-13 * abs(want.value)
+
+
+def test_integrate_many_diverging_member_leaves_others(cfg):
+    # Member 1's inner integrand does not decay for t1 > 2 only.
+    mu = Product((_CAUCHY, lebesgue()))
+
+    def f(t1, t2, k):
+        return np.where((k == 1) & (t1 > 2.0), 1.0, 1.0 / (1.0 + t2 * t2)) * (1.0 + k) + 0j
+
+    many = integrate_many(mu, f, 3, cfg)
+    bad = many[1]
+    assert math.isnan(bad.value.real) and bad.error_estimate == math.inf
+    assert (bad.converged, bad.diverged) == (False, True)
+    for k in (0, 2):
+        want = integrate(mu, lambda t1, t2: f(t1, t2, k), cfg)
+        assert (many[k].converged, many[k].diverged) == (want.converged, want.diverged) == (True, False)
+        assert abs(many[k].value - want.value) <= 1e-13 * abs(want.value)
+        assert abs(many[k].value - (1 + k) * PI * PI) < 1e-8
+
+
+def test_integrate_many_all_members_diverge(cfg):
+    many = integrate_many(lebesgue(), lambda t, k: 1.0 + 0.0 * k + 0j, 2, cfg)
+    assert [(r.converged, r.diverged) for r in many] == [(False, True)] * 2
+    assert integrate_many(lebesgue(), lambda t, k: 1.0 + 0j, 0, cfg) == []
+    with pytest.raises(DomainError):
+        integrate_many(lebesgue(), lambda t, k: 1.0 + 0j, -1, cfg)
