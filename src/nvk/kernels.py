@@ -15,11 +15,20 @@ recovers the composed kernel itself.
 
 All evaluators broadcast when one of the real coordinates arrives as a
 numpy array, which is how the adaptive quadrature drives them.
+
+Points are checked by ``require_upper_half``, once per call and never per
+node: it rejects points outside the poly-upper half-plane and warns when a
+coordinate lies within ``POLE_PROXIMITY`` of the real axis.  The kernels
+have their poles at t_j = z_j and t_j = +-i, and for real t the distance
+|t_j - z_j| is at least Im z_j, so no real node comes closer to a pole than
+that check allows.  A point it returns is marked as checked, and passing
+it on to another kernel neither converts nor warns again.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from typing import Sequence
 
@@ -44,31 +53,42 @@ _I_POW = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
 POLE_PROXIMITY = 1e-12
 
 
+class _UpperPoint(tuple):
+    """Coordinates that ``require_upper_half`` has already checked."""
+
+    __slots__ = ()
+
+
 def require_upper_half(z: Sequence[complex]) -> tuple[complex, ...]:
     """Validate that every coordinate is finite with strictly positive
-    imaginary part."""
-    zs = tuple(complex(v) for v in (z if isinstance(z, (tuple, list, np.ndarray)) else (z,)))
+    imaginary part; warn once when one lies within ``POLE_PROXIMITY`` of the
+    real axis.  A scalar is a one-coordinate point."""
+    if type(z) is _UpperPoint:
+        return z
+    zs = tuple(complex(v) for v in (z if isinstance(z, (tuple, list)) or np.ndim(z) else (z,)))
     if any(v.imag <= 0 for v in zs):
         raise DomainError("point not in poly-upper half-plane")
     if not all(cmath.isfinite(v) for v in zs):
         raise DomainError("point coordinates must be finite")
-    return zs
-
-
-def _warn_near_pole(tj, zj):
-    d = np.min(np.abs(np.asarray(tj) - zj))
-    if d < POLE_PROXIMITY:
+    if min(v.imag for v in zs) < POLE_PROXIMITY:
         warnings.warn(
-            "kernel evaluated within 1e-12 of a pole; result is ill-conditioned",
+            "point within 1e-12 of the real axis, where the kernel has its poles; "
+            "result is ill-conditioned",
             RuntimeWarning,
             stacklevel=3,
         )
+    return _UpperPoint(zs)
 
 
 def kernel_1d(z: complex, t):
-    """One-variable kernel 1/(t - z) - t/(1 + t^2), Im z > 0."""
-    (z,) = require_upper_half((z,))
-    _warn_near_pole(t, z)
+    """One-variable kernel 1/(t - z) - t/(1 + t^2), Im z > 0.
+
+    ``z`` is a number or a one-coordinate point from ``require_upper_half``.
+    """
+    zs = require_upper_half(z)
+    if len(zs) != 1:
+        raise DimensionMismatchError("the one-variable kernel takes one coordinate")
+    z = zs[0]
     return 1.0 / (t - z) - t / (1.0 + t * t)
 
 
@@ -86,7 +106,6 @@ def kernel_nd_sum(z: Sequence[complex], t: Sequence):
     p1 = 1.0 + 0.0j
     p2 = 1.0 + 0.0j
     for zj, tj in zip(zs, t):
-        _warn_near_pole(tj, zj)
         p1 = p1 * (1.0 / (tj - zj) - 1.0 / (tj + 1j))
         p2 = p2 * (1.0 / (tj - 1j) - 1.0 / (tj + 1j))
     return 1j * (2.0 / two_i_n * p1 - 1.0 / two_i_n * p2)
@@ -97,21 +116,36 @@ def kernel_nd_rational(z: Sequence[complex], t: Sequence):
 
     ( i^(3n+1) prod_j (t_j - i)(z_j + i) - 2^(n-1) i prod_j (t_j - z_j) )
     / ( 2^(n-1) prod_j (t_j - z_j)(t_j - i)(t_j + i) ).
+
+    For real t the factor (t_j - i)(t_j + i) is t_j^2 + 1, and prod_j (z_j + i)
+    is one number per call, so the fraction is evaluated, divided through by
+    2^(n-1), as
+
+        ( w prod_j (t_j - i) - i prod_j (t_j - z_j) )
+        / ( prod_j (t_j - z_j) prod_j (t_j^2 + 1) ),
+
+    w = i^(3n+1) prod_j (z_j + i) / 2^(n-1), with the products accumulated in
+    place and one complex division.
     """
     zs = require_upper_half(z)
     n = len(zs)
     if len(t) != n:
         raise DimensionMismatchError("z and t must have the same length")
-    p1 = 1.0 + 0.0j
-    p2 = 1.0 + 0.0j
-    p3 = 1.0 + 0.0j
-    for zj, tj in zip(zs, t):
-        _warn_near_pole(tj, zj)
-        p1 = p1 * (tj - 1j) * (zj + 1j)
-        p2 = p2 * (tj - zj)
-        p3 = p3 * (tj - zj) * (tj - 1j) * (tj + 1j)
-    c = 2.0 ** (n - 1)
-    return (_I_POW[(3 * n + 1) % 4] * p1 - c * 1j * p2) / (c * p3)
+    w = _I_POW[(3 * n + 1) % 4] * math.prod(zj + 1j for zj in zs) / 2.0 ** (n - 1)
+    shape = np.broadcast_shapes(*(np.shape(tj) for tj in t))
+    p1 = np.subtract(t[0], 1j, out=np.empty(shape, dtype=complex))
+    p2 = np.subtract(t[0], zs[0], out=np.empty(shape, dtype=complex))
+    q = np.multiply(t[0], t[0], out=np.empty(shape))
+    q += 1.0
+    for zj, tj in zip(zs[1:], t[1:]):
+        p1 *= tj - 1j
+        p2 *= tj - zj
+        q *= np.multiply(tj, tj) + 1.0
+    p1 *= w
+    p1 -= 1j * p2
+    p2 *= q
+    p1 /= p2
+    return p1 if shape else complex(p1)
 
 
 kernel_nd = kernel_nd_rational

@@ -26,6 +26,14 @@ inner integrals for all nodes of the level above, and for all atoms of an
 atomic base, are the rows of a single adaptive pass, so outer coordinates
 reach the test function as arrays as long as the innermost variable's nodes.
 
+Each nest level of a ladder centres its substitution on the line where the
+image coordinate of the variable it integrates vanishes.  At the innermost
+level t_n enters two image coordinates, u_{n-1} = t1 - b_{n-1} t_n and u_n =
+t1 + ... + t_n, so a row has two centre lines; when they lie more than the
+base halfwidth from their midpoint, the row is solved as two half-line rows
+split at the midpoint, each centred on its own line, and their values and
+error estimates are added.
+
 A family of test functions shares those solves: ``integrate_many(mu, f, m)``
 computes int f(t, k) dmu for the members k = 0, ..., m-1, and ``f`` receives
 the integer array of member indices as an extra last argument.  The members
@@ -330,19 +338,19 @@ class _ErrorBudget:
 
 
 def _line(g: Callable, k: np.ndarray, cfg: QuadratureConfig, budget: _ErrorBudget,
-          center=0.0, halfwidth=1.0) -> np.ndarray:
-    """Line integrals of ``g(x, rows)`` in one batched solve, row i for member
-    ``k[i]``.  Rows of diverged members are not solved and read 0, so the
-    levels above them settle at once."""
+          center=0.0, halfwidth=1.0, lo=-math.inf, hi=math.inf) -> np.ndarray:
+    """Integrals of ``g(x, rows)`` over [lo, hi] (the line by default) in one
+    batched solve, row i for member ``k[i]``.  Rows of diverged members are
+    not solved and read 0, so the levels above them settle at once."""
     if budget.diverged.any() and budget.diverged[k].any():
         live = np.flatnonzero(~budget.diverged[k])
         out = np.zeros(k.size, dtype=complex)
         if live.size:
             out[live] = _line(lambda x, rows: g(x, live[rows]), k[live], cfg, budget,
-                              center[live] if np.ndim(center) else center,
-                              halfwidth[live] if np.ndim(halfwidth) else halfwidth)
+                              *(v[live] if np.ndim(v) else v
+                                for v in (center, halfwidth, lo, hi)))
         return out
-    r = integrate_rows(g, k.size, cfg, center=center, halfwidth=halfwidth)
+    r = integrate_rows(g, k.size, cfg, center=center, halfwidth=halfwidth, lo=lo, hi=hi)
     budget.absorb(r, k)
     if r.diverged.any():
         return np.where(budget.diverged[k], 0.0, r.value)
@@ -511,12 +519,6 @@ def _integrate_ladder(mu: PushforwardLadder, f: Callable, k: np.ndarray,
         c1 = t1 / b[j]
         width = max(1.0, 1.0 / b[j])
         innermost = depth == n - 2
-        if innermost:  # integrating t_n
-            c2 = -(t1 + sum(fixed))
-            center = 0.5 * (c1 + c2)
-            width = np.maximum(width, 0.5 * np.abs(c1 - c2))
-        else:
-            center = c1
 
         def g(x, rows):
             rest = tuple(t[rows] for t in fixed) + (x,)
@@ -524,7 +526,31 @@ def _integrate_ladder(mu: PushforwardLadder, f: Callable, k: np.ndarray,
                 return f(*coords(t1[rows], rest), k[rows])
             return rec(t1[rows], rest, k[rows])
 
-        return _line(g, k, lcfg, budget, center=center, halfwidth=width)
+        if not innermost:
+            return _line(g, k, lcfg, budget, center=c1, halfwidth=width)
+        # t_n enters two image coordinates, u_{n-1} = t1 - b_{n-1} t_n and
+        # u_n = t1 + ... + t_n, which vanish on the centre lines c1 and c2.
+        # Rows whose centres lie within the base width of their midpoint get
+        # one substitution centred there.  A row with centres further apart
+        # becomes two half-line rows, split at the midpoint, each centred on
+        # its own centre line with the base width; their values and error
+        # estimates add up to the row's.
+        c2 = -(t1 + sum(fixed))
+        mid = 0.5 * (c1 + c2)
+        far = np.flatnonzero(0.5 * np.abs(c1 - c2) > width)
+        if not far.size:
+            return _line(g, k, lcfg, budget, center=mid, halfwidth=width)
+        m = k.size
+        src = np.concatenate((np.arange(m), far))
+        lo, hi = np.full(src.size, -math.inf), np.full(src.size, math.inf)
+        hi[far] = lo[m:] = mid[far]
+        center = np.concatenate((mid, np.maximum(c1[far], c2[far])))
+        center[far] = np.minimum(c1[far], c2[far])
+        v = _line(lambda x, rows: g(x, src[rows]), k[src], lcfg, budget,
+                  center=center, halfwidth=width, lo=lo, hi=hi)
+        out = v[:m].copy()
+        out[far] += v[m:]
+        return out
 
     value = _against_base(mu.base, lambda t1, k: rec(t1, (), k), k, cfg, budget)
     return mu.scale * value

@@ -10,18 +10,23 @@ path.
 One row-batched engine does all the work.  ``integrate_rows`` solves many
 integrals at once: its integrand ``f(x, rows)`` receives a flat array of
 nodes and, for each node, the index of the row (integral) it belongs to.
-Every row keeps its own panels, running total and error and stops by its
-own rules (tolerance met, total past the divergence threshold, subdivision
-cap, noise floor).  The initial panels of all rows are evaluated in one call
-of ``f``; after that each round splits the worst panel of every row still
-running and evaluates all new panels in one more call.  A nest level whose
-integrand is itself an integral thus evaluates all of its nodes with one
-batched inner solve.  ``integrate_line`` and ``integrate_segment`` are the
-one-row case.
+Every row has its own segment [lo, hi] (the whole line unless stated) and
+its own substitution centre and halfwidth, keeps its own panels, running
+total and error and stops by its own rules (tolerance met, total past the
+divergence threshold, subdivision cap, noise floor).  The initial panels of
+all rows are evaluated first; after that each round splits the worst panel
+of every row still running and evaluates all new panels.  A batch of panels
+goes to ``f`` in blocks of at most ``_PANEL_BLOCK`` panels, sized so that
+one call's arrays stay in a per-core L2 cache; the rows of a block are
+independent, so blocking changes no result.  A nest level whose integrand
+is itself an integral thus evaluates all of its nodes with a few large
+batched inner solves per round.  ``integrate_line`` and
+``integrate_segment`` are the one-row case.
 
 Divergence cannot be proven numerically.  It is declared heuristically:
-when the adaptive pass of a row fails to settle, partial integrals over the
-windows [-2^j, 2^j] are compared across doublings, and monotone growth past
+when the adaptive pass of a row with an infinite end fails to settle,
+partial integrals over the windows [-2^j, 2^j], cut to the row's segment,
+are compared across doublings, and monotone growth past
 ``divergence_threshold`` flags that row as divergent.  Integrands that
 oscillate themselves to a conditionally finite value are outside the scope
 of the detector.
@@ -143,6 +148,17 @@ _WKD[1::2, 1] -= _WG
 # Rows per batched solve; larger batches are solved in chunks of this size.
 _ROW_CHUNK = 1024
 
+# Panels per integrand call; larger batches are evaluated block by block.
+# One block is 3,840 nodes, so the node arrays and the integrand's
+# temporaries of one call (a kernel keeps several complex arrays of that
+# length, 60 KB each) stay inside a 2 MiB per-core L2 cache instead of
+# streaming through memory.  On a 2-vCPU Xeon with 2 MiB L2 per core, nested
+# ladder evaluations ran at 0.72x the unblocked time with blocks of 256
+# panels, against 0.88-0.90x at 128, 0.69-1.00x at 512 and 0.89-0.93x at
+# 1024.  A block holds more nodes than ``_ROW_CHUNK`` rows, so the inner
+# solve that one block feeds still runs in chunks of full size.
+_PANEL_BLOCK = 256
+
 # Rounds over which a row's error estimate must drop by 2% (noise floor).
 _NOISE_ROUNDS = 50
 
@@ -156,8 +172,20 @@ def _edges(lo: float, hi: float, panels: int) -> np.ndarray:
 
 
 def _panels(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
-    """Gauss-Kronrod panels [a[p], b[p]] of rows ``rows[p]``, all evaluated in
-    one call of ``g``; returns (integrals, error estimates)."""
+    """Gauss-Kronrod panels [a[p], b[p]] of rows ``rows[p]``, evaluated in
+    calls of ``g`` on blocks of at most ``_PANEL_BLOCK`` panels; returns
+    (integrals, error estimates)."""
+    if a.size <= _PANEL_BLOCK:
+        return _panel_block(g, a, b, rows)
+    parts = [_panel_block(g, a[s:s + _PANEL_BLOCK], b[s:s + _PANEL_BLOCK],
+                          rows[s:s + _PANEL_BLOCK])
+             for s in range(0, a.size, _PANEL_BLOCK)]
+    return (np.concatenate([v for v, _ in parts]),
+            np.concatenate([e for _, e in parts]))
+
+
+def _panel_block(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
+    """The panels of ``_panels`` in one call of ``g``."""
     d = b - a
     h = 0.5 * d
     x = (0.5 * (a + b))[:, None] + h[:, None] * _XK
@@ -181,9 +209,10 @@ def _panels(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     return ik, np.maximum(err, 1e-15 * resabs)
 
 
-def _adaptive(g: Callable, nrows: int, lo: float, hi: float, cfg: QuadratureConfig,
+def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
               initial_panels: int = 8):
-    """Adaptive bisection of [lo, hi] for ``nrows`` integrals at once.
+    """Adaptive bisection of [lo, hi] for ``nrows`` integrals at once; ``lo``
+    and ``hi`` are shared scalars or arrays with one entry per row.
 
     ``g(x, rows)`` evaluates node ``x[i]`` of row ``rows[i]``.  Returns the
     arrays (value, error, converged, suspect), where ``suspect`` means the
@@ -197,16 +226,23 @@ def _adaptive(g: Callable, nrows: int, lo: float, hi: float, cfg: QuadratureConf
     (error, insertion order) would pop.
     """
     p0 = initial_panels
-    edges = _edges(lo, hi, p0)
-    # A panel after k splits is at least (hi - lo) / p0 / 2**k - ulp wide, so
+    if np.ndim(lo) or np.ndim(hi):
+        lo, hi = np.broadcast_to(lo, nrows), np.broadcast_to(hi, nrows)
+        edges = np.linspace(lo, hi, p0 + 1)
+        # The bounds below hold for the narrowest row and the largest endpoint.
+        span, big = float(np.min(hi - lo)), float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
+    else:
+        edges = _edges(lo, hi, p0)[:, None].repeat(nrows, axis=1)
+        span, big = hi - lo, max(abs(lo), abs(hi))
+    # A panel after k splits is at least span / p0 / 2**k - ulp wide, so
     # none can be at floating-point resolution (midpoint on an endpoint)
     # while that bound exceeds a few ulps of the endpoints.
-    resolution = 2.0 ** -50 * max(abs(lo), abs(hi)) + 1e-300
+    resolution = 2.0 ** -50 * big + 1e-300
     ids = np.arange(nrows)
-    v, e = _panels(g, edges[:-1].repeat(nrows), edges[1:].repeat(nrows), np.tile(ids, p0))
+    v, e = _panels(g, edges[:-1].ravel(), edges[1:].ravel(), np.tile(ids, p0))
     pa, pb = np.empty((4 * p0, nrows)), np.empty((4 * p0, nrows))
     pv, pk = np.empty(pa.shape, dtype=complex), np.full(pa.shape, -np.inf)
-    pa[:p0], pb[:p0] = edges[:-1, None], edges[1:, None]
+    pa[:p0], pb[:p0] = edges[:-1], edges[1:]
     pv[:p0], pk[:p0] = v.reshape(p0, nrows), e.reshape(p0, nrows)
     total = pv[:p0].sum(axis=0)
     total_err = pk[:p0].sum(axis=0)
@@ -255,7 +291,7 @@ def _adaptive(g: Callable, nrows: int, lo: float, hi: float, cfg: QuadratureConf
         fk[sel] = -np.inf
         mid = 0.5 * (a + b)
         left, right = np.concatenate((a, mid)), np.concatenate((mid, b))
-        narrow = (hi - lo) / p0 * 0.5 ** rounds <= resolution
+        narrow = span / p0 * 0.5 ** rounds <= resolution
         stuck = (mid <= a) | (mid >= b) if narrow else None
         if not (narrow and np.count_nonzero(stuck)):
             v, e = _panels(g, left, right, ids2)
@@ -285,21 +321,30 @@ def _composite(f: Callable, a: np.ndarray, b: np.ndarray) -> complex:
     return complex(v.sum())
 
 
-def _windows_grow(f: Callable, cfg: QuadratureConfig) -> bool:
-    """True when partial integrals over the windows [-2^j, 2^j] exceed the
-    divergence threshold while growing monotonically across doublings.
+def _windows_grow(f: Callable, cfg: QuadratureConfig, lo: float = -math.inf,
+                  hi: float = math.inf) -> bool:
+    """True when partial integrals over the windows [-2^j, 2^j], cut to the
+    segment [lo, hi], exceed the divergence threshold while growing
+    monotonically across doublings.
 
     The windows are accumulated as a core piece plus dyadic shells so the
     fixed panel count stays adequate at every scale.
     """
+    def piece(a: np.ndarray, b: np.ndarray) -> complex:
+        if lo > -math.inf or hi < math.inf:
+            a, b = np.clip(a, lo, hi), np.clip(b, lo, hi)
+            keep = a < b
+            a, b = a[keep], b[keep]
+        return _composite(f, a, b) if a.size else 0j
+
     core = np.linspace(-1.0, 1.0, 17)
-    partial = _composite(f, core[:-1], core[1:])
+    partial = piece(core[:-1], core[1:])
     mags = [abs(partial)]
     settled = 0
     for j in range(1, 28):
         shell = np.linspace(2.0 ** (j - 1), 2.0 ** j, 9)
-        partial += _composite(f, np.concatenate((shell[:-1], -shell[1:])),
-                              np.concatenate((shell[1:], -shell[:-1])))
+        partial += piece(np.concatenate((shell[:-1], -shell[1:])),
+                         np.concatenate((shell[1:], -shell[:-1])))
         mag = abs(partial)
         mags.append(mag)
         if abs(mag - mags[-2]) <= max(cfg.abs_tol, 10.0 * cfg.rel_tol * mag):
@@ -315,16 +360,22 @@ def _windows_grow(f: Callable, cfg: QuadratureConfig) -> bool:
     return False
 
 
-def _solve(f: Callable, nrows: int, lo: float, hi: float, cfg: QuadratureConfig,
+def _theta(x, center, halfwidth):
+    """theta with x = center + halfwidth * tan(theta); exactly -+pi/2 at -+inf."""
+    if np.ndim(x) == 0 and math.isinf(x):
+        return math.copysign(0.5 * math.pi, x)
+    return np.arctan((x - center) / halfwidth)
+
+
+def _solve(f: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
            center, halfwidth) -> RowResults:
     """``nrows`` integrals of ``f(x, rows)`` over [lo, hi] under the
     substitution x = center + halfwidth * tan(theta), with per-row or shared
-    ``center`` and ``halfwidth``; unconverged rows get the divergence scan."""
+    ``lo``, ``hi``, ``center`` and ``halfwidth``; unconverged rows with an
+    infinite end get the divergence scan over their own segment."""
     if not (np.all(np.greater(halfwidth, 0)) and np.all(np.isfinite(center))
             and np.all(np.isfinite(halfwidth))):
         raise DomainError("need a finite center and a positive halfwidth")
-    th_lo = -0.5 * math.pi if lo == -math.inf else math.atan((lo - center) / halfwidth)
-    th_hi = 0.5 * math.pi if hi == math.inf else math.atan((hi - center) / halfwidth)
     c_rows, w_rows = np.ndim(center) > 0, np.ndim(halfwidth) > 0
 
     def g(theta, rows):
@@ -333,40 +384,47 @@ def _solve(f: Callable, nrows: int, lo: float, hi: float, cfg: QuadratureConfig,
         w = halfwidth[rows] if w_rows else halfwidth
         return np.asarray(f(c + w * u, rows), dtype=complex) * (w * (1.0 + u * u))
 
-    value, err, converged, suspect = _adaptive(g, nrows, th_lo, th_hi, cfg)
+    value, err, converged, suspect = _adaptive(
+        g, nrows, _theta(lo, center, halfwidth), _theta(hi, center, halfwidth), cfg)
     diverged = np.zeros(nrows, dtype=bool)
-    if (math.isinf(lo) or math.isinf(hi)) and not converged.all():
+    if not converged.all():
         # A near-zero non-converged estimate cannot hide a divergence, so the
         # window scan is only consulted for suspicious or sizeable values.
         scan = ~converged & (suspect | (np.abs(value) > 1000.0 * cfg.abs_tol))
+        scan &= np.isinf(lo) | np.isinf(hi)
+        lo_rows, hi_rows = np.broadcast_to(lo, nrows), np.broadcast_to(hi, nrows)
         for row in np.flatnonzero(scan):
-            diverged[row] = _windows_grow(lambda x: f(x, np.full(x.shape, row)), cfg)
+            diverged[row] = _windows_grow(lambda x: f(x, np.full(x.shape, row)), cfg,
+                                          lo_rows[row], hi_rows[row])
         err[diverged] = math.inf
     return RowResults(value, err, converged, diverged)
 
 
 def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONFIG, *,
-                   center=0.0, halfwidth=1.0) -> RowResults:
-    """``nrows`` integrals over the whole real line in one batched solve.
+                   center=0.0, halfwidth=1.0, lo=-math.inf, hi=math.inf) -> RowResults:
+    """``nrows`` integrals over the segments [lo, hi] in one batched solve.
 
     ``f(x, rows)`` receives a 1-d array of nodes and an equally long integer
     array naming the row of each node, and returns the integrand at every
-    node.  ``center`` and ``halfwidth`` are scalars or arrays with one entry
-    per row; like in ``integrate_line`` they only shape the node layout.
+    node.  ``lo``, ``hi``, ``center`` and ``halfwidth`` are scalars or
+    arrays with one entry per row; either end of a segment may be infinite
+    (the default is the whole line).  Like in ``integrate_line``, ``center``
+    and ``halfwidth`` only shape the node layout.
     """
     if nrows < 1:
         raise DomainError("need at least one row")
+    if not np.all(np.less_equal(lo, hi)):
+        raise DomainError("segment endpoints must satisfy lo <= hi")
     if nrows <= _ROW_CHUNK:
-        return _solve(f, nrows, -math.inf, math.inf, cfg, center, halfwidth)
+        return _solve(f, nrows, lo, hi, cfg, center, halfwidth)
     # Rows are independent: solving them in chunks bounds the node arrays
     # (and the integrand's temporaries) that one round allocates.
     parts = []
     for start in range(0, nrows, _ROW_CHUNK):
         part = slice(start, min(start + _ROW_CHUNK, nrows))
         parts.append(_solve(lambda x, rows, s=start: f(x, rows + s), part.stop - start,
-                            -math.inf, math.inf, cfg,
-                            center[part] if np.ndim(center) else center,
-                            halfwidth[part] if np.ndim(halfwidth) else halfwidth))
+                            *(v[part] if np.ndim(v) else v for v in (lo, hi)), cfg,
+                            *(v[part] if np.ndim(v) else v for v in (center, halfwidth))))
     return RowResults(*(np.concatenate([getattr(p, name) for p in parts])
                         for name in ("value", "error_estimate", "converged", "diverged")))
 
@@ -392,7 +450,8 @@ def integrate_segment(f: Callable, lo: float, hi: float,
         raise DomainError("segment endpoints must satisfy lo <= hi")
     if lo == hi:
         return QuadratureResult(0.0 + 0.0j, 0.0, True, False)
-    r = _solve(lambda x, rows: f(x), 1, lo, hi, cfg, center, halfwidth)
+    r = integrate_rows(lambda x, rows: f(x), 1, cfg, center=center, halfwidth=halfwidth,
+                       lo=lo, hi=hi)
     return QuadratureResult(complex(r.value[0]), float(r.error_estimate[0]),
                             bool(r.converged[0]), bool(r.diverged[0]))
 

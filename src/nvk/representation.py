@@ -66,7 +66,7 @@ def evaluate(data: RepresentationData, z: Sequence[complex],
         raise DimensionMismatchError("z must have one coordinate per variable")
 
     if n == 1:
-        kernel = lambda t: kernel_1d(zs[0], t)
+        kernel = lambda t: kernel_1d(zs, t)
     else:
         kernel = lambda *ts: kernel_nd(zs, ts)
 
@@ -82,44 +82,11 @@ def evaluate(data: RepresentationData, z: Sequence[complex],
 def evaluate_convex_form(data: RepresentationData, k: Sequence[float],
                          z: Sequence[complex],
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """Evaluate the composed function q(k1 z1 + ... + kn zn) directly from
-    the one-variable data through the ladder-kernel representation
+    """q(k1 z1 + ... + kn zn) from one-variable data: the same integral as
+    ``evaluate(transform(data, k), z, cfg)``, which it calls."""
+    from .transform import transform  # transform imports this module
 
-        a + sum_l k_l b z_l
-          + (beta_n / pi^n) int ( int K~ dt_n ... dt_2 ) dmu(t1),
-
-    without constructing the transformed measure.
-    """
-    from .measures import PushforwardLadder, is_zero_measure
-    from .transform import coefficients_to_ladder, ladder_normalization
-
-    if data.n != 1:
-        raise DomainError("convex form starts from one-variable data")
-    zs = require_upper_half(z)
-    ks = np.asarray(k, dtype=float)
-    n = len(ks)
-    if len(zs) != n:
-        raise DimensionMismatchError("z must have one coordinate per coefficient")
-
-    linear = data.a + sum(kl * data.b[0] * zl for kl, zl in zip(ks, zs))
-    if is_zero_measure(data.mu):
-        return linear
-
-    bs = tuple(coefficients_to_ladder(ks))
-    beta = ladder_normalization(bs)
-
-    # The unscaled ladder pushforward of mu performs exactly the iterated
-    # integral int ( int K~ dt_n ... dt_2 ) dmu(t1) when fed the raw ladder
-    # kernel: its coordinates map undoes the kernel's own composition.
-    raw = PushforwardLadder(data.mu, bs, 1.0)
-
-    def composed(*us):
-        return kernel_nd(zs, us)
-
-    r = integrate(raw, composed, cfg)
-    if r.diverged:
-        raise GrowthConditionError("measure violates growth condition (numerically)")
-    return linear + beta * r.value / pi ** n
+    return evaluate(transform(data, k), z, cfg)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ def test_kernel_1d_closed_fraction_identity(z, t):
 def test_two_variable_spot_value_exact():
     assert kernel_nd_sum((1j, 1j), (0.0, 0.0)) == 1j
     assert kernel_nd_rational((1j, 1j), (0.0, 0.0)) == 1j
+    assert np.all(kernel_nd_rational((1j, 1j), (np.zeros(4), 0.0)) == 1j)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -67,6 +68,22 @@ def test_form_equivalence(n):
         b = kernel_nd_rational(z, t)
         worst = max(worst, abs(a - b) / (1.0 + abs(b)))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_form_equivalence_on_arrays(n):
+    # Node arrays as the quadrature passes them, and mixed scalar/array
+    # coordinates as outer levels of a nest pass them.
+    rng = rng_for(106, n)
+    for _ in range(20):
+        z = draw_upper_point(rng, n, re_box=(-3, 3), im_box=(0.1, 4))
+        t = [rng.uniform(-40, 40, 64) for _ in range(n)]
+        for scalars in range(n + 1):
+            ts = tuple(float(tj[0]) if j < scalars else tj for j, tj in enumerate(t))
+            a = np.broadcast_to(kernel_nd_sum(z, ts), (64,))
+            b = kernel_nd_rational(z, ts)
+            assert np.shape(b) == (() if scalars == n else (64,))
+            assert np.max(np.abs(a - b) / (1.0 + np.abs(b))) <= 1e-12
 
 
 def test_one_variable_reduction():
@@ -99,6 +116,34 @@ def test_near_pole_warning():
         warnings.simplefilter("always")
         kernel_1d(1.0 + 1e-13j, 1.0)
     assert any("ill-conditioned" in str(w.message) for w in caught)
+
+
+def _pole_warnings(call) -> int:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return sum("ill-conditioned" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("im", [1e-13, 1e-12, 1e-6, 1.0])
+def test_near_pole_warning_once_per_call(im):
+    # The check is on the point, once per call: a sweep of nodes, or an
+    # evaluation that calls the kernel once per atom, warns at most once.
+    from nvk.measures import Atomic
+    from nvk.representation import RepresentationData, evaluate
+
+    nodes = np.linspace(-5.0, 5.0, 1001)
+    z2, z3 = (0.3 + 1j * im, -0.2 + 1j), (0.3 + 1j * im, -0.2 + 1j, 0.1 + 0.5j)
+    atoms = (((2.0,), 1.0), ((-1.0,), 0.5), ((4.0,), 2.0))
+    calls = [
+        lambda: kernel_nd_rational(z2, (nodes, 0.5)),
+        lambda: kernel_nd_sum(z3, (nodes, nodes, -0.5)),
+        lambda: evaluate(RepresentationData(0.0, (1.0,), Atomic(atoms)), (z2[0],)),
+        lambda: evaluate(RepresentationData(0.0, (1.0, 0.0), Atomic(
+            tuple(((x, -x), w) for (x,), w in atoms))), z2),
+    ]
+    for call in calls:
+        assert _pole_warnings(call) == (1 if im < 1e-12 else 0)
 
 
 def test_ladder_kernel_base_spot_values():

@@ -193,6 +193,20 @@ def test_verify_step_preconditions(cfg):
 def test_transformed_atomic_evaluation_matches_closed_form(n, k, z):
     # Nested quadrature over n - 1 batched ladder levels, atoms as rows.
     atoms = (((0.3,), 1.5),) if n == 4 else (((0.3,), 1.5), ((-0.2,), 0.7))
+    _check_transformed_atomic(n, k, z, atoms)
+
+
+@pytest.mark.parametrize("k, z, atoms", [
+    ((0.2, 0.3, 0.5), (0.1 + 1j, -0.3 + 0.8j, 0.2 + 1.2j), (((50.0,), 1.5),)),
+    ((0.5, 0.3, 0.2), (0.4 + 0.6j, -0.3 + 0.8j, 0.2 + 1.2j), (((-50.0,), 0.8), ((0.1,), 1.1))),
+])
+def test_transformed_far_atom_evaluation_matches_closed_form(k, z, atoms):
+    # An atom at |x| = 50 puts the two centre lines of most innermost rows
+    # far apart, so those rows are split into two half-line rows.
+    _check_transformed_atomic(3, k, z, atoms)
+
+
+def _check_transformed_atomic(n, k, z, atoms):
     tilde = transform(RepresentationData(0.2, (0.4,), Atomic(atoms)), k)
     quad = evaluate(tilde, z, QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10))
     linear = tilde.a + sum(bl * zl for bl, zl in zip(tilde.b, z))

@@ -225,3 +225,51 @@ def test_rows_at_floating_point_resolution_match_one_at_a_time():
     for i in range(2):
         v1, e1, c1, s1 = _adaptive(lambda t, rows: g(t, np.full(t.shape, i)), 1, lo, hi, cfg)
         assert value[i] == pytest.approx(v1[0], rel=1e-13) and err[i] == pytest.approx(e1[0], rel=1e-13)
+
+
+def test_rows_beyond_one_panel_block_match_one_at_a_time():
+    # 70 rows start with 560 panels, more than two blocks of panels; blocks
+    # cut across rows, which must stay independent.
+    from nvk.quadrature import _PANEL_BLOCK
+
+    nrows = 70
+    assert 8 * nrows > 2 * _PANEL_BLOCK
+    s = np.linspace(-3.0, 3.0, nrows)
+    w = np.linspace(0.2, 2.0, nrows)[::-1]
+    f = lambda x, rows: w[rows] / (w[rows] ** 2 + (x - s[rows]) ** 2) / (x - 2j)
+    cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
+    batch = integrate_rows(f, nrows, cfg)
+    for i in range(nrows):
+        one = integrate_line(lambda x: f(x, np.full(x.shape, i)), cfg)
+        assert batch.converged[i] == one.converged and batch.diverged[i] == one.diverged
+        assert abs(batch.value[i] - one.value) <= 1e-13 * abs(one.value)
+
+
+def test_rows_on_own_segments_match_integrate_segment():
+    lo = np.array([-math.inf, -math.inf, 0.0, -1.0, 2.0, -math.inf])
+    hi = np.array([math.inf, 0.5, math.inf, 3.0, 2.5, -4.0])
+    center = np.array([0.0, 0.5, 1.0, 0.0, -1.0, -6.0])
+    s = np.array([0.0, 0.3, 1.1, -0.4, 2.2, -5.0])
+    f = lambda x, rows: 1.0 / (1.0 + (x - s[rows]) ** 2) / (x + 1j)
+    cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
+    batch = integrate_rows(f, lo.size, cfg, center=center, halfwidth=2.0, lo=lo, hi=hi)
+    for i in range(lo.size):
+        one = integrate_segment(lambda x: f(x, np.full(x.shape, i)), lo[i], hi[i], cfg,
+                                center=center[i], halfwidth=2.0)
+        assert batch.converged[i] and one.converged
+        assert abs(batch.value[i] - one.value) <= 1e-13 * abs(one.value)
+    with pytest.raises(DomainError):
+        integrate_rows(f, 2, cfg, lo=np.array([0.0, 1.0]), hi=0.5)
+
+
+def test_half_line_window_scan_stays_on_the_segment():
+    # The integrand is 1 left of the segment [0, inf); a scan over windows
+    # [-2^j, 2^j] would see that part grow and call the integral divergent.
+    f = lambda x: np.where(x < 0, 1.0, np.exp(-np.abs(x)) * (1.0 + np.sin(40.0 * x) / 2.0))
+    r = integrate_segment(f, 0.0, math.inf, QuadratureConfig(max_subdivisions=1))
+    assert not r.converged and not r.diverged and math.isfinite(r.error_estimate)
+    r = integrate_segment(f, 0.0, math.inf)
+    assert r.converged and abs(r.value - (1.0 + 20.0 / 1601.0)) < 1e-10
+    # A half-line on which the integrand does grow is still caught.
+    r = integrate_segment(lambda x: np.where(x > 0, 1.0, 0.0) + 0j, -1.0, math.inf)
+    assert r.diverged
