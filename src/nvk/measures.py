@@ -26,13 +26,14 @@ inner integrals for all nodes of the level above, and for all atoms of an
 atomic base, are the rows of a single adaptive pass, so outer coordinates
 reach the test function as arrays as long as the innermost variable's nodes.
 
-Each nest level of a ladder centres its substitution on the line where the
-image coordinate of the variable it integrates vanishes.  At the innermost
-level t_n enters two image coordinates, u_{n-1} = t1 - b_{n-1} t_n and u_n =
-t1 + ... + t_n, so a row has two centre lines; when they lie more than the
-base halfwidth from their midpoint, the row is solved as two half-line rows
+Each nest level of a ladder has two centre lines for the variable t_m it
+integrates: where the image coordinate u_{m-1} = t1 - b_{m-1} t_m vanishes,
+and where the two lines of the level below meet (at the innermost level,
+where u_n = t1 + ... + t_n vanishes).  When they lie more than the base
+halfwidth from their midpoint, the row is solved as two half-line rows
 split at the midpoint, each centred on its own line, and their values and
-error estimates are added.
+error estimates are added; otherwise one substitution is centred on the
+midpoint (innermost level) or on the first line (levels above it).
 
 A family of test functions shares those solves: ``integrate_many(mu, f, m)``
 computes int f(t, k) dmu for the members k = 0, ..., m-1, and ``f`` receives
@@ -512,6 +513,15 @@ def _integrate_ladder(mu: PushforwardLadder, f: Callable, k: np.ndarray,
         out.append(t1 + sum(rest))
         return out
 
+    # After t_n, ..., t_{j+3} are integrated out, the integrand of t_{j+2}
+    # peaks on two lines: c1 = t1 / b_j, where u_{j+1} = t1 - b_j t_{j+2}
+    # vanishes, and c2 = -(F_j t1 + t2 + ... + t_{j+1}) with F_j = 1 +
+    # sum_{i>j} 1/b_i, where the two lines of the level below meet.  At the
+    # innermost level F = 1 and c2 is where u_n = t1 + ... + t_n vanishes.
+    # In units of Im z the c1 peak is 1/b_j wide and the c2 peak F_j wide:
+    # integrating out a level convolves its two peaks, and the widths add.
+    F = [1.0 + sum(1.0 / x for x in b[j + 1:]) for j in range(n - 1)]
+
     def rec(t1: np.ndarray, fixed: tuple, k: np.ndarray) -> np.ndarray:
         depth = len(fixed)
         lcfg = cfg.tighter(0.1 ** (depth + 1))
@@ -526,28 +536,30 @@ def _integrate_ladder(mu: PushforwardLadder, f: Callable, k: np.ndarray,
                 return f(*coords(t1[rows], rest), k[rows])
             return rec(t1[rows], rest, k[rows])
 
-        if not innermost:
-            return _line(g, k, lcfg, budget, center=c1, halfwidth=width)
-        # t_n enters two image coordinates, u_{n-1} = t1 - b_{n-1} t_n and
-        # u_n = t1 + ... + t_n, which vanish on the centre lines c1 and c2.
         # Rows whose centres lie within the base width of their midpoint get
-        # one substitution centred there.  A row with centres further apart
-        # becomes two half-line rows, split at the midpoint, each centred on
-        # its own centre line with the base width; their values and error
-        # estimates add up to the row's.
-        c2 = -(t1 + sum(fixed))
+        # one substitution with the base width, centred on the midpoint at
+        # the innermost level and on c1 above it.  A row with centres further
+        # apart becomes two half-line rows, split at the midpoint, each
+        # centred on its own centre line (with halfwidth max(width, F_j) on
+        # c2); their values and error estimates add up to the row's.
+        c2 = -(F[j] * t1 + sum(fixed))
         mid = 0.5 * (c1 + c2)
+        near = mid if innermost else c1
         far = np.flatnonzero(0.5 * np.abs(c1 - c2) > width)
         if not far.size:
-            return _line(g, k, lcfg, budget, center=mid, halfwidth=width)
+            return _line(g, k, lcfg, budget, center=near, halfwidth=width)
         m = k.size
         src = np.concatenate((np.arange(m), far))
         lo, hi = np.full(src.size, -math.inf), np.full(src.size, math.inf)
         hi[far] = lo[m:] = mid[far]
-        center = np.concatenate((mid, np.maximum(c1[far], c2[far])))
-        center[far] = np.minimum(c1[far], c2[far])
+        c1_low = c1[far] < c2[far]
+        center = np.concatenate((near, np.where(c1_low, c2[far], c1[far])))
+        center[far] = np.where(c1_low, c1[far], c2[far])
+        halfwidth = np.full(src.size, width)
+        halfwidth[far] = np.where(c1_low, width, max(width, F[j]))
+        halfwidth[m:] = np.where(c1_low, max(width, F[j]), width)
         v = _line(lambda x, rows: g(x, src[rows]), k[src], lcfg, budget,
-                  center=center, halfwidth=width, lo=lo, hi=hi)
+                  center=center, halfwidth=halfwidth, lo=lo, hi=hi)
         out = v[:m].copy()
         out[far] += v[m:]
         return out

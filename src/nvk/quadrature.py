@@ -25,8 +25,9 @@ batched inner solves per round.  ``integrate_line`` and
 
 Divergence cannot be proven numerically.  It is declared heuristically:
 when the adaptive pass of a row with an infinite end fails to settle,
-partial integrals over the windows [-2^j, 2^j], cut to the row's segment,
-are compared across doublings, and monotone growth past
+partial integrals over the windows [c - 2^j, c + 2^j], cut to the row's
+segment and anchored at its finite end c (0 on the whole line), are
+compared across doublings, and monotone growth past
 ``divergence_threshold`` flags that row as divergent.  Integrands that
 oscillate themselves to a conditionally finite value are outside the scope
 of the detector.
@@ -41,7 +42,6 @@ row each node belongs to.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -163,14 +163,6 @@ _PANEL_BLOCK = 256
 _NOISE_ROUNDS = 50
 
 
-@functools.lru_cache(maxsize=64)
-def _edges(lo: float, hi: float, panels: int) -> np.ndarray:
-    """Read-only equispaced edges of ``panels`` panels on [lo, hi]."""
-    edges = np.linspace(lo, hi, panels + 1)
-    edges.flags.writeable = False
-    return edges
-
-
 def _panels(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     """Gauss-Kronrod panels [a[p], b[p]] of rows ``rows[p]``, evaluated in
     calls of ``g`` on blocks of at most ``_PANEL_BLOCK`` panels; returns
@@ -226,17 +218,16 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
     (error, insertion order) would pop.
     """
     p0 = initial_panels
-    if np.ndim(lo) or np.ndim(hi):
-        lo, hi = np.broadcast_to(lo, nrows), np.broadcast_to(hi, nrows)
-        edges = np.linspace(lo, hi, p0 + 1)
-        # The bounds below hold for the narrowest row and the largest endpoint.
-        span, big = float(np.min(hi - lo)), float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
-    else:
-        edges = _edges(lo, hi, p0)[:, None].repeat(nrows, axis=1)
-        span, big = hi - lo, max(abs(lo), abs(hi))
-    # A panel after k splits is at least span / p0 / 2**k - ulp wide, so
-    # none can be at floating-point resolution (midpoint on an endpoint)
-    # while that bound exceeds a few ulps of the endpoints.
+    # Equispaced edges of every row, by np.linspace's arithmetic (without
+    # its per-call overhead, which one-row solves would pay each time).
+    lo, hi = lo + np.zeros(nrows), hi + np.zeros(nrows)
+    edges = np.arange(p0 + 1.0)[:, None] * ((hi - lo) / p0) + lo
+    edges[-1] = hi
+    # A panel after k splits is at least span / p0 / 2**k - ulp wide, where
+    # span is the narrowest row's, so none can be at floating-point
+    # resolution (midpoint on an endpoint) while that bound exceeds a few
+    # ulps of the largest endpoint.
+    span, big = float((hi - lo).min()), float(np.abs(edges[[0, -1]]).max())
     resolution = 2.0 ** -50 * big + 1e-300
     ids = np.arange(nrows)
     v, e = _panels(g, edges[:-1].ravel(), edges[1:].ravel(), np.tile(ids, p0))
@@ -323,28 +314,36 @@ def _composite(f: Callable, a: np.ndarray, b: np.ndarray) -> complex:
 
 def _windows_grow(f: Callable, cfg: QuadratureConfig, lo: float = -math.inf,
                   hi: float = math.inf) -> bool:
-    """True when partial integrals over the windows [-2^j, 2^j], cut to the
-    segment [lo, hi], exceed the divergence threshold while growing
-    monotonically across doublings.
+    """True when partial integrals over the windows [c - 2^j, c + 2^j], cut to
+    the segment [lo, hi], exceed the divergence threshold while growing
+    monotonically across doublings.  The anchor c is the segment's finite
+    end, or 0 on the whole line, so every window overlaps the segment.
 
     The windows are accumulated as a core piece plus dyadic shells so the
-    fixed panel count stays adequate at every scale.
+    fixed panel count stays adequate at every scale.  A shell that adds no
+    panel (its part of the segment is empty at floating-point resolution)
+    counts neither as settling nor as growth.
     """
-    def piece(a: np.ndarray, b: np.ndarray) -> complex:
-        if lo > -math.inf or hi < math.inf:
-            a, b = np.clip(a, lo, hi), np.clip(b, lo, hi)
-            keep = a < b
-            a, b = a[keep], b[keep]
-        return _composite(f, a, b) if a.size else 0j
+    c = lo if lo > -math.inf else (hi if hi < math.inf else 0.0)
+
+    def piece(a: np.ndarray, b: np.ndarray):
+        if lo == -math.inf and hi == math.inf:
+            return _composite(f, a, b)
+        a, b = np.clip(c + a, lo, hi), np.clip(c + b, lo, hi)
+        keep = a < b
+        return _composite(f, a[keep], b[keep]) if keep.any() else None
 
     core = np.linspace(-1.0, 1.0, 17)
-    partial = piece(core[:-1], core[1:])
+    partial = piece(core[:-1], core[1:]) or 0j
     mags = [abs(partial)]
     settled = 0
     for j in range(1, 28):
         shell = np.linspace(2.0 ** (j - 1), 2.0 ** j, 9)
-        partial += piece(np.concatenate((shell[:-1], -shell[1:])),
-                         np.concatenate((shell[1:], -shell[:-1])))
+        added = piece(np.concatenate((shell[:-1], -shell[1:])),
+                      np.concatenate((shell[1:], -shell[:-1])))
+        if added is None:
+            continue
+        partial += added
         mag = abs(partial)
         mags.append(mag)
         if abs(mag - mags[-2]) <= max(cfg.abs_tol, 10.0 * cfg.rel_tol * mag):
@@ -358,13 +357,6 @@ def _windows_grow(f: Callable, cfg: QuadratureConfig, lo: float = -math.inf,
             if all(x <= y * (1.0 + 1e-9) for x, y in zip(recent, recent[1:])):
                 return True
     return False
-
-
-def _theta(x, center, halfwidth):
-    """theta with x = center + halfwidth * tan(theta); exactly -+pi/2 at -+inf."""
-    if np.ndim(x) == 0 and math.isinf(x):
-        return math.copysign(0.5 * math.pi, x)
-    return np.arctan((x - center) / halfwidth)
 
 
 def _solve(f: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
@@ -384,8 +376,10 @@ def _solve(f: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
         w = halfwidth[rows] if w_rows else halfwidth
         return np.asarray(f(c + w * u, rows), dtype=complex) * (w * (1.0 + u * u))
 
+    # theta with x = center + halfwidth * tan(theta); arctan(+-inf) is +-pi/2.
     value, err, converged, suspect = _adaptive(
-        g, nrows, _theta(lo, center, halfwidth), _theta(hi, center, halfwidth), cfg)
+        g, nrows, np.arctan((lo - center) / halfwidth),
+        np.arctan((hi - center) / halfwidth), cfg)
     diverged = np.zeros(nrows, dtype=bool)
     if not converged.all():
         # A near-zero non-converged estimate cannot hide a divergence, so the

@@ -196,19 +196,27 @@ def test_transformed_atomic_evaluation_matches_closed_form(n, k, z):
     _check_transformed_atomic(n, k, z, atoms)
 
 
-@pytest.mark.parametrize("k, z, atoms", [
-    ((0.2, 0.3, 0.5), (0.1 + 1j, -0.3 + 0.8j, 0.2 + 1.2j), (((50.0,), 1.5),)),
-    ((0.5, 0.3, 0.2), (0.4 + 0.6j, -0.3 + 0.8j, 0.2 + 1.2j), (((-50.0,), 0.8), ((0.1,), 1.1))),
+@pytest.mark.parametrize("n, k, z, atoms", [
+    (3, (0.2, 0.3, 0.5), (0.1 + 1j, -0.3 + 0.8j, 0.2 + 1.2j), (((50.0,), 1.5),)),
+    (3, (0.5, 0.3, 0.2), (0.4 + 0.6j, -0.3 + 0.8j, 0.2 + 1.2j), (((-50.0,), 0.8), ((0.1,), 1.1))),
+    (4, (0.1, 0.2, 0.3, 0.4), (0.1 + 1j, -0.3 + 0.8j, 0.2 + 1.2j, 0.4 + 0.5j), (((-50.0,), 1.5),)),
 ])
-def test_transformed_far_atom_evaluation_matches_closed_form(k, z, atoms):
-    # An atom at |x| = 50 puts the two centre lines of most innermost rows
-    # far apart, so those rows are split into two half-line rows.
-    _check_transformed_atomic(3, k, z, atoms)
+def test_transformed_far_atom_evaluation_matches_closed_form(n, k, z, atoms):
+    # An atom at |x| = 50 puts the two centre lines of most ladder rows far
+    # apart, so those rows are split into two half-line rows.  The error
+    # estimate, which adds up the estimates of both halves, must still bound
+    # the actual error.
+    error, estimate = _check_transformed_atomic(n, k, z, atoms)
+    assert error <= estimate
 
 
 def _check_transformed_atomic(n, k, z, atoms):
+    """Assert ``evaluate(transform(...))`` matches the closed form; return
+    the actual error and the reported error estimate."""
     tilde = transform(RepresentationData(0.2, (0.4,), Atomic(atoms)), k)
-    quad = evaluate(tilde, z, QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10))
+    quad, estimate = evaluate(tilde, z, QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10),
+                              full_output=True)
     linear = tilde.a + sum(bl * zl for bl, zl in zip(tilde.b, z))
     closed = linear + ladder_closed_form(z, tilde.mu) / math.pi ** n
     assert abs(quad - closed) <= 1e-7 * max(1.0, abs(closed))
+    return abs(quad - closed), estimate

@@ -273,3 +273,26 @@ def test_half_line_window_scan_stays_on_the_segment():
     # A half-line on which the integrand does grow is still caught.
     r = integrate_segment(lambda x: np.where(x > 0, 1.0, 0.0) + 0j, -1.0, math.inf)
     assert r.diverged
+
+
+@pytest.mark.parametrize("lo, hi", [(10.0, math.inf), (-math.inf, -10.0),
+                                    (1e3, math.inf), (-math.inf, 5e5)])
+def test_window_scan_of_a_half_line_far_from_the_origin(lo, hi):
+    # The windows are anchored at the segment's finite end; windows centred
+    # on 0 would miss the segment for their first few doublings, settle on
+    # an empty partial integral and leave a divergent integral undecided.
+    r = integrate_segment(lambda x: np.ones_like(x) + 0j, lo, hi)
+    assert r.diverged and not r.converged and r.error_estimate == math.inf
+    # A convergent integrand on the same segment is not flagged.
+    r = integrate_segment(lambda x: 1.0 / (1.0 + x * x) + 0j, lo, hi)
+    exact = math.atan(hi) - math.atan(lo)
+    assert r.converged and not r.diverged and abs(r.value - exact) <= 1e-10 * exact
+
+
+@pytest.mark.parametrize("lo, hi", [(1e17, math.inf), (-math.inf, -1e17)])
+def test_window_scan_of_a_half_line_at_floating_point_scale(lo, hi):
+    # Near 1e17 the spacing of doubles is 16, so the first shells around the
+    # anchor hold no panel; they must not count as the scan settling.
+    end = lo if math.isfinite(lo) else hi
+    r = integrate_segment(lambda x: np.ones_like(x) + 0j, lo, hi, center=end)
+    assert r.diverged and not r.converged
