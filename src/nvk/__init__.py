@@ -68,7 +68,6 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
-    integrate_iterated,
     integrate_line,
     integrate_segment,
 )
@@ -77,7 +76,6 @@ from .representation import (
     RepresentationData,
     check_herglotz,
     evaluate,
-    evaluate_convex_form,
 )
 from .residues import RationalFunction, find_poles, line_integral, residue_at
 from .transform import (

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import DomainError, QuadratureFailure
 from .kernels import kernel_1d, ladder_kernel, ladder_kernel_full, require_upper_half
-from .measures import Atomic, PushforwardLadder, is_zero_measure
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_iterated, integrate_line
+from .measures import Atomic, Product, PushforwardLadder, integrate, is_zero_measure, lebesgue
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_line
 from .representation import RepresentationData, evaluate
 from .transform import ladder_normalization, ladder_to_coefficients, transform, transform_general
 
@@ -132,9 +132,8 @@ def verify_full_reduction(n: int, b: Sequence[float], z: Sequence[complex],
     def f(*rest):
         return ladder_kernel_full(zs, (t1,) + tuple(rest), b)
 
-    # Innermost variable is t_n, i.e. the last of the n-1 remaining axes.
-    order = list(range(n - 2, -1, -1))
-    r = integrate_iterated(f, order, cfg)
+    # t2 outermost, t_n innermost.
+    r = integrate(Product((lebesgue(),) * (n - 1)), f, cfg)
     lhs = _require_converged(r, "the full ladder reduction")
     ks = ladder_to_coefficients(b)
     beta = ladder_normalization(b)

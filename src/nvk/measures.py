@@ -16,34 +16,49 @@ Variants
 ``LebesguePad``       an inner measure placed on a subset of the axes, with
                       Lebesgue factors filling the remaining axes; the
                       Lebesgue axes are integrated first, in descending
-                      axis order.
+                      axis order, at the tolerances of the levels below
+                      the inner measure's.
 
 Integration order is part of each variant's definition and is never
 reversed.  Test functions receive one argument per axis and must broadcast
 when any argument arrives as an array; arrays passed together have one
-length.  Every nest level is one row-batched solve (``integrate_rows``): the
-inner integrals for all nodes of the level above, and for all atoms of an
-atomic base, are the rows of a single adaptive pass, so outer coordinates
-reach the test function as arrays as long as the innermost variable's nodes.
+length.
 
-Each nest level of a ladder has two centre lines for the variable t_m it
-integrates: where the image coordinate u_{m-1} = t1 - b_{m-1} t_m vanishes,
-and where the two lines of the level below meet (at the innermost level,
-where u_n = t1 + ... + t_n vanishes).  When they lie more than the base
-halfwidth from their midpoint, the row is solved as two half-line rows
-split at the midpoint, each centred on its own line, and their values and
-error estimates are added; otherwise one substitution is centred on the
-midpoint (innermost level) or on the first line (levels above it).
+Every variant but ``Atomic`` (summed exactly) compiles to one plan: its
+one-dimensional levels, outermost first, each a set of atoms or a line
+with an optional 1-D density; a matrix ``A`` taking the level variables to
+the test function's arguments; an optional joint density; and a scale.
+One walker runs every plan.  Each line level is one row-batched solve
+(``integrate_rows``): the inner integrals for all nodes of the level above,
+and for all atoms of an atomic level, are the rows of a single adaptive
+pass, so outer coordinates reach the test function as arrays as long as the
+innermost variable's nodes.  Level i runs at ``cfg.tighter(0.1**i)``, the
+outermost at ``cfg``.
+
+A line level's node layout is data: a centre (a linear form in the outer
+level variables) with a halfwidth and, for a variable that enters two
+arguments, its two centre lines.  A ladder's t_m has the lines where
+u_{m-1} = t1 - b_{m-1} t_m vanishes and where the two lines of the level
+below meet (at the innermost level, where u_n = t1 + ... + t_n vanishes); a
+planar pushforward's t2 has the lines where either image coordinate
+vanishes.  When a row's lines lie more than the halfwidth from their
+midpoint, the row is solved as two half-line rows split at the midpoint,
+each centred on its own line, and their values and error estimates are
+added; otherwise the one substitution is centred on the level's centre.
+
+Error estimates are weighted like the values they belong to: a row's
+estimate enters its member's total times the measure's scale and the
+weights of the atoms the row sits on.
 
 A family of test functions shares those solves: ``integrate_many(mu, f, m)``
 computes int f(t, k) dmu for the members k = 0, ..., m-1, and ``f`` receives
 the integer array of member indices as an extra last argument.  The members
-are the outermost rows of every nest level and are carried down like an
-outer coordinate.  Each member keeps its own error estimate, ``converged``
-and ``diverged``: one whose inner integral diverges reports (nan, inf,
-False, True), its rows leave the later solves, and the other members go on.
-The work stops early only when every member has diverged.  ``integrate`` is
-the one-member case.
+are the outermost rows of every nest level; each row carries an index into
+a (member, weight) table, which an atomic level expands.  Each member keeps
+its own error estimate, ``converged`` and ``diverged``: one whose inner
+integral diverges reports (nan, inf, False, True), its rows leave the later
+solves, and the other members go on.  The work stops early only when every
+member has diverged.  ``integrate`` is the one-member case.
 
 Sets are finite unions of closed axis-aligned boxes.  Atoms sitting on a
 box boundary count as inside.
@@ -51,6 +66,7 @@ box boundary count as inside.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -97,6 +113,11 @@ class Measure:
     def dimension(self) -> int:
         raise NotImplementedError
 
+    @functools.cached_property
+    def _plan(self) -> "_Plan":
+        """The measure's integration plan, compiled on first use."""
+        return _compile(self)
+
 
 @dataclass(frozen=True)
 class Atomic(Measure):
@@ -139,16 +160,10 @@ class Atomic(Measure):
 
 @dataclass(frozen=True)
 class LebesgueDensity(Measure):
-    """Density against Lebesgue measure on R^k; ``density=None`` means 1.
-
-    ``decay_degree`` is an optional hint for the divergence detector: the
-    density grows at most like |t|^decay_degree.  The default assumes O(1)
-    and relies on windowed doubling alone.
-    """
+    """Density against Lebesgue measure on R^k; ``density=None`` means 1."""
 
     dim: int
     density: Optional[Callable] = None
-    decay_degree: int = 0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -316,6 +331,159 @@ def indicator(region: Region) -> Callable:
     return chi
 
 
+# A linear form in level variables is a tuple of (variable index,
+# coefficient) pairs over its nonzero coefficients; variables are numbered
+# from the outermost level on.
+_Form = tuple[tuple[int, float], ...]
+
+
+@dataclass(frozen=True)
+class _Atoms:
+    """A plan level of finitely many atoms: row a of ``points`` holds atom
+    a's values of the level's variables (one or more)."""
+
+    points: np.ndarray
+    weights: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Line:
+    """A plan level integrating one variable over the line, against
+    ``density`` when given.
+
+    The node layout is data: ``centre`` is a form in the outer level
+    variables and ``halfwidth`` its width.  ``split``, when given, holds two
+    centre lines as (form, halfwidth) pairs: a row whose lines lie more than
+    ``halfwidth`` from their midpoint is solved as two half-line rows split
+    there, each centred on its own line; other rows use ``centre``.
+    """
+
+    density: Optional[Callable] = None
+    centre: _Form = ()
+    halfwidth: float = 1.0
+    split: Optional[tuple[tuple[_Form, float], tuple[_Form, float]]] = None
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A measure as ordered one-dimensional levels, outermost first.
+
+    The test function's arguments are the forms ``A`` (one per argument, the
+    rows of a matrix) in the level variables, the integrand is multiplied by
+    ``density`` (a function of the first ``density_dim`` level variables)
+    when given, and the integral by ``scale``.
+    """
+
+    levels: tuple[Union[_Atoms, _Line], ...]
+    A: tuple[_Form, ...]
+    density: Optional[Callable] = None
+    density_dim: int = 0
+    scale: float = 1.0
+
+    def evaluate(self, call: Callable, vals: list, k: np.ndarray, rows, table) -> np.ndarray:
+        """The integrand at the level variables ``vals`` of rows ``k[rows]``.
+
+        ``A`` is applied form by form: a matrix product over a stacked copy
+        of the variables ran slower here than these few array operations."""
+        out = np.asarray(call([_form(row, vals) for row in self.A], k, rows, table), dtype=complex)
+        if self.density is not None:
+            out = out * np.asarray(self.density(*vals[:self.density_dim]))
+        return out
+
+
+def _eye(n: int) -> tuple[_Form, ...]:
+    return tuple(((i, 1.0),) for i in range(n))
+
+
+def _form(terms: _Form, vals: Sequence) -> Union[float, np.ndarray]:
+    """The form's value at the variables ``vals``; 0.0 for the empty form."""
+    out = None
+    for j, c in terms:
+        t = vals[j] if c == 1.0 else c * vals[j]
+        out = t if out is None else out + t
+    return 0.0 if out is None else out
+
+
+def _one_dimensional_level(mu: Measure, what: str) -> Union[_Atoms, _Line]:
+    """The single level of a one-dimensional atomic or density measure."""
+    if not isinstance(mu, (Atomic, LebesgueDensity)):
+        raise DomainError(f"{what} must be atomic or Lebesgue densities")
+    return _compile(mu).levels[0]
+
+
+def _compile(mu: Measure) -> _Plan:
+    """The plan of a measure; atomic ones only occur inside a ``LebesguePad``."""
+    if isinstance(mu, Atomic):
+        points = np.array([loc for loc, _ in mu.atoms]).reshape(len(mu.atoms), mu.dimension)
+        return _Plan((_Atoms(points, np.array([w for _, w in mu.atoms])),), _eye(mu.dimension))
+
+    if isinstance(mu, LebesgueDensity):
+        if mu.dim == 1:
+            return _Plan((_Line(mu.density),), _eye(1))
+        return _Plan((_Line(),) * mu.dim, _eye(mu.dim), mu.density, mu.dim)
+
+    if isinstance(mu, Product):
+        levels = tuple(_one_dimensional_level(f, "product factors") for f in mu.factors)
+        return _Plan(levels, _eye(len(levels)))
+
+    if isinstance(mu, Pushforward2D):
+        a, b, g, d = map(float, mu.coefficients)
+        # t2 peaks where either image coordinate vanishes: on t2 = -a t1/b
+        # and on t2 = -g t1/d, each 1/|coefficient| wide (in units of Im z).
+        lines = [(-p / q, 1.0 / abs(q)) for p, q in ((a, b), (g, d)) if q != 0]
+        width = max([1.0] + [h for _, h in lines])
+        if len(lines) == 2:
+            (c1, _), (c2, _) = lines
+            t2 = _Line(None, ((0, 0.5 * (c1 + c2)),), width,
+                       ((((0, c1),), width), (((0, c2),), width)))
+        else:
+            t2 = _Line(None, tuple((0, c) for c, _ in lines if c), width)
+        # An image coordinate that is identically 0 keeps one zero term, so
+        # it still reaches the test function as an array.
+        A = tuple(tuple((j, c) for j, c in enumerate(row) if c) or ((0, 0.0),)
+                  for row in ((a, b), (g, d)))
+        return _Plan((_one_dimensional_level(mu.base, "base measures"), t2), A)
+
+    if isinstance(mu, PushforwardLadder):
+        bs = mu.b
+        n = len(bs) + 1
+        # After t_n, ..., t_{j+3} are integrated out, the integrand of t_{j+2}
+        # peaks on two lines: t1 / b_j, where u_{j+1} = t1 - b_j t_{j+2}
+        # vanishes, and -(F_j t1 + t2 + ... + t_{j+1}) with F_j = 1 +
+        # sum_{i>j} 1/b_i, where the two lines of the level below meet.  At
+        # the innermost level F = 1 and the second line is where u_n = t1 +
+        # ... + t_n vanishes.  In units of Im z the first peak is 1/b_j wide
+        # and the second F_j wide: integrating out a level convolves its two
+        # peaks, and the widths add.  Near rows are centred on the midpoint
+        # at the innermost level and on the first line above it.
+        levels = [_one_dimensional_level(mu.base, "base measures")]
+        for j in range(n - 1):
+            F = 1.0 + sum(1.0 / x for x in bs[j + 1:])
+            width = max(1.0, 1.0 / bs[j])
+            c1 = ((0, 1.0 / bs[j]),)
+            c2 = ((0, -F),) + tuple((i, -1.0) for i in range(1, j + 1))
+            near = c1
+            if j == n - 2:
+                near = ((0, 0.5 * (1.0 / bs[j] - F)),) + tuple((i, -0.5) for i in range(1, j + 1))
+            levels.append(_Line(None, near, width, ((c1, width), (c2, max(width, F)))))
+        # The forms t1 - b_j t_{j+2}, then t1 + t2 + ... + tn.
+        A = tuple(((0, 1.0), (j + 1, -bs[j])) for j in range(n - 1))
+        return _Plan(tuple(levels), A + (tuple((i, 1.0) for i in range(n)),), scale=mu.scale)
+
+    if isinstance(mu, LebesguePad):
+        # The inner measure's levels run outermost, then one Lebesgue level
+        # per padded axis, the largest index innermost.
+        inner = _compile(mu.inner)
+        nv = sum(v.points.shape[1] if isinstance(v, _Atoms) else 1 for v in inner.levels)
+        pad = mu.padded_axes
+        rows = dict(zip(mu.axes, inner.A))
+        rows.update((axis, ((nv + p, 1.0),)) for p, axis in enumerate(pad))
+        return _Plan(inner.levels + (_Line(),) * len(pad), tuple(rows[axis] for axis in range(mu.dim)),
+                     inner.density, inner.density_dim, inner.scale)
+
+    raise DomainError(f"unknown measure variant {type(mu).__name__}")
+
+
 @dataclass
 class _ErrorBudget:
     """Error totals and flags per member of one ``integrate_many`` call."""
@@ -328,42 +496,106 @@ class _ErrorBudget:
     def for_members(cls, m: int) -> "_ErrorBudget":
         return cls(np.zeros(m), np.ones(m, dtype=bool), np.zeros(m, dtype=bool))
 
-    def absorb(self, r: RowResults, k: np.ndarray):
-        """Fold in one solve whose row i belongs to member ``k[i]``."""
+    def absorb(self, r: RowResults, members: np.ndarray, weights: np.ndarray):
+        """Fold in one solve whose row i belongs to member ``members[i]`` and
+        enters its integral with weight ``weights[i]``."""
         if r.diverged.any():
-            self.diverged[k[r.diverged]] = True
+            self.diverged[members[r.diverged]] = True
             if self.diverged.all():
                 raise _Diverged
-        self.total += np.bincount(k, weights=r.error_estimate, minlength=self.total.size)
-        self.converged[k[~r.converged]] = False
+        self.total += np.bincount(members, weights=r.error_estimate * weights,
+                                  minlength=self.total.size)
+        self.converged[members[~r.converged]] = False
 
 
-def _line(g: Callable, k: np.ndarray, cfg: QuadratureConfig, budget: _ErrorBudget,
-          center=0.0, halfwidth=1.0, lo=-math.inf, hi=math.inf) -> np.ndarray:
-    """Integrals of ``g(x, rows)`` over [lo, hi] (the line by default) in one
-    batched solve, row i for member ``k[i]``.  Rows of diverged members are
-    not solved and read 0, so the levels above them settle at once."""
-    if budget.diverged.any() and budget.diverged[k].any():
-        live = np.flatnonzero(~budget.diverged[k])
+def _solve(g: Callable, k: np.ndarray, table, cfg: QuadratureConfig, budget: _ErrorBudget,
+           center, halfwidth, lo=-math.inf, hi=math.inf) -> np.ndarray:
+    """Integrals of ``g(x, rows)`` over [lo, hi] in one batched solve; row i
+    has entry ``k[i]`` of the (member, weight) table.  Rows of diverged
+    members are not solved and read 0, so the levels above them settle at
+    once."""
+    members = table[0][k]
+    if budget.diverged.any() and budget.diverged[members].any():
+        live = np.flatnonzero(~budget.diverged[members])
         out = np.zeros(k.size, dtype=complex)
         if live.size:
-            out[live] = _line(lambda x, rows: g(x, live[rows]), k[live], cfg, budget,
-                              *(v[live] if np.ndim(v) else v
-                                for v in (center, halfwidth, lo, hi)))
+            out[live] = _solve(lambda x, rows: g(x, live[rows]), k[live], table, cfg, budget,
+                               *(v[live] if np.ndim(v) else v
+                                 for v in (center, halfwidth, lo, hi)))
         return out
     r = integrate_rows(g, k.size, cfg, center=center, halfwidth=halfwidth, lo=lo, hi=hi)
-    budget.absorb(r, k)
+    budget.absorb(r, members, table[1][k])
     if r.diverged.any():
-        return np.where(budget.diverged[k], 0.0, r.value)
+        return np.where(budget.diverged[members], 0.0, r.value)
     return r.value
 
 
-def _atom_sum(atoms, vals: np.ndarray) -> np.ndarray:
-    """Sum over the atoms of weight times ``vals[..., i]``, atom by atom."""
-    total = np.zeros(vals.shape[:-1], dtype=complex)
-    for i, (_, w) in enumerate(atoms):
-        total += w * vals[..., i]
-    return total
+def _walk(plan: _Plan, call: Callable, cfg: QuadratureConfig, budget: _ErrorBudget, i: int,
+          vals: list, k: np.ndarray, table) -> np.ndarray:
+    """Integrals over the levels i, i+1, ... of ``plan``, one per row.
+
+    Row r has the outer level variables ``vals[j][r]`` and entry ``k[r]`` of
+    ``table``, a pair of arrays (member, weight): the row's member and the
+    weight its value carries into the member's integral (the measure's scale
+    times the weights of the atoms it sits on), which its error estimates
+    carry too.  Level i runs at ``cfg.tighter(0.1**i)``, level 0 at ``cfg``.
+    """
+    level, last = plan.levels[i], i + 1 == len(plan.levels)
+    if isinstance(level, _Atoms):
+        # One row per (row, atom) pair, rows outermost.
+        na = level.weights.size
+        if not na:
+            return np.zeros(k.size, dtype=complex)
+        sub = [v.repeat(na) for v in vals] + [np.tile(x, k.size) for x in level.points.T]
+        kk = (k[:, None] * na + np.arange(na)).ravel()
+        tt = (table[0].repeat(na), (table[1][:, None] * level.weights).ravel())
+        inner = (plan.evaluate(call, sub, kk, slice(None), tt) if last
+                 else _walk(plan, call, cfg, budget, i + 1, sub, kk, tt))
+        if inner.shape != kk.shape:
+            inner = np.broadcast_to(inner, kk.shape)
+        inner = inner.reshape(k.size, na)
+        total = np.zeros(k.size, dtype=complex)
+        for a, w in enumerate(level.weights):
+            total += w * inner[:, a]
+        return total
+
+    lcfg = cfg.tighter(0.1 ** i) if i else cfg
+    dens = level.density
+
+    def g(x, rows):
+        sub = [t[rows] for t in vals] + [x]
+        v = (plan.evaluate(call, sub, k, rows, table) if last
+             else _walk(plan, call, cfg, budget, i + 1, sub, k[rows], table))
+        return v * np.asarray(dens(x)) if dens is not None else v
+
+    near, width = _form(level.centre, vals), level.halfwidth
+    if level.split is None:
+        return _solve(g, k, table, lcfg, budget, near, width)
+    (f1, w1), (f2, w2) = level.split
+    c1, c2 = _form(f1, vals), _form(f2, vals)
+    far = np.flatnonzero(0.5 * np.abs(c1 - c2) > width)
+    if not far.size:
+        return _solve(g, k, table, lcfg, budget, near, width)
+    # A far row becomes two half-line rows split at the midpoint, each
+    # centred on its own line; their values and error estimates add up to
+    # the row's.
+    m = k.size
+    near, c1, c2 = (np.broadcast_to(c, (m,)) for c in (near, c1, c2))
+    mid = 0.5 * (c1[far] + c2[far])
+    src = np.concatenate((np.arange(m), far))
+    lo, hi = np.full(src.size, -math.inf), np.full(src.size, math.inf)
+    hi[far] = lo[m:] = mid
+    c1_low = c1[far] < c2[far]
+    center = np.concatenate((near, np.where(c1_low, c2[far], c1[far])))
+    center[far] = np.where(c1_low, c1[far], c2[far])
+    halfwidth = np.full(src.size, width)
+    halfwidth[far] = np.where(c1_low, w1, w2)
+    halfwidth[m:] = np.where(c1_low, w2, w1)
+    v = _solve(lambda x, rows: g(x, src[rows]), k[src], table, lcfg, budget,
+               center, halfwidth, lo, hi)
+    out = v[:m].copy()
+    out[far] += v[m:]
+    return out
 
 
 def integrate_many(mu: Measure, f: Callable, m: int,
@@ -380,15 +612,7 @@ def integrate_many(mu: Measure, f: Callable, m: int,
         raise DomainError("need a nonnegative member count")
     if m == 0:
         return []
-    budget = _ErrorBudget.for_members(m)
-    try:
-        values = _integrate(mu, f, np.arange(m), cfg, budget)
-    except _Diverged:
-        values = np.full(m, complex("nan"))
-    return [QuadratureResult(complex("nan"), math.inf, False, True) if budget.diverged[j]
-            else QuadratureResult(complex(values[j]), float(budget.total[j]),
-                                  bool(budget.converged[j]), False)
-            for j in range(m)]
+    return _integrate(mu, lambda args, k, rows, table: f(*args, table[0][k[rows]]), m, cfg)
 
 
 def integrate(mu: Measure, f: Callable,
@@ -399,242 +623,32 @@ def integrate(mu: Measure, f: Callable,
     any of them arrives as an array; arrays passed together have one length.
     Divergence is reported through the result, not raised.
     """
-    return integrate_many(mu, lambda *args: f(*args[:-1]), 1, cfg)[0]
+    return _integrate(mu, lambda args, k, rows, table: f(*args), 1, cfg)[0]
 
 
-def _integrate(mu: Measure, f: Callable, k: np.ndarray, cfg: QuadratureConfig,
-               budget: _ErrorBudget) -> np.ndarray:
-    """Integrals of ``f(t, k[i])`` against ``mu``, one per entry of ``k``."""
+def _integrate(mu: Measure, call: Callable, m: int,
+               cfg: QuadratureConfig) -> list[QuadratureResult]:
+    """The ``m`` member integrals of ``integrate_many``, where ``call(args,
+    k, rows, table)`` evaluates the test function at the coordinates
+    ``args`` for rows with entries ``k[rows]`` of the (member, weight)
+    table."""
+    budget = _ErrorBudget.for_members(m)
+    members = np.arange(m)
     if isinstance(mu, Atomic):
-        total = np.zeros(k.size, dtype=complex)
+        values = np.zeros(m, dtype=complex)
         for loc, w in mu.atoms:
-            total += w * np.asarray(f(*loc, k), dtype=complex)
-        return total
-
-    if isinstance(mu, LebesgueDensity):
-        return _integrate_lebesgue(mu, f, k, cfg, budget)
-
-    if isinstance(mu, Product):
-        return _integrate_product(mu, f, k, cfg, budget)
-
-    if isinstance(mu, Pushforward2D):
-        return _integrate_pushforward2d(mu, f, k, cfg, budget)
-
-    if isinstance(mu, PushforwardLadder):
-        return _integrate_ladder(mu, f, k, cfg, budget)
-
-    if isinstance(mu, LebesguePad):
-        return _integrate_padded(mu, f, k, cfg, budget)
-
-    raise DomainError(f"unknown measure variant {type(mu).__name__}")
-
-
-def _integrate_lebesgue(mu: LebesgueDensity, f: Callable, k: np.ndarray,
-                        cfg: QuadratureConfig, budget: _ErrorBudget) -> np.ndarray:
-    dim = mu.dim
-    dens = mu.density
-
-    def rec(fixed: tuple, k: np.ndarray) -> np.ndarray:
-        # Axis 0 is outermost; the last axis is the innermost integral.
-        depth = len(fixed)
-        lcfg = cfg.tighter(0.1 ** depth) if depth else cfg
-
-        def g(x, rows):
-            args = tuple(t[rows] for t in fixed) + (x,)
-            if depth < dim - 1:
-                return rec(args, k[rows])
-            vals = np.asarray(f(*args, k[rows]), dtype=complex)
-            return vals * np.asarray(dens(*args)) if dens is not None else vals
-
-        return _line(g, k, lcfg, budget)
-
-    return rec((), k)
-
-
-def _against_base(base: Measure, g: Callable, k: np.ndarray, cfg: QuadratureConfig,
-                  budget: _ErrorBudget) -> np.ndarray:
-    """Integrals of ``g`` against a one-dimensional base, one per entry of
-    ``k``; ``g(x, k)`` maps arrays of base points and their members to values
-    (all atoms of all members are evaluated at once, members outermost)."""
-    if isinstance(base, Atomic):
-        if not base.atoms:
-            return np.zeros(k.size, dtype=complex)
-        xs = np.array([x for (x,), _ in base.atoms])
-        vals = np.asarray(g(np.tile(xs, k.size), k.repeat(xs.size)), dtype=complex)
-        return _atom_sum(base.atoms, vals.reshape(k.size, xs.size))
-    if isinstance(base, LebesgueDensity):
-        dens = base.density
-
-        def h(x, rows):
-            v = g(x, k[rows])
-            return v * np.asarray(dens(x)) if dens is not None else v
-
-        return _line(h, k, cfg, budget)
-    raise DomainError("base measure must be atomic or a Lebesgue density")
-
-
-def _integrate_pushforward2d(mu: Pushforward2D, f: Callable, k: np.ndarray,
-                             cfg: QuadratureConfig, budget: _ErrorBudget) -> np.ndarray:
-    a, b, g_, d = mu.coefficients
-
-    def inner(t1: np.ndarray, k: np.ndarray) -> np.ndarray:
-        at1, gt1 = a * t1, g_ * t1
-
-        def h(t2, rows):
-            return f(at1[rows] + b * t2, gt1[rows] + d * t2, k[rows])
-
-        # Recenter the substitution where the image coordinates are small,
-        # otherwise the node layout degrades as |t1| grows.
-        centers = []
-        width = 1.0
-        if b != 0:
-            centers.append(-a * t1 / b)
-            width = max(width, 1.0 / abs(b))
-        if d != 0:
-            centers.append(-g_ * t1 / d)
-            width = max(width, 1.0 / abs(d))
-        if len(centers) == 2:
-            center = 0.5 * (centers[0] + centers[1])
-            width = np.maximum(width, 0.5 * np.abs(centers[0] - centers[1]))
-        else:
-            center = centers[0] if centers else 0.0
-        return _line(h, k, cfg.tighter(), budget, center=center, halfwidth=width)
-
-    return _against_base(mu.base, inner, k, cfg, budget)
-
-
-def _integrate_ladder(mu: PushforwardLadder, f: Callable, k: np.ndarray,
-                      cfg: QuadratureConfig, budget: _ErrorBudget) -> np.ndarray:
-    b = mu.b
-    n = len(b) + 1
-
-    def coords(t1, rest):
-        out = [t1 - b[j] * rest[j] for j in range(n - 1)]
-        out.append(t1 + sum(rest))
-        return out
-
-    # After t_n, ..., t_{j+3} are integrated out, the integrand of t_{j+2}
-    # peaks on two lines: c1 = t1 / b_j, where u_{j+1} = t1 - b_j t_{j+2}
-    # vanishes, and c2 = -(F_j t1 + t2 + ... + t_{j+1}) with F_j = 1 +
-    # sum_{i>j} 1/b_i, where the two lines of the level below meet.  At the
-    # innermost level F = 1 and c2 is where u_n = t1 + ... + t_n vanishes.
-    # In units of Im z the c1 peak is 1/b_j wide and the c2 peak F_j wide:
-    # integrating out a level convolves its two peaks, and the widths add.
-    F = [1.0 + sum(1.0 / x for x in b[j + 1:]) for j in range(n - 1)]
-
-    def rec(t1: np.ndarray, fixed: tuple, k: np.ndarray) -> np.ndarray:
-        depth = len(fixed)
-        lcfg = cfg.tighter(0.1 ** (depth + 1))
-        j = depth  # integrating t_{j+2}, entering u_{j+1} = t1 - b_j t_{j+2}
-        c1 = t1 / b[j]
-        width = max(1.0, 1.0 / b[j])
-        innermost = depth == n - 2
-
-        def g(x, rows):
-            rest = tuple(t[rows] for t in fixed) + (x,)
-            if innermost:
-                return f(*coords(t1[rows], rest), k[rows])
-            return rec(t1[rows], rest, k[rows])
-
-        # Rows whose centres lie within the base width of their midpoint get
-        # one substitution with the base width, centred on the midpoint at
-        # the innermost level and on c1 above it.  A row with centres further
-        # apart becomes two half-line rows, split at the midpoint, each
-        # centred on its own centre line (with halfwidth max(width, F_j) on
-        # c2); their values and error estimates add up to the row's.
-        c2 = -(F[j] * t1 + sum(fixed))
-        mid = 0.5 * (c1 + c2)
-        near = mid if innermost else c1
-        far = np.flatnonzero(0.5 * np.abs(c1 - c2) > width)
-        if not far.size:
-            return _line(g, k, lcfg, budget, center=near, halfwidth=width)
-        m = k.size
-        src = np.concatenate((np.arange(m), far))
-        lo, hi = np.full(src.size, -math.inf), np.full(src.size, math.inf)
-        hi[far] = lo[m:] = mid[far]
-        c1_low = c1[far] < c2[far]
-        center = np.concatenate((near, np.where(c1_low, c2[far], c1[far])))
-        center[far] = np.where(c1_low, c1[far], c2[far])
-        halfwidth = np.full(src.size, width)
-        halfwidth[far] = np.where(c1_low, width, max(width, F[j]))
-        halfwidth[m:] = np.where(c1_low, max(width, F[j]), width)
-        v = _line(lambda x, rows: g(x, src[rows]), k[src], lcfg, budget,
-                  center=center, halfwidth=halfwidth, lo=lo, hi=hi)
-        out = v[:m].copy()
-        out[far] += v[m:]
-        return out
-
-    value = _against_base(mu.base, lambda t1, k: rec(t1, (), k), k, cfg, budget)
-    return mu.scale * value
-
-
-def _integrate_product(mu: Product, f: Callable, k: np.ndarray,
-                       cfg: QuadratureConfig, budget: _ErrorBudget) -> np.ndarray:
-    dim = len(mu.factors)
-
-    def rec(fixed: tuple, k: np.ndarray) -> np.ndarray:
-        axis = len(fixed)
-        factor = mu.factors[axis]
-        lcfg = cfg.tighter(0.1 ** axis) if axis else cfg
-
-        def g(x, rows):
-            args = tuple(t[rows] for t in fixed) + (x,)
-            return f(*args, k[rows]) if axis == dim - 1 else rec(args, k[rows])
-
-        if isinstance(factor, Atomic):
-            if not factor.atoms:
-                return np.zeros(k.size, dtype=complex)
-            # One entry per (row, atom) pair, rows outermost.
-            xs = np.array([x for (x,), _ in factor.atoms])
-            rows = np.repeat(np.arange(k.size), xs.size)
-            vals = np.asarray(g(np.tile(xs, k.size), rows), dtype=complex)
-            return _atom_sum(factor.atoms, np.broadcast_to(vals, rows.shape).reshape(k.size, -1))
-
-        if isinstance(factor, LebesgueDensity):
-            dens = factor.density
-
-            def h(x, rows):
-                v = np.asarray(g(x, rows), dtype=complex)
-                return v * np.asarray(dens(x)) if dens is not None else v
-
-            return _line(h, k, lcfg, budget)
-
-        raise DomainError("product factors must be atomic or Lebesgue densities")
-
-    return rec((), k)
-
-
-def _integrate_padded(mu: LebesguePad, f: Callable, k: np.ndarray,
-                      cfg: QuadratureConfig, budget: _ErrorBudget) -> np.ndarray:
-    pad = mu.padded_axes
-
-    if not pad:
-        return _integrate(mu.inner, f, k, cfg, budget)
-
-    # Padding axes run first, innermost the largest index.
-    pad_desc = tuple(sorted(pad, reverse=True))
-
-    def rec(fixed: dict, depth: int, k: np.ndarray) -> np.ndarray:
-        # ``fixed`` maps each axis already set to its value in every row.
-        axis = pad_desc[len(pad) - 1 - depth]  # outermost pad axis first
-
-        def h(x, rows):
-            sub = {j: t[rows] for j, t in fixed.items()}
-            sub[axis] = x
-            if depth == len(pad) - 1:
-                return f(*(sub[j] for j in range(mu.dim)), k[rows])
-            return rec(sub, depth + 1, k[rows])
-
-        return _line(h, k, cfg.tighter(0.1 ** (depth + 1)), budget)
-
-    def g(*args):
-        # The inner measure's coordinates, then its members; one row each.
-        shape = np.broadcast(*args).shape
-        *s, kk = (np.broadcast_to(v, shape).reshape(-1) for v in args)
-        s = [np.real(v).astype(float) for v in s]
-        return rec(dict(zip(mu.axes, s)), 0, kk).reshape(shape)
-
-    return _integrate(mu.inner, g, k, cfg, budget)
+            values += w * np.asarray(call(loc, members, slice(None), (members,)), dtype=complex)
+    else:
+        plan = mu._plan
+        try:
+            values = plan.scale * _walk(plan, call, cfg, budget, 0, [], members,
+                                        (members, plan.scale + np.zeros(m)))
+        except _Diverged:
+            values = np.full(m, complex("nan"))
+    return [QuadratureResult(complex("nan"), math.inf, False, True) if budget.diverged[j]
+            else QuadratureResult(complex(values[j]), float(budget.total[j]),
+                                  bool(budget.converged[j]), False)
+            for j in range(m)]
 
 
 def mass(mu: Measure, region: Region,

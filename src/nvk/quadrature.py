@@ -1,4 +1,4 @@
-"""Adaptive complex-valued quadrature over the real line and iterated integrals.
+"""Adaptive complex-valued quadrature over the real line.
 
 The whole line is compactified through the substitution t = tan(theta),
 theta in (-pi/2, pi/2), and the transformed integrand is refined adaptively
@@ -32,12 +32,9 @@ compared across doublings, and monotone growth past
 oscillate themselves to a conditionally finite value are outside the scope
 of the detector.
 
-Iterated integrals never reorder axes: the caller states the order and the
-first listed axis is innermost.  Inner levels run at a tighter tolerance so
-the outer error estimate is not drowned by inner noise.  The integrand of
-an iterated integral receives every argument as an array of one length: the
-innermost variable's nodes and, for each outer variable, its value at the
-row each node belongs to.
+Iterated integrals are measure integrals: ``measures.integrate`` against a
+``Product`` of Lebesgue factors runs one ``integrate_rows`` solve per nest
+level.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -59,7 +56,6 @@ __all__ = [
     "integrate_line",
     "integrate_segment",
     "integrate_rows",
-    "integrate_iterated",
 ]
 
 
@@ -110,10 +106,6 @@ class RowResults:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
-
-
-class _InnerDiverged(Exception):
-    """Internal signal: an inner integral of a nest diverged."""
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
@@ -377,9 +369,14 @@ def _solve(f: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
         return np.asarray(f(c + w * u, rows), dtype=complex) * (w * (1.0 + u * u))
 
     # theta with x = center + halfwidth * tan(theta); arctan(+-inf) is +-pi/2.
-    value, err, converged, suspect = _adaptive(
-        g, nrows, np.arctan((lo - center) / halfwidth),
-        np.arctan((hi - center) / halfwidth), cfg)
+    # A segment more than about 1e16 halfwidths from the centre maps to a
+    # theta interval of zero width, where no node can resolve it.
+    theta_lo = np.arctan((lo - center) / halfwidth)
+    theta_hi = np.arctan((hi - center) / halfwidth)
+    if np.any((theta_lo >= theta_hi) & np.less(lo, hi)):
+        raise DomainError("segment too far from its center for the substitution; "
+                          "center it on the segment")
+    value, err, converged, suspect = _adaptive(g, nrows, theta_lo, theta_hi, cfg)
     diverged = np.zeros(nrows, dtype=bool)
     if not converged.all():
         # A near-zero non-converged estimate cannot hide a divergence, so the
@@ -403,7 +400,9 @@ def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONF
     node.  ``lo``, ``hi``, ``center`` and ``halfwidth`` are scalars or
     arrays with one entry per row; either end of a segment may be infinite
     (the default is the whole line).  Like in ``integrate_line``, ``center``
-    and ``halfwidth`` only shape the node layout.
+    and ``halfwidth`` only shape the node layout, but a segment more than
+    about 1e16 halfwidths from its centre cannot be resolved and raises
+    ``DomainError``.
     """
     if nrows < 1:
         raise DomainError("need at least one row")
@@ -448,53 +447,3 @@ def integrate_segment(f: Callable, lo: float, hi: float,
                        lo=lo, hi=hi)
     return QuadratureResult(complex(r.value[0]), float(r.error_estimate[0]),
                             bool(r.converged[0]), bool(r.diverged[0]))
-
-
-def integrate_iterated(f: Callable, order: Sequence[int],
-                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """Iterated integral of ``f(t_0, ..., t_{k-1})`` over all of R^k.
-
-    ``order`` is a permutation of the axis indices; ``order[0]`` is the
-    innermost integration variable and axes are never reordered.  ``f``
-    receives every argument as an array of one length.  Inner divergence
-    propagates outward as ``diverged=True``.
-    """
-    k = len(order)
-    if sorted(order) != list(range(k)):
-        raise DomainError("order must be a permutation of range(k)")
-
-    worst_inner = 0.0
-    all_converged = True
-
-    def level(depth: int, fixed: dict, nrows: int) -> RowResults:
-        # depth counts from the outermost axis, i.e. order[k-1] has depth 0;
-        # ``fixed`` maps each outer axis to its value in every row.
-        axis = order[k - 1 - depth]
-        lcfg = cfg.tighter(0.1 ** depth) if depth else cfg
-
-        def g(x, rows):
-            nonlocal worst_inner, all_converged
-            args = {j: v[rows] for j, v in fixed.items()}
-            args[axis] = x
-            if depth == k - 1:
-                return f(*(args[j] for j in range(k)))
-            r_in = level(depth + 1, args, x.size)
-            worst_inner = max(worst_inner, float(r_in.error_estimate.max()))
-            all_converged = all_converged and bool(r_in.converged.all())
-            return r_in.value
-
-        r = integrate_rows(g, nrows, lcfg)
-        if r.diverged.any():
-            raise _InnerDiverged
-        return r
-
-    try:
-        r = level(0, {}, 1)
-    except _InnerDiverged:
-        return QuadratureResult(complex("nan"), math.inf, False, True)
-    return QuadratureResult(
-        complex(r.value[0]),
-        float(r.error_estimate[0]) + worst_inner,
-        bool(r.converged[0]) and all_converged,
-        False,
-    )

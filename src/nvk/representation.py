@@ -24,8 +24,7 @@ from .kernels import kernel_1d, kernel_nd, require_upper_half
 from .measures import Measure, integrate
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
-__all__ = ["RepresentationData", "evaluate", "evaluate_convex_form",
-           "HerglotzReport", "check_herglotz"]
+__all__ = ["RepresentationData", "evaluate", "HerglotzReport", "check_herglotz"]
 
 
 @dataclass(frozen=True)
@@ -77,16 +76,6 @@ def evaluate(data: RepresentationData, z: Sequence[complex],
     if full_output:
         return value, r.error_estimate / pi ** n
     return value
-
-
-def evaluate_convex_form(data: RepresentationData, k: Sequence[float],
-                         z: Sequence[complex],
-                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """q(k1 z1 + ... + kn zn) from one-variable data: the same integral as
-    ``evaluate(transform(data, k), z, cfg)``, which it calls."""
-    from .transform import transform  # transform imports this module
-
-    return evaluate(transform(data, k), z, cfg)
 
 
 @dataclass(frozen=True)

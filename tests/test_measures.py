@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from nvk.cli import CLASSIFICATION_FIXTURES, fixture_base_measure
 from nvk.conditions import check_growth, check_nevanlinna_2var, default_z_grid
 from nvk.errors import DimensionMismatchError, DomainError
+from nvk.kernels import kernel_1d, kernel_nd
+from nvk.ladder import ladder_closed_form
 from nvk.measures import (
     Atomic,
     Box,
@@ -245,3 +247,100 @@ def test_integrate_many_all_members_diverge(cfg):
     assert integrate_many(lebesgue(), lambda t, k: 1.0 + 0j, 0, cfg) == []
     with pytest.raises(DomainError):
         integrate_many(lebesgue(), lambda t, k: 1.0 + 0j, -1, cfg)
+
+
+# Values of the parent implementation (five hand-written recursions), pinned
+# so that compiling every measure to one plan run by one walker keeps them.
+_Z4 = (0.3 + 0.8j, -0.2 + 1.1j, 0.5 + 0.6j, 0.1 + 0.9j)
+_TWO_ATOMS = Atomic((((0.2,), 1.0), ((-0.5,), 2.0)))
+_PINNED = {
+    "density_1d": (_CAUCHY, None, 1.4032447186034365 + 0.3001966313430237j),
+    "density_2d_joint": (
+        LebesgueDensity(2, density=lambda s, t: 1.0 / ((1.0 + s * s) * (1.0 + t * t))),
+        lambda s, t: 1.0 / ((s - _W[0]) * (t - _W[1])),
+        -2.8198869717397996 + 0.9399623239132667j),
+    "product_atomic_density": (Product((Atomic((((0.4,), 1.0), ((-1.2,), 0.5))), _CAUCHY)),
+                               None, 1.1953978314271623 + 0.6065277344680373j),
+    "pushforward2d_atomic": (Pushforward2D(Atomic((((0.0,), PI), ((0.8,), 1.0))), 1, 1, 1, 2),
+                             None, 3.047312253558933 + 1.4015542885707033j),
+    "pushforward2d_density_one_line": (Pushforward2D(_CAUCHY, 1, 0, 0.5, 1),
+                                       None, 3.7778465714724345 + 1.4175929556132085j),
+    "pushforward2d_density_parallel": (Pushforward2D(_CAUCHY, 1, 1, 1, 1),
+                                       None, 3.470148303833657 + 1.6129640234165636j),
+    "ladder2_atomic": (PushforwardLadder(_TWO_ATOMS, (0.8,), 1.7), 2,
+                       -0.633121417544552 + 7.7219071835157225j),
+    "ladder3_atomic": (PushforwardLadder(_TWO_ATOMS, (0.8, 1.3), 2.3), 3,
+                       -4.918944796130816 + 18.64562414271544j),
+    "ladder4_atomic": (PushforwardLadder(Atomic((((0.1,), 1.5),)), (0.9, 1.2, 0.7), 3.1), 4,
+                       -12.300586315011618 + 52.312440059841464j),
+    "ladder3_density": (PushforwardLadder(_CAUCHY, (0.8, 1.3), 2.3), 3,
+                        -1.6271751749190408 + 12.331818258874984j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_values_pinned_across_the_plan_rewrite(name, cfg_nested):
+    # The two Pushforward2D density cases have near rows only: one centre
+    # line, or two that coincide.  The test function is the first member's
+    # integrand, or K_n at _Z4 for the ladders.
+    mu, f, want = _PINNED[name]
+    if f is None:
+        f = lambda *ts: _member_integrand(*ts, 0)
+    elif isinstance(f, int):
+        f = lambda *ts, n=f: kernel_nd(_Z4[:n], ts)
+    r = integrate(mu, f, cfg_nested)
+    assert r.converged and not r.diverged
+    assert abs(r.value - want) <= 1e-13 * abs(want)
+
+
+def test_integrate_many_values_pinned(cfg_nested):
+    mu = PushforwardLadder(Atomic((((0.2,), 1.0),)), (1.0, 0.5), 0.7)
+    want = (1.8446952199676359 + 1.2627410027854906j, -1.6672537743514102 - 4.475094729955119j,
+            -0.06344587529280782 + 0.3934333897142004j)
+    for got, v in zip(integrate_many(mu, _member_integrand, 3, cfg_nested), want):
+        assert got.converged and abs(got.value - v) <= 1e-13 * abs(v)
+
+
+@pytest.mark.parametrize("weights, scale", [((1.0, 1.0), 1.0), ((1e6, 1.0), 1.0),
+                                            ((1.0, 1e6), 1.0), ((1.0, 1.0), 1e6)],
+                         ids=["unit", "heavy_first_atom", "heavy_second_atom", "large_scale"])
+def test_error_estimate_carries_atom_weights_and_scale(weights, scale):
+    # Each row's estimate enters its member's total with the weight its value
+    # carries; before, a heavy atom or a large scale left the estimate at the
+    # unweighted 3e-11 while the error grew to 4e-7 and more.
+    z = _Z4[:3]
+    mu = PushforwardLadder(Atomic((((0.7,), weights[0]), ((-2.0,), weights[1]))), (0.8, 1.3), scale)
+    r = integrate(mu, lambda *ts: kernel_nd(z, ts))
+    assert r.converged
+    assert abs(r.value - ladder_closed_form(z, mu)) <= r.error_estimate
+
+
+@pytest.mark.parametrize("base", ["far_atoms", "density"])
+def test_pushforward2d_far_rows_match_reduction(base, cfg_nested):
+    # The planar image of the n = 2 ladder map (t1 - b t2, t1 + t2): t2 has
+    # the centre lines t1 / b and -t1, so rows with |t1| past about 1.4 are
+    # split.  The main theorem reduces the integral of K_2 to (pi / beta)
+    # int K_1(k1 z1 + k2 z2, t1) dmu(t1), beta = 1 + b.
+    k, z = (0.3, 0.7), (0.4 + 0.9j, -0.3 + 1.2j)
+    b = k[1] / k[0]
+    w = k[0] * z[0] + k[1] * z[1]
+    mu1 = Atomic((((-6.0,), 1.0), ((9.0,), 2.5))) if base == "far_atoms" else _CAUCHY
+    r = integrate(Pushforward2D(mu1, 1.0, -b, 1.0, 1.0), lambda u, v: kernel_nd(z, (u, v)),
+                  cfg_nested)
+    want = PI / (1.0 + b) * integrate(mu1, lambda t: kernel_1d(w, t)).value
+    assert r.converged and abs(r.value - want) <= 1e-7 * abs(want)
+
+
+def test_lebesgue_pad_density_matches_reduction(cfg_nested):
+    # The padded axis runs as the innermost plan level, at the tolerance of
+    # its depth; q(0.4 z1 + 0.6 z3) is the one-variable reference.
+    from nvk.representation import RepresentationData, evaluate
+    from nvk.transform import transform_general
+
+    data = RepresentationData(0.0, (0.0,), _CAUCHY)
+    z = (0.4 + 1.1j, -0.8 + 0.9j, 0.3 + 1.4j)
+    padded = transform_general(data, (0.4, 0.0, 0.6))
+    assert isinstance(padded.mu, LebesguePad)
+    got = evaluate(padded, z, cfg_nested)
+    want = evaluate(data, (0.4 * z[0] + 0.6 * z[2],))
+    assert abs(got - want) <= 1e-7 * abs(want)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nvk.errors import DomainError, IntegrandError
+from nvk.measures import Product, integrate, lebesgue
 from nvk.quadrature import (
+    DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
-    integrate_iterated,
     integrate_line,
     integrate_rows,
     integrate_segment,
@@ -88,10 +89,25 @@ def test_recentered_substitution_same_value():
     assert abs(plain.value - shifted.value) < 1e-9
 
 
+def _iterated(f, order, cfg=DEFAULT_CONFIG):
+    """Iterated integral of f(t_0, ..., t_{k-1}) over R^k with axis
+    ``order[0]`` innermost: a Product of Lebesgue factors, whose last factor
+    is innermost, against f with its arguments permuted."""
+    outer_first = order[::-1]
+
+    def g(*ts):
+        args = [None] * len(order)
+        for axis, t in zip(outer_first, ts):
+            args[axis] = t
+        return f(*args)
+
+    return integrate(Product((lebesgue(),) * len(order)), g, cfg)
+
+
 @pytest.mark.parametrize("order", [[1, 0], [0, 1]])
 def test_iterated_separable_product(order):
     f = lambda a, b: 1.0 / ((1.0 + a * a) * (1.0 + b * b))
-    r = integrate_iterated(f, order, QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12))
+    r = _iterated(f, order, QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12))
     assert r.converged
     assert abs(r.value - math.pi ** 2) < 1e-9
 
@@ -101,19 +117,14 @@ def test_iterated_vanishing_inner_integral():
     # half-plane, so the inner integral (and hence the whole) is zero.
     z1, z2c = 1j, -1j
     f = lambda t1, t2: 1.0 / ((t1 - z1) ** 2 * (t2 - z2c) ** 2)
-    r = integrate_iterated(f, [1, 0], QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12))
+    r = _iterated(f, [1, 0], QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12))
     assert abs(r.value) < 1e-9
 
 
 def test_iterated_inner_divergence_propagates():
     f = lambda t1, t2: 1.0 / (1.0 + t1 * t1) + 0.0 * t2
-    r = integrate_iterated(f, [1, 0])
+    r = _iterated(f, [1, 0])
     assert r.diverged
-
-
-def test_iterated_order_validation():
-    with pytest.raises(DomainError):
-        integrate_iterated(lambda a, b: 1.0, [0, 0])
 
 
 def test_rows_need_at_least_one_row():
@@ -190,7 +201,7 @@ def test_rows_divergence_is_per_row():
 def test_iterated_divergence_of_some_rows_propagates():
     # Inner integrals diverge only for outer nodes t1 > 2.
     f = lambda t1, t2: np.where(t1 > 2.0, 1.0, 1.0 / (1.0 + t2 * t2)) / (1.0 + t1 * t1)
-    r = integrate_iterated(f, [1, 0])
+    r = _iterated(f, [1, 0])
     assert r.diverged and not r.converged
 
 
@@ -296,3 +307,16 @@ def test_window_scan_of_a_half_line_at_floating_point_scale(lo, hi):
     end = lo if math.isfinite(lo) else hi
     r = integrate_segment(lambda x: np.ones_like(x) + 0j, lo, hi, center=end)
     assert r.diverged and not r.converged
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: np.ones_like(x) + 0j, 1e17, math.inf),
+    (lambda x: np.exp(-(x - 1e17) ** 2 / 1e10) + 0j, 1e17, 1e17 + 1e6),
+], ids=["half-line", "gaussian"])
+def test_segment_the_substitution_cannot_resolve_is_rejected(f, lo, hi):
+    # Centred on 0, both ends map to theta = pi/2 within rounding: a zero-width
+    # interval that would report 0 as converged.
+    with pytest.raises(DomainError):
+        integrate_segment(f, lo, hi)
+    with pytest.raises(DomainError):
+        integrate_rows(lambda x, rows: f(x), 2, lo=np.array([0.0, lo]), hi=np.array([1.0, hi]))

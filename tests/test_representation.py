@@ -7,13 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from nvk.errors import DimensionMismatchError, DomainError, GrowthConditionError
 from nvk.measures import Atomic, LebesgueDensity, PushforwardLadder, zero_measure
-from nvk.representation import (
-    RepresentationData,
-    check_herglotz,
-    evaluate,
-    evaluate_convex_form,
-)
+from nvk.representation import RepresentationData, check_herglotz, evaluate
 from nvk.sampling import draw_upper_point, rng_for
+from nvk.transform import transform
 
 PI = math.pi
 
@@ -62,7 +58,7 @@ def test_atomic_fast_path_has_zero_error(inverse_data):
 
 
 def test_convex_form_inverse_two_vars(inverse_data, cfg_nested):
-    v = evaluate_convex_form(inverse_data, (0.5, 0.5), (1j, 3j), cfg_nested)
+    v = evaluate(transform(inverse_data, (0.5, 0.5)), (1j, 3j), cfg_nested)
     assert abs(v - 1j / 2) < 1e-8  # -1/(0.5 i + 1.5 i)
 
 
@@ -70,12 +66,12 @@ def test_convex_form_identity_function(cfg):
     data = RepresentationData(0.0, (1.0,), zero_measure(1))
     ks = (0.3, 0.45, 0.25)
     z = (0.2 + 1j, -1 + 2j, 0.5 + 0.5j)
-    v = evaluate_convex_form(data, ks, z, cfg)
+    v = evaluate(transform(data, ks), z, cfg)
     assert abs(v - sum(k * w for k, w in zip(ks, z))) < 1e-14
 
 
 def test_convex_form_inverse_three_vars(inverse_data, cfg_nested):
-    v = evaluate_convex_form(inverse_data, (0.5, 0.25, 0.25), (1j, 1j, 1j), cfg_nested)
+    v = evaluate(transform(inverse_data, (0.5, 0.25, 0.25)), (1j, 1j, 1j), cfg_nested)
     assert abs(v - 1j) < 1e-7
 
 
