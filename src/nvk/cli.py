@@ -32,8 +32,8 @@ from .descriptors import (
     dump_descriptor,
     format_complex,
     load_descriptor,
-    measure_from_json,
     parse_complex,
+    validate_descriptor,
 )
 from .errors import (
     DomainError,
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .kernels import kernel_nd_rational, kernel_nd_sum
 from .ladder import verify_final_step, verify_full_reduction, verify_main_theorem, verify_step
-from .measures import Atomic, lebesgue, zero_measure
+from .measures import Atomic, Pushforward2D, lebesgue, zero_measure
 from .quadrature import QuadratureConfig
 from .representation import evaluate
 from .sampling import (
@@ -146,8 +146,7 @@ def _config(tol: Optional[float], rel_default: float = 1e-10,
 
 
 def cmd_eval(args) -> int:
-    doc = load_descriptor(args.descriptor)
-    data = data_from_json(doc)
+    data = data_from_json(load_descriptor(args.descriptor))
     cfg = _config(args.tol)
     results = []
     for spec in args.z:
@@ -168,9 +167,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    doc = load_descriptor(args.descriptor)
-    data = data_from_json(doc)
-    ks = [float(x) for x in args.k.split(",")]
+    data = data_from_json(load_descriptor(args.descriptor))
+    try:
+        ks = [float(x) for x in args.k.split(",")]
+    except ValueError:
+        raise DomainError(f"--k: malformed coefficient list {args.k!r}") from None
     out = transform_general(data, ks)
     text = dump_descriptor(data_to_json(out), args.out)
     if args.out is None:
@@ -277,13 +278,14 @@ def classification_evidence(mu1, coeffs, grid_count: int, cfg: QuadratureConfig)
     whose points are solved together (``conditions.nevanlinna_grid``).
     Declared traits outrank the numerics; a disagreement is reported in the
     ``trait_conflict`` field."""
-    from .measures import Pushforward2D
-
+    if grid_count < 1:
+        raise DomainError("the evidence z-grid needs at least one point")
     alpha, beta, gamma, delta = coeffs
+    # Built first: the constructor rejects non-finite coefficients.
+    planar = Pushforward2D(mu1, alpha, beta, gamma, delta)
     traits = cond.derive_traits(mu1, cfg, coefficients=tuple(coeffs))
     classification = cond.classify_pushforward2d(alpha, beta, gamma, delta, traits)
 
-    planar = Pushforward2D(mu1, alpha, beta, gamma, delta)
     growth = cond.check_growth(planar, cfg)
     growth_ok = growth.converged and not growth.diverged
 
@@ -322,6 +324,8 @@ def cmd_verify(args) -> int:
     if seed is None:
         seed = int(os.environ.get("NVK_SEED", DEFAULT_SEED))
     samples = args.samples
+    if samples < 1:
+        raise DomainError("--samples must be at least 1")
     if args.suite == "conditions":
         samples = len(CLASSIFICATION_FIXTURES)
 
@@ -378,8 +382,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    doc = load_descriptor(args.mu)
-    mu1 = measure_from_json(doc["measure"])
+    mu1 = validate_descriptor(load_descriptor(args.mu))
     if mu1.dimension != 1:
         raise DomainError("classification needs a one-dimensional base measure")
     cfg = _config(args.tol)

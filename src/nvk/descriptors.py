@@ -25,10 +25,11 @@ sign between the parts, e.g. "0+1i" or "-1.5-2e-3i".
 from __future__ import annotations
 
 import json
+import operator
 import re
+import sys
 from typing import Callable, Optional
 
-import jsonschema
 import numpy as np
 
 from .errors import DomainError
@@ -45,7 +46,6 @@ from .representation import RepresentationData
 
 __all__ = [
     "SCHEMA_VERSION",
-    "DESCRIPTOR_SCHEMA",
     "parse_complex",
     "format_complex",
     "parse_density",
@@ -53,92 +53,12 @@ __all__ = [
     "measure_from_json",
     "data_to_json",
     "data_from_json",
+    "validate_descriptor",
     "load_descriptor",
     "dump_descriptor",
 ]
 
 SCHEMA_VERSION = "nvk-1"
-
-_MEASURE_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {
-            "properties": {
-                "type": {"const": "atomic"},
-                "dimension": {"type": "integer", "minimum": 1},
-                "atoms": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "number"}, "minItems": 2},
-                },
-            },
-            "required": ["type", "atoms"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "type": {"const": "lebesgue"},
-                "dimension": {"type": "integer", "minimum": 1},
-                "density": {"type": ["string", "null"]},
-            },
-            "required": ["type", "dimension"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "type": {"const": "product"},
-                "factors": {"type": "array", "items": {"$ref": "#/$defs/measure"}, "minItems": 1},
-            },
-            "required": ["type", "factors"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "type": {"const": "pushforward2d"},
-                "base": {"$ref": "#/$defs/measure"},
-                "coefficients": {
-                    "type": "array", "items": {"type": "number"},
-                    "minItems": 4, "maxItems": 4,
-                },
-            },
-            "required": ["type", "base", "coefficients"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "type": {"const": "pushforward_ladder"},
-                "base": {"$ref": "#/$defs/measure"},
-                "b": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "scale": {"type": "number"},
-            },
-            "required": ["type", "base", "b", "scale"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "type": {"const": "lebesgue_pad"},
-                "inner": {"$ref": "#/$defs/measure"},
-                "axes": {"type": "array", "items": {"type": "integer"}},
-                "dimension": {"type": "integer", "minimum": 1},
-            },
-            "required": ["type", "inner", "axes", "dimension"],
-            "additionalProperties": False,
-        },
-    ],
-}
-
-DESCRIPTOR_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "schema": {"const": SCHEMA_VERSION},
-        "a": {"type": "number"},
-        "b": {"type": "array", "items": {"type": "number"}},
-        "measure": {"$ref": "#/$defs/measure"},
-    },
-    "required": ["schema", "measure"],
-    "additionalProperties": False,
-    "$defs": {"measure": _MEASURE_SCHEMA},
-}
 
 _COMPLEX_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -214,25 +134,19 @@ def parse_density(text: str, dimension: int) -> Callable:
         if val != value:
             raise DomainError(f"density expression: expected {value!r} at column {pos + 1}")
 
-    def parse_expr():
-        node = parse_term()
-        while peek()[1] in ("+", "-"):
-            op = advance()[1]
-            rhs = parse_term()
-            lhs = node
-            node = (lambda a, b: (lambda *t: a(*t) + b(*t)))(lhs, rhs) if op == "+" \
-                else (lambda a, b: (lambda *t: a(*t) - b(*t)))(lhs, rhs)
+    def parse_binary(operand, ops: dict):
+        """operand (op operand)*, left associative."""
+        node = operand()
+        while peek()[1] in ops:
+            op = ops[advance()[1]]
+            node = (lambda a, b, f: lambda *t: f(a(*t), b(*t)))(node, operand(), op)
         return node
 
+    def parse_expr():
+        return parse_binary(parse_term, {"+": operator.add, "-": operator.sub})
+
     def parse_term():
-        node = parse_unary()
-        while peek()[1] in ("*", "/"):
-            op = advance()[1]
-            rhs = parse_unary()
-            lhs = node
-            node = (lambda a, b: (lambda *t: a(*t) * b(*t)))(lhs, rhs) if op == "*" \
-                else (lambda a, b: (lambda *t: a(*t) / b(*t)))(lhs, rhs)
-        return node
+        return parse_binary(parse_unary, {"*": operator.mul, "/": operator.truediv})
 
     def parse_unary():
         if peek()[1] == "-":
@@ -315,36 +229,6 @@ def measure_to_json(mu: Measure) -> dict:
     raise DomainError(f"cannot serialize measure {type(mu).__name__}")
 
 
-def measure_from_json(obj: dict) -> Measure:
-    kind = obj["type"]
-    if kind == "atomic":
-        atoms = tuple((tuple(row[:-1]), row[-1]) for row in obj["atoms"])
-        dim = obj.get("dimension")
-        if not atoms and dim is None:
-            raise DomainError("empty atomic measure needs a dimension")
-        return Atomic(atoms, dim=dim)
-    if kind == "lebesgue":
-        dim = obj["dimension"]
-        src = obj.get("density")
-        if src is None:
-            return LebesgueDensity(dim)
-        fn = parse_density(src, dim)
-        fn._nvk_source = src  # type: ignore[attr-defined]
-        return LebesgueDensity(dim, density=fn)
-    if kind == "product":
-        return Product(tuple(measure_from_json(f) for f in obj["factors"]))
-    if kind == "pushforward2d":
-        a, b, g, d = obj["coefficients"]
-        return Pushforward2D(measure_from_json(obj["base"]), a, b, g, d)
-    if kind == "pushforward_ladder":
-        return PushforwardLadder(measure_from_json(obj["base"]),
-                                 tuple(obj["b"]), obj["scale"])
-    if kind == "lebesgue_pad":
-        return LebesguePad(measure_from_json(obj["inner"]),
-                           tuple(obj["axes"]), obj["dimension"])
-    raise DomainError(f"unknown measure type {kind!r}")
-
-
 def data_to_json(data: RepresentationData) -> dict:
     return {
         "schema": SCHEMA_VERSION,
@@ -354,35 +238,140 @@ def data_to_json(data: RepresentationData) -> dict:
     }
 
 
-def data_from_json(obj: dict) -> RepresentationData:
-    validate_descriptor(obj)
+# --- reading: each field is checked as it is read --------------------------
+
+# Per measure type: its required fields, then its optional ones.
+_MEASURE_FIELDS = {
+    "atomic": (("type", "atoms"), ("dimension",)),
+    "lebesgue": (("type", "dimension"), ("density",)),
+    "product": (("type", "factors"), ()),
+    "pushforward2d": (("type", "base", "coefficients"), ()),
+    "pushforward_ladder": (("type", "base", "b", "scale"), ()),
+    "lebesgue_pad": (("type", "inner", "axes", "dimension"), ()),
+}
+
+
+def _invalid(path: str, message: str) -> DomainError:
+    return DomainError(f"descriptor invalid at {path}: {message}")
+
+
+def _fields(obj, path: str, required: tuple, optional: tuple) -> None:
+    if not isinstance(obj, dict):
+        raise _invalid(path, f"expected an object, got {obj!r:.40}")
+    for key in required:
+        if key not in obj:
+            raise _invalid(path, f"missing field {key!r}")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise _invalid(f"{path}.{key}", "unknown field")
+
+
+def _number(x, path: str):
+    # abs(x) <= max rejects NaN, +-inf and integers too large for a float.
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
+        raise _invalid(path, f"expected a finite number, got {x!r:.40}")
+    return x
+
+
+def _integer(x, path: str, minimum: int = 0) -> int:
+    """An integer >= minimum; an integral float such as 2.0 reads as 2."""
+    if _number(x, path) != int(x) or x < minimum:
+        raise _invalid(path, f"expected an integer >= {minimum}, got {x!r}")
+    return int(x)
+
+
+def _array(x, path: str, min_items: int = 0) -> list:
+    if not isinstance(x, list) or len(x) < min_items:
+        raise _invalid(path, f"expected an array of at least {min_items} entries, got {x!r:.40}")
+    return x
+
+
+def _numbers(x, path: str, min_items: int = 0) -> tuple:
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(_array(x, path, min_items)))
+
+
+def _build(path: str, make: Callable, *args):
+    """``make(*args)``; a DomainError it raises is re-raised at ``path``."""
+    try:
+        return make(*args)
+    except DomainError as e:
+        raise type(e)(f"descriptor invalid at {path}: {e}") from None
+
+
+def measure_from_json(obj, path: str = "$.measure") -> Measure:
+    """Read a measure object; a bad field raises ``DomainError`` naming its
+    JSON path, e.g. ``descriptor invalid at $.measure.b[1]: ...``."""
+    if not isinstance(obj, dict) or "type" not in obj:
+        raise _invalid(path, f"expected a measure object with a 'type' field, got {obj!r:.40}")
+    kind = obj["type"]
+    if not (isinstance(kind, str) and kind in _MEASURE_FIELDS):
+        raise _invalid(f"{path}.type", f"unknown measure type {kind!r:.40}")
+    _fields(obj, path, *_MEASURE_FIELDS[kind])
+
+    if kind == "atomic":
+        rows = [_numbers(row, f"{path}.atoms[{i}]", 2)
+                for i, row in enumerate(_array(obj["atoms"], f"{path}.atoms"))]
+        dim = _integer(obj["dimension"], f"{path}.dimension", 1) if "dimension" in obj else None
+        return _build(path, Atomic, tuple((row[:-1], row[-1]) for row in rows), dim)
+    if kind == "lebesgue":
+        dim, src = _integer(obj["dimension"], f"{path}.dimension", 1), obj.get("density")
+        if src is None:
+            return LebesgueDensity(dim)
+        if not isinstance(src, str):
+            raise _invalid(f"{path}.density", f"expected a string or null, got {src!r:.40}")
+        fn = _build(f"{path}.density", parse_density, src, dim)
+        fn._nvk_source = src  # type: ignore[attr-defined]
+        return LebesgueDensity(dim, density=fn)
+    if kind == "product":
+        factors = _array(obj["factors"], f"{path}.factors", 1)
+        return _build(path, Product, tuple(measure_from_json(f, f"{path}.factors[{i}]")
+                                           for i, f in enumerate(factors)))
+    if kind == "pushforward2d":
+        base = measure_from_json(obj["base"], f"{path}.base")
+        coefficients = _numbers(obj["coefficients"], f"{path}.coefficients")
+        if len(coefficients) != 4:
+            raise _invalid(f"{path}.coefficients", f"expected 4 entries, got {len(coefficients)}")
+        return _build(path, Pushforward2D, base, *coefficients)
+    if kind == "pushforward_ladder":
+        base = measure_from_json(obj["base"], f"{path}.base")
+        return _build(path, PushforwardLadder, base, _numbers(obj["b"], f"{path}.b", 1),
+                      _number(obj["scale"], f"{path}.scale"))
+    inner = measure_from_json(obj["inner"], f"{path}.inner")
+    axes = tuple(_integer(a, f"{path}.axes[{i}]")
+                 for i, a in enumerate(_array(obj["axes"], f"{path}.axes")))
+    return _build(path, LebesguePad, inner, axes,
+                  _integer(obj["dimension"], f"{path}.dimension", 1))
+
+
+def validate_descriptor(obj) -> Measure:
+    """Read a whole descriptor document and return its measure; the first bad
+    field raises ``DomainError`` naming its JSON path."""
+    _fields(obj, "$", ("schema", "measure"), ("a", "b"))
+    if obj["schema"] != SCHEMA_VERSION:
+        raise _invalid("$.schema", f"expected {SCHEMA_VERSION!r}, got {obj['schema']!r:.40}")
+    _number(obj.get("a", 0), "$.a")
+    _numbers(obj.get("b", []), "$.b")
+    return measure_from_json(obj["measure"])
+
+
+def data_from_json(obj) -> RepresentationData:
+    mu = validate_descriptor(obj)
     if "a" not in obj or "b" not in obj:
-        raise DomainError("descriptor lacks the 'a'/'b' fields of representation data")
-    return RepresentationData(obj["a"], tuple(obj["b"]), measure_from_json(obj["measure"]))
-
-
-def validate_descriptor(obj: dict):
-    validator = jsonschema.Draft202012Validator(DESCRIPTOR_SCHEMA)
-    errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        path = "$" + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in e.absolute_path
-        )
-        raise DomainError(f"descriptor invalid at {path}: {e.message}")
+        raise _invalid("$", "representation data needs the fields 'a' and 'b'")
+    return _build("$", RepresentationData, obj["a"], obj["b"], mu)
 
 
 def load_descriptor(path: str) -> dict:
+    """Parse a descriptor file; ``data_from_json`` or ``validate_descriptor``
+    then reads and checks it."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise DomainError(
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
-    validate_descriptor(obj)
-    return obj
 
 
 def dump_descriptor(obj: dict, path: Optional[str]) -> str:

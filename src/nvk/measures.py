@@ -220,6 +220,8 @@ class Pushforward2D(Measure):
     def __post_init__(self):
         if self.base.dimension != 1:
             raise DimensionMismatchError("base measure must be one-dimensional")
+        if not all(math.isfinite(c) for c in self.coefficients):
+            raise DomainError("pushforward coefficients must be finite")
 
     @property
     def dimension(self) -> int:
@@ -250,10 +252,10 @@ class PushforwardLadder(Measure):
             raise DimensionMismatchError("base measure must be one-dimensional")
         if not self.b:
             raise DomainError("ladder needs at least one coefficient")
-        if any(not bj > 0 for bj in self.b):
-            raise DomainError("ladder coefficients must be strictly positive")
-        if not self.scale > 0:
-            raise DomainError("scale must be strictly positive")
+        if not all(0 < bj < math.inf for bj in self.b):
+            raise DomainError("ladder coefficients must be finite and strictly positive")
+        if not 0 < self.scale < math.inf:
+            raise DomainError("scale must be finite and strictly positive")
 
     @property
     def dimension(self) -> int:

@@ -69,8 +69,8 @@ class QuadratureConfig:
     divergence_threshold: float = 1e8
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise DomainError("tolerances must be positive and finite")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
 

@@ -281,3 +281,87 @@ def test_cli_import_leaves_out_multiprocessing():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_jsonschema():
+    # Descriptors are checked by the package's own reader.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(nvk.__file__).parents[1])] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nvk.cli; print('jsonschema' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+_BASE = {"type": "atomic", "atoms": [[0, 1]]}
+
+
+def _write(tmp_path, name, measure, n):
+    path = tmp_path / name
+    path.write_text(json.dumps({"schema": "nvk-1", "a": 0, "b": [0] * n, "measure": measure}))
+    return str(path)
+
+
+@pytest.mark.parametrize("floats,ints,n", [
+    ({"type": "lebesgue", "dimension": 2.0}, {"type": "lebesgue", "dimension": 2}, 2),
+    ({"type": "lebesgue_pad", "inner": _BASE, "axes": [1.0], "dimension": 3.0},
+     {"type": "lebesgue_pad", "inner": _BASE, "axes": [1], "dimension": 3}, 3),
+])
+def test_eval_reads_integral_floats_as_integers(tmp_path, floats, ints, n):
+    z = ",".join(["0+1i"] * n)
+    rc, out = run_main(["eval", _write(tmp_path, "f.json", floats, n), "--z", z])
+    assert rc == 0
+    assert out == run_main(["eval", _write(tmp_path, "i.json", ints, n), "--z", z])[1]
+
+
+@pytest.mark.parametrize("measure,path", [
+    ({"type": "pushforward2d", "base": _BASE, "coefficients": [1, math.inf, 1, 1]},
+     "$.measure.coefficients[1]"),
+    ({"type": "pushforward_ladder", "base": _BASE, "b": [1], "scale": math.inf},
+     "$.measure.scale"),
+    ({"type": "pushforward_ladder", "base": _BASE, "b": [math.inf], "scale": 1},
+     "$.measure.b[0]"),
+])
+def test_eval_rejects_non_finite_descriptor_numbers(tmp_path, capsys, measure, path):
+    # json.dumps writes Infinity, which json.loads accepts.
+    rc, _ = run_main(["eval", _write(tmp_path, "bad.json", measure, 2), "--z", "0+1i,0+1i"])
+    assert rc == 2
+    assert f"descriptor invalid at {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--beta", "inf"), ("--alpha", "nan")])
+def test_classify_rejects_non_finite_coefficients(inverse_descriptor, capsys, flag, value):
+    argv = {"--alpha": "1", "--beta": "1", "--gamma": "1", "--delta": "1"}
+    argv[flag] = value
+    rc, out = run_main(["classify", "--mu", inverse_descriptor,
+                        *[x for kv in argv.items() for x in kv]])
+    assert rc == 2 and out == ""
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_eval_rejects_infinite_tolerance(inverse_descriptor, capsys):
+    rc, out = run_main(["eval", inverse_descriptor, "--z", "0+1i", "--tol", "inf"])
+    assert rc == 2 and out == ""
+    assert "tolerances must be positive and finite" in capsys.readouterr().err
+
+
+def test_transform_rejects_malformed_k(inverse_descriptor, capsys):
+    rc, out = run_main(["transform", inverse_descriptor, "--k", "0.5,abc"])
+    assert rc == 2 and out == ""
+    assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_empty_sample_set(capsys, samples):
+    rc, out = run_main(["verify", "--suite", "main", "--samples", samples])
+    assert rc == 2 and out == ""
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_classify_rejects_empty_grid(inverse_descriptor, capsys):
+    rc, out = run_main(["classify", "--alpha", "1", "--beta", "1", "--gamma", "1",
+                        "--delta", "-1", "--mu", inverse_descriptor, "--grid", "0"])
+    assert rc == 2 and out == ""
+    assert "z-grid" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """JSON descriptors, the density grammar and complex literals."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from nvk.descriptors import (
     parse_density,
     validate_descriptor,
 )
-from nvk.errors import DomainError
+from nvk.errors import DimensionMismatchError, DomainError
 from nvk.measures import (
     Atomic,
     LebesguePad,
@@ -111,3 +113,100 @@ def test_load_reports_line_and_column(tmp_path):
     path.write_text('{\n  "schema": "nvk-1",\n  "measure": }\n')
     with pytest.raises(DomainError, match=r"line 3, column 14"):
         load_descriptor(str(path))
+
+
+_ATOM = '{"type": "atomic", "atoms": [[0, 1]]}'
+
+
+_REJECTIONS = [
+    # unknown measure type; a missing type
+    ('{"schema": "nvk-1", "measure": {"type": "nonsense"}}', "$.measure.type"),
+    ('{"schema": "nvk-1", "measure": {"atoms": []}}', "$.measure"),
+    # a missing required field, at the top and in a measure
+    ('{"measure": ' + _ATOM + '}', "$"),
+    ('{"schema": "nvk-1", "measure": {"type": "lebesgue"}}', "$.measure"),
+    ('{"schema": "nvk-1", "measure": {"type": "pushforward_ladder", "base": ' + _ATOM
+     + ', "b": [1]}}', "$.measure"),
+    # a field the type does not have, at the top and in a measure
+    ('{"schema": "nvk-1", "measure": ' + _ATOM + ', "c": 1}', "$.c"),
+    ('{"schema": "nvk-1", "measure": {"type": "lebesgue", "dimension": 1, "atoms": []}}',
+     "$.measure.atoms"),
+    # another schema version
+    ('{"schema": "nvk-2", "measure": ' + _ATOM + '}', "$.schema"),
+    # a bool or a string where a number is expected
+    ('{"schema": "nvk-1", "a": true, "measure": ' + _ATOM + '}', "$.a"),
+    ('{"schema": "nvk-1", "b": ["0"], "measure": ' + _ATOM + '}', "$.b[0]"),
+    ('{"schema": "nvk-1", "measure": {"type": "pushforward_ladder", "base": '
+     '{"type": "pushforward2d", "base": ' + _ATOM + ', "coefficients": [1, "x", 1, 1]}, '
+     '"b": [1], "scale": 1}}', "$.measure.base.coefficients[1]"),
+    ('{"schema": "nvk-1", "measure": {"type": "atomic", "atoms": [[0, false]]}}',
+     "$.measure.atoms[0][1]"),
+    # an atom row with fewer than 2 entries
+    ('{"schema": "nvk-1", "measure": {"type": "atomic", "atoms": [[0, 1], [1]]}}',
+     "$.measure.atoms[1]"),
+    # coefficients with other than 4 entries
+    ('{"schema": "nvk-1", "measure": {"type": "pushforward2d", "base": ' + _ATOM
+     + ', "coefficients": [1, 1, 1]}}', "$.measure.coefficients"),
+    ('{"schema": "nvk-1", "measure": {"type": "pushforward2d", "base": ' + _ATOM
+     + ', "coefficients": [1, 1, 1, 1, 1]}}', "$.measure.coefficients"),
+    # an empty b or factors
+    ('{"schema": "nvk-1", "measure": {"type": "pushforward_ladder", "base": ' + _ATOM
+     + ', "b": [], "scale": 1}}', "$.measure.b"),
+    ('{"schema": "nvk-1", "measure": {"type": "product", "factors": []}}', "$.measure.factors"),
+    ('{"schema": "nvk-1", "measure": {"type": "product", "factors": [' + _ATOM + ', 3]}}',
+     "$.measure.factors[1]"),
+    # dimension < 1, or not an integer
+    ('{"schema": "nvk-1", "measure": {"type": "lebesgue", "dimension": 0}}',
+     "$.measure.dimension"),
+    ('{"schema": "nvk-1", "measure": {"type": "lebesgue", "dimension": 1.5}}',
+     "$.measure.dimension"),
+    ('{"schema": "nvk-1", "measure": {"type": "lebesgue_pad", "inner": ' + _ATOM
+     + ', "axes": [0.5], "dimension": 2}}', "$.measure.axes[0]"),
+    # a non-string density, and a density the grammar rejects
+    ('{"schema": "nvk-1", "measure": {"type": "lebesgue", "dimension": 1, "density": 3}}',
+     "$.measure.density"),
+    ('{"schema": "nvk-1", "measure": {"type": "lebesgue", "dimension": 1, "density": "t2"}}',
+     "$.measure.density"),
+    # NaN and Infinity literals, wherever a number is read
+    ('{"schema": "nvk-1", "a": NaN, "measure": ' + _ATOM + '}', "$.a"),
+    ('{"schema": "nvk-1", "b": [0, -Infinity], "measure": ' + _ATOM + '}', "$.b[1]"),
+    ('{"schema": "nvk-1", "measure": {"type": "atomic", "atoms": [[NaN, 1]]}}',
+     "$.measure.atoms[0][0]"),
+    ('{"schema": "nvk-1", "measure": {"type": "lebesgue", "dimension": Infinity}}',
+     "$.measure.dimension"),
+    # a constructor's own check, reported at the measure it builds
+    ('{"schema": "nvk-1", "measure": {"type": "pushforward_ladder", "base": ' + _ATOM
+     + ', "b": [0], "scale": 1}}', "$.measure"),
+]
+
+
+@pytest.mark.parametrize("text,path", _REJECTIONS,
+                         ids=[f"{i}-{path}" for i, (_, path) in enumerate(_REJECTIONS)])
+def test_reader_rejects_at_json_path(text, path):
+    with pytest.raises(DomainError, match=f"^descriptor invalid at {re.escape(path)}: "):
+        validate_descriptor(json.loads(text))
+
+
+def test_constructor_errors_keep_their_class():
+    obj = {"type": "atomic", "atoms": [[0, 1], [0, 0, 1]]}
+    with pytest.raises(DimensionMismatchError, match=r"^descriptor invalid at \$\.measure: "):
+        measure_from_json(obj)
+
+
+def test_data_needs_a_and_b():
+    doc = {"schema": "nvk-1", "a": 0, "measure": json.loads(_ATOM)}
+    assert validate_descriptor(doc) == Atomic.single(1.0, 0.0)
+    with pytest.raises(DomainError, match=r"^descriptor invalid at \$: representation data needs"):
+        data_from_json(doc)
+
+
+@pytest.mark.parametrize("obj,expected", [
+    ({"type": "lebesgue", "dimension": 2.0}, lebesgue(2)),
+    ({"type": "atomic", "dimension": 1.0, "atoms": []}, Atomic((), dim=1)),
+    ({"type": "lebesgue_pad", "inner": json.loads(_ATOM), "axes": [1.0], "dimension": 3.0},
+     LebesguePad(Atomic.single(1.0, 0.0), (1,), 3)),
+])
+def test_integral_floats_read_as_integers(obj, expected):
+    mu = measure_from_json(obj)
+    assert mu == expected
+    assert type(mu.dimension) is int

@@ -160,6 +160,22 @@ def test_non_finite_atoms_rejected(loc, w, bad, data):
         Atomic(((tuple(loc), w),))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", range(4))
+def test_non_finite_pushforward2d_coefficients_rejected(bad, where):
+    coeffs = [1.0, 1.0, 1.0, -1.0]
+    coeffs[where] = bad
+    with pytest.raises(DomainError, match="must be finite"):
+        Pushforward2D(Atomic.single(1.0, 0.0), *coeffs)
+
+
+@pytest.mark.parametrize("b,scale", [((math.inf,), 1.0), ((1.0, math.nan), 1.0),
+                                     ((1.0,), math.inf), ((1.0,), math.nan)])
+def test_non_finite_ladder_parameters_rejected(b, scale):
+    with pytest.raises(DomainError, match="finite and strictly positive"):
+        PushforwardLadder(Atomic.single(1.0, 0.0), b, scale)
+
+
 def test_product_divergence_of_some_rows_propagates(cfg):
     # The inner Lebesgue factor sees a non-decaying integrand for t1 > 2 only.
     mu = Product((LebesgueDensity(1, density=lambda t: 1.0 / (1.0 + t * t)), lebesgue()))

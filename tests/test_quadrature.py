@@ -62,6 +62,13 @@ def test_config_validation():
         QuadratureConfig(max_subdivisions=0)
 
 
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_config_rejects_non_finite_tolerances(field, bad):
+    with pytest.raises(DomainError, match="positive and finite"):
+        QuadratureConfig(**{field: bad})
+
+
 def test_non_finite_integrand_raises():
     with pytest.raises(IntegrandError, match="integrand not finite"):
         integrate_line(lambda t: np.where(np.abs(t) < 1, np.nan, 0.0))
