@@ -326,6 +326,8 @@ def cmd_verify(args) -> int:
     samples = args.samples
     if samples < 1:
         raise DomainError("--samples must be at least 1")
+    if args.suite in ("ladder", "main") and args.n < 2:
+        raise DomainError(f"--n must be at least 2 for the {args.suite} suite")
     if args.suite == "conditions":
         samples = len(CLASSIFICATION_FIXTURES)
 

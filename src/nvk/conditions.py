@@ -47,6 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .kernels import require_upper_half
 from .measures import Box, Measure, integrate, integrate_many, is_zero_measure, mass
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult
 from .residues import RationalFunction
@@ -133,8 +134,10 @@ def check_growth(mu: Measure, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Quadrat
 
 
 def _grid_columns(zs: Sequence[Sequence[complex]]) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinate arrays (z1, z2) of two-variable sample points."""
-    return (np.array([complex(z[0]) for z in zs]), np.array([complex(z[1]) for z in zs]))
+    """The coordinate arrays (z1, z2) of two-variable sample points, each
+    checked by ``require_upper_half``."""
+    pts = [require_upper_half(z) for z in zs]
+    return np.array([z[0] for z in pts], dtype=complex), np.array([z[1] for z in pts], dtype=complex)
 
 
 def nevanlinna_grid(mu: Measure, zs: Sequence[Sequence[complex]],
@@ -149,8 +152,6 @@ def nevanlinna_grid(mu: Measure, zs: Sequence[Sequence[complex]],
     scales of one more, so the grid costs two batched solves.
     """
     z1, z2 = _grid_columns(zs)
-    if np.any(z1.imag <= 0) or np.any(z2.imag <= 0):
-        raise DomainError("sample point must lie in the poly-upper half-plane")
     z2c = z2.conj()
 
     def f(t1, t2, k):
@@ -160,18 +161,15 @@ def nevanlinna_grid(mu: Measure, zs: Sequence[Sequence[complex]],
     if scale_cfg is None:
         return values, []
     upto = next((i for i, v in enumerate(values) if v.diverged), len(values))
-    return values, _modulus_scales(mu, zs[:upto], scale_cfg)
+    return values, _modulus_scales(mu, z1[:upto], z2c[:upto], scale_cfg)
 
 
-def _modulus_scales(mu: Measure, zs: Sequence[Sequence[complex]],
+def _modulus_scales(mu: Measure, z1: np.ndarray, z2c: np.ndarray,
                     cfg: QuadratureConfig) -> list[float]:
-    z1, z2 = _grid_columns(zs)
-    z2c = z2.conj()
-
     def f(t1, t2, k):
         return 1.0 / (np.abs(t1 - z1[k]) ** 2 * np.abs(t2 - z2c[k]) ** 2) + 0.0j
 
-    return [abs(r.value) for r in integrate_many(mu, f, len(zs), cfg)]
+    return [abs(r.value) for r in integrate_many(mu, f, len(z1), cfg)]
 
 
 def check_nevanlinna_2var(mu: Measure, z: Sequence[complex],
@@ -191,9 +189,7 @@ def check_nevanlinna_nvar(mu: Measure, z: Sequence[complex],
     """The n-variable Nevanlinna sum at one sample point: every sign vector
     containing both -1 and +1 contributes one integral (3^n - 2*2^n + 1
     terms in total), each a member of one ``integrate_many`` call."""
-    zs = tuple(complex(v) for v in z)
-    if any(v.imag <= 0 for v in zs):
-        raise DomainError("sample point must lie in the poly-upper half-plane")
+    zs = require_upper_half(z)
     n = len(zs)
     if mu.dimension != n:
         raise DomainError("measure dimension must match the sample point")
@@ -223,7 +219,8 @@ def nevanlinna_modulus_scale(mu: Measure, z: Sequence[complex],
     """int |integrand| dmu for the two-variable Nevanlinna integral; the
     reference scale for deciding that a cancellation-dominated value is
     numerically zero."""
-    return _modulus_scales(mu, [z], cfg)[0]
+    z1, z2 = _grid_columns([z])
+    return _modulus_scales(mu, z1, z2.conj(), cfg)[0]
 
 
 def nevanlinna_zero_tolerance(scale: float) -> float:
@@ -276,12 +273,12 @@ def check_cubic_condition(coeff_det: float, delta: float, beta: float,
         raise DomainError("the cubic condition needs alpha*delta - beta*gamma != 0")
     if mu1.dimension != 1:
         raise DomainError("the cubic condition applies to a one-dimensional measure")
+    points = [require_upper_half(z) for z in (default_z_grid(2) if z_samples is None else z_samples)]
+    if not points:
+        raise DomainError("the cubic condition needs at least one sample point")
     if is_zero_measure(mu1):
         return True
-    if z_samples is None:
-        z_samples = default_z_grid(2)
-    w = np.array([-delta * complex(z1) + beta * complex(z2).conjugate()
-                  for z1, z2 in z_samples])
+    w = np.array([-delta * z1 + beta * z2.conjugate() for z1, z2 in points])
 
     def f(t1, k):
         return 1.0 / (coeff_det * t1 + w[k]) ** 3

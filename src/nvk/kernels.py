@@ -9,9 +9,9 @@ The ladder kernels arise when K_n is composed with the affine map
     (t1, ..., tn) |-> (t1 - b1 t2, ..., t1 - b_{n-1} tn, t1 + ... + tn)
 
 and then integrated out one Lebesgue variable at a time, innermost last
-variable first.  ``ladder_kernel(z, t, b, m, d)`` is the kernel after d such
-integrations, a function of m remaining real variables; d = 0, m = n
-recovers the composed kernel itself.
+variable first.  ``ladder_kernel(z, t, b, m, d)``, the kernel after d such
+integrations, is K_m at a reduced point divided by a weight F, so it is
+evaluated by ``kernel_nd_rational``; d = 0, m = n is the composed kernel.
 
 All evaluators broadcast when one of the real coordinates arrives as a
 numpy array, which is how the adaptive quadrature drives them.
@@ -66,6 +66,8 @@ def require_upper_half(z: Sequence[complex]) -> tuple[complex, ...]:
     if type(z) is _UpperPoint:
         return z
     zs = tuple(complex(v) for v in (z if isinstance(z, (tuple, list)) or np.ndim(z) else (z,)))
+    if not zs:
+        raise DomainError("a point needs at least one coordinate")
     if any(v.imag <= 0 for v in zs):
         raise DomainError("point not in poly-upper half-plane")
     if not all(cmath.isfinite(v) for v in zs):
@@ -151,27 +153,6 @@ def kernel_nd_rational(z: Sequence[complex], t: Sequence):
 kernel_nd = kernel_nd_rational
 
 
-def _ladder_coords(t: Sequence, b: Sequence[float]):
-    """Coordinates of the ladder map applied to t (length n = len(b) + 1)."""
-    n = len(b) + 1
-    out = [t[0] - b[j] * t[j + 1] for j in range(n - 1)]
-    out.append(sum(t[1:], start=t[0]))
-    return out
-
-
-def ladder_kernel_full(z: Sequence[complex], t: Sequence, b: Sequence[float]):
-    """The composed kernel K_n(z, M t) before any integration (d = 0)."""
-    zs = require_upper_half(z)
-    n = len(zs)
-    if len(b) != n - 1:
-        raise DimensionMismatchError("need n - 1 ladder coefficients")
-    if len(t) != n:
-        raise DimensionMismatchError("t must have length n")
-    if any(not bj > 0 for bj in b):
-        raise DomainError("ladder coefficients must be strictly positive")
-    return kernel_nd_rational(zs, _ladder_coords(t, b))
-
-
 def ladder_weight(m: int, d: int, b: Sequence[float]) -> float:
     """Weight accumulated by d integrations: 1 + sum_{j=m}^{m+d-1} 1/b_j."""
     return 1.0 + sum(1.0 / b[i - 1] for i in range(m, m + d))
@@ -179,40 +160,28 @@ def ladder_weight(m: int, d: int, b: Sequence[float]) -> float:
 
 def ladder_z_sum(m: int, d: int, b: Sequence[float], z: Sequence[complex]) -> complex:
     """Weighted tail sum z_m/b_m + ... + z_{m+d-1}/b_{m+d-1} + z_{m+d}."""
-    total = 0.0 + 0.0j
-    for i in range(m, m + d):
-        total += complex(z[i - 1]) / b[i - 1]
-    return total + complex(z[m + d - 1])
+    tail = sum((complex(z[i - 1]) / b[i - 1] for i in range(m, m + d)), 0j)
+    return tail + complex(z[m + d - 1])
 
 
 def ladder_kernel(z: Sequence[complex], t: Sequence, b: Sequence[float],
                   m: int, d: int):
-    """Ladder kernel after d integrations, a function of t = (t1, ..., tm).
+    """Ladder kernel after d integrations, a function of t = (t1, ..., tm):
 
-    With the building blocks
+        K_m((z_1, ..., z_{m-1}, Z/F), (u_1, ..., u_{m-1}, T/F)) / F,
 
-        A = prod_{j=2}^{m} (t1 - b_{j-1} t_j - i)
-        B = prod_{j=1}^{m-1} (z_j + i)
-        C = prod_{j=2}^{m} (t1 - b_{j-1} t_j - z_{j-1})
-        D = prod_{j=2}^{m} (t1 - b_{j-1} t_j + i)
-        F = 1 + sum_{j=m}^{m+d-1} 1/b_j
-        T = F t1 + t2 + ... + tm
-        Z = z_m/b_m + ... + z_{m+d-1}/b_{m+d-1} + z_{m+d}
+    with u_j = t1 - b_j t_{j+1}, F = ``ladder_weight(m, d, b)``, Z =
+    ``ladder_z_sum(m, d, b, z)`` and T = F t1 + t2 + ... + tm.  Z/F is a
+    convex combination of z_m, ..., z_n, so the reduced point is never
+    closer to the real axis than z.  At d = 0, F = 1 and the kernel is
+    K_n(z, M t) itself.
 
-    the kernel reads
-
-        ( i^(3m+1) A (T - F i) B (Z + F i) - 2^(m-1) F i C (T - Z) )
-        / ( 2^(m-1) A C D (T - F i)(T - Z)(T + F i) ).
-
-    Empty products are 1.  Requires m >= 1, d >= 0, m + d = len(z) >= 2 and
-    all b_j > 0.
+    Requires m >= 1, d >= 0, m + d = len(z) >= 2 and all b_j > 0.
     """
     zs = require_upper_half(z)
     n = len(zs)
-    if m < 1 or d < 0 or m + d != n:
-        raise DomainError("need m >= 1, d >= 0 and m + d = len(z)")
-    if n < 2:
-        raise DomainError("ladder kernels need at least two variables")
+    if m < 1 or d < 0 or m + d != n or n < 2:
+        raise DomainError("need m >= 1, d >= 0 and m + d = len(z) >= 2")
     if len(b) != n - 1:
         raise DimensionMismatchError("need n - 1 ladder coefficients")
     if any(not bj > 0 for bj in b):
@@ -220,24 +189,16 @@ def ladder_kernel(z: Sequence[complex], t: Sequence, b: Sequence[float],
     if len(t) != m:
         raise DimensionMismatchError("t must have length m")
 
-    a_prod = 1.0 + 0.0j
-    c_prod = 1.0 + 0.0j
-    d_prod = 1.0 + 0.0j
-    for j in range(2, m + 1):
-        u = t[0] - b[j - 2] * t[j - 1]
-        a_prod = a_prod * (u - 1j)
-        c_prod = c_prod * (u - zs[j - 2])
-        d_prod = d_prod * (u + 1j)
-    b_prod = 1.0 + 0.0j
-    for j in range(1, m):
-        b_prod *= zs[j - 1] + 1j
-
+    u = [t[0] - b[j] * t[j + 1] for j in range(m - 1)]
+    if d == 0:
+        u.append(sum(t[1:], start=t[0]))
+        return kernel_nd_rational(zs, u)
     f_w = ladder_weight(m, d, b)
-    t_sum = f_w * t[0] + sum(t[1:m], start=0.0)
-    z_sum = ladder_z_sum(m, d, b, zs)
+    u.append(sum(t[1:], start=f_w * t[0]) / f_w)
+    reduced = _UpperPoint(zs[:m - 1] + (ladder_z_sum(m, d, b, zs) / f_w,))
+    return kernel_nd_rational(reduced, u) / f_w
 
-    c = 2.0 ** (m - 1)
-    num = (_I_POW[(3 * m + 1) % 4] * a_prod * (t_sum - f_w * 1j) * b_prod * (z_sum + f_w * 1j)
-           - c * f_w * 1j * c_prod * (t_sum - z_sum))
-    den = c * a_prod * c_prod * d_prod * (t_sum - f_w * 1j) * (t_sum - z_sum) * (t_sum + f_w * 1j)
-    return num / den
+
+def ladder_kernel_full(z: Sequence[complex], t: Sequence, b: Sequence[float]):
+    """The composed kernel K_n(z, M t) before any integration (d = 0)."""
+    return ladder_kernel(z, t, b, len(t), 0)

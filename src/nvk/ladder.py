@@ -74,6 +74,13 @@ def _require_converged(r, what: str) -> complex:
     return r.value
 
 
+def _combined_point(b: Sequence[float], zs: Sequence[complex]) -> tuple[complex, float]:
+    """(sum k_l z_l, beta_n) for the ladder coefficients ``b``, by the
+    transform's route rather than the ladder kernels."""
+    ks = ladder_to_coefficients(b)
+    return sum(k * zj for k, zj in zip(ks, zs)), ladder_normalization(b)
+
+
 def verify_step(m: int, d: int, b: Sequence[float], z: Sequence[complex],
                 t: Sequence[float], cfg: QuadratureConfig = DEFAULT_CONFIG
                 ) -> tuple[complex, complex]:
@@ -109,11 +116,8 @@ def verify_final_step(n: int, b: Sequence[float], z: Sequence[complex],
 
     r = integrate_line(lambda x: ladder_kernel(zs, (t1, x), b, 2, n - 2), cfg)
     lhs = _require_converged(r, "the final ladder rung")
-    ks = ladder_to_coefficients(b)
-    beta = ladder_normalization(b)
-    prefactor = pi * float(np.prod(b[1:])) / beta
-    rhs = prefactor * kernel_1d(sum(k * zj for k, zj in zip(ks, zs)), t1)
-    return lhs, rhs
+    s, beta = _combined_point(b, zs)
+    return lhs, pi * float(np.prod(b[1:])) / beta * kernel_1d(s, t1)
 
 
 def verify_full_reduction(n: int, b: Sequence[float], z: Sequence[complex],
@@ -135,10 +139,8 @@ def verify_full_reduction(n: int, b: Sequence[float], z: Sequence[complex],
     # t2 outermost, t_n innermost.
     r = integrate(Product((lebesgue(),) * (n - 1)), f, cfg)
     lhs = _require_converged(r, "the full ladder reduction")
-    ks = ladder_to_coefficients(b)
-    beta = ladder_normalization(b)
-    rhs = pi ** (n - 1) / beta * kernel_1d(sum(k * zj for k, zj in zip(ks, zs)), t1)
-    return lhs, rhs
+    s, beta = _combined_point(b, zs)
+    return lhs, pi ** (n - 1) / beta * kernel_1d(s, t1)
 
 
 def rung_report(m: int, d: int, sample_count: int = 20, seed: int = 0,
@@ -190,9 +192,7 @@ def ladder_closed_form(z: Sequence[complex], mu: PushforwardLadder) -> complex:
     zs = require_upper_half(z)
     if len(zs) != mu.dimension:
         raise DomainError("z must match the measure dimension")
-    ks = ladder_to_coefficients(mu.b)
-    beta = ladder_normalization(mu.b)
-    s = sum(k * zj for k, zj in zip(ks, zs))
+    s, beta = _combined_point(mu.b, zs)
     acc = 0.0 + 0.0j
     for (x,), w in mu.base.atoms:
         acc += w * kernel_1d(s, x)

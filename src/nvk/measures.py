@@ -74,6 +74,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
+from .kernels import ladder_weight
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -460,7 +461,7 @@ def _compile(mu: Measure) -> _Plan:
         # at the innermost level and on the first line above it.
         levels = [_one_dimensional_level(mu.base, "base measures")]
         for j in range(n - 1):
-            F = 1.0 + sum(1.0 / x for x in bs[j + 1:])
+            F = ladder_weight(j + 2, n - j - 2, bs)
             width = max(1.0, 1.0 / bs[j])
             c1 = ((0, 1.0 / bs[j]),)
             c2 = ((0, -F),) + tuple((i, -1.0) for i in range(1, j + 1))

@@ -90,6 +90,8 @@ def check_herglotz(data: RepresentationData, sample_count: int = 100,
                    seed: int = 0, cfg: QuadratureConfig = DEFAULT_CONFIG,
                    tolerance: float = 1e-10) -> HerglotzReport:
     """Sample the poly-upper half-plane and report the minimum of Im q."""
+    if sample_count < 1:
+        raise DomainError("check_herglotz needs at least one sample")
     rng = np.random.default_rng(seed)
     n = data.n
     min_im = np.inf

@@ -365,3 +365,16 @@ def test_classify_rejects_empty_grid(inverse_descriptor, capsys):
                         "--delta", "-1", "--mu", inverse_descriptor, "--grid", "0"])
     assert rc == 2 and out == ""
     assert "z-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite,n", [("ladder", "0"), ("ladder", "1"), ("main", "1"), ("main", "-2")])
+def test_verify_rejects_dimension_below_two(capsys, suite, n):
+    rc, out = run_main(["verify", "--suite", suite, "--n", n, "--samples", "1"])
+    assert rc == 2 and out == ""
+    assert "--n" in capsys.readouterr().err
+
+
+def test_verify_kernels_ignores_n(tmp_path):
+    rc, _ = run_main(["verify", "--suite", "kernels", "--n", "0", "--samples", "2",
+                      "--out", str(tmp_path / "k.json")])
+    assert rc == 0

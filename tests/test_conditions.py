@@ -361,3 +361,38 @@ def test_classifier_unknown_traits(name, coeffs, kind, expected_case, expected_r
     else:
         want = (Case.III2B if name == "neg_iii2b_atom" else expected_case, None)
     assert (got.case, got.representing) == want
+
+
+_BAD_COORDINATES = (complex(math.nan, 1.0), complex(0.0, math.inf), complex(math.inf, 1.0))
+
+
+@pytest.mark.parametrize("bad", _BAD_COORDINATES)
+def test_nevanlinna_grid_rejects_non_finite_points(pi_delta0, cfg, bad):
+    with pytest.raises(DomainError):
+        nevanlinna_grid(Pushforward2D(pi_delta0, 1, 1, 1, 2), [(1j, 1j), (bad, 1j)], cfg)
+
+
+@pytest.mark.parametrize("bad", _BAD_COORDINATES)
+def test_check_nevanlinna_2var_rejects_non_finite_points(bad):
+    with pytest.raises(DomainError):
+        check_nevanlinna_2var(Atomic((((0.0, 0.0), 1.0),)), (bad, 1j))
+
+
+@pytest.mark.parametrize("bad", _BAD_COORDINATES)
+def test_check_nevanlinna_nvar_rejects_non_finite_points(bad):
+    with pytest.raises(DomainError):
+        check_nevanlinna_nvar(Atomic((((0.0, 0.0, 0.0), 1.0),)), (1j, bad, 1j))
+
+
+@pytest.mark.parametrize("bad", _BAD_COORDINATES)
+def test_nevanlinna_modulus_scale_rejects_non_finite_points(bad):
+    with pytest.raises(DomainError):
+        nevanlinna_modulus_scale(Atomic((((0.0, 0.0), 1.0),)), (1j, bad))
+
+
+@pytest.mark.parametrize("samples", [[(complex(math.nan, 1.0), 1j)], [(1j, complex(0.0, math.inf))],
+                                     [(1j, -1j)], []])
+def test_cubic_condition_rejects_bad_or_empty_samples(pi_delta0, cfg, samples):
+    for mu1 in (pi_delta0, zero_measure(1)):
+        with pytest.raises(DomainError):
+            check_cubic_condition(1.0, 2.0, 1.0, mu1, samples, cfg)

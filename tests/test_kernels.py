@@ -17,6 +17,7 @@ from nvk.kernels import (
     ladder_kernel_full,
     ladder_weight,
     ladder_z_sum,
+    require_upper_half,
 )
 from nvk.quadrature import integrate_line
 from nvk.sampling import draw_ladder_coefficients, draw_upper_point, rng_for
@@ -211,3 +212,53 @@ def test_ladder_kernel_validation():
         ladder_kernel((1j, 1j), (0.0,), (1.0,), 2, 1)  # m + d != n
     with pytest.raises(DomainError):
         ladder_kernel_full((1j, 1j), (0.0, 0.0), (-1.0,))
+
+
+# Values of the ladder kernels from the hand-derived single fraction they
+# replaced, (z, b, t) drawn below; each row is the scalar-t value, then the
+# values with t_m = (t_m, -t_m, t_m / 2) as one array.
+_LADDER_PINS = {
+    (2, 1): ((-0.020559181809406378+0.06629234260696297j), (-0.02055918180940638+0.06629234260696297j), (0.00013069154231860295+0.08818339591503238j), (-0.05238880868743315+0.17100881640491644j)),
+    (2, 2): ((-0.00593417888803289+0.00544535729592586j), (-0.005934178888032892+0.005445357295925859j), (-0.0006396764260855536+0.0039001786126764016j), (-0.037992359584634296-0.0070851137023893755j)),
+    (3, 1): ((0.04013373663730567+0.08048236398406854j), (0.04013373663730567+0.08048236398406852j), (-0.370011763754581+0.26121251313452454j), (-0.04092177009353202+0.10530086217829976j)),
+    (3, 2): ((0.00772581991013306+0.0012294447473396408j), (0.00772581991013306+0.0012294447473396397j), (-0.0005734483653622709+0.005477976132602101j), (0.007955650477456354+0.007483228172463295j)),
+    (3, 3): ((0.0001820445943829134+0.0007900663652251885j), (0.00018204459438291332+0.0007900663652251884j), (0.00025400202160668825+0.0018726042087276254j), (0.001964693701353738+0.0034744604704858334j)),
+    (4, 1): ((0.04777384808040337+0.21882394635398028j), (0.047773848080403344+0.21882394635398028j), (-0.0768932840348941+0.22998700224625204j), (0.018364266519745875+0.22710999884028343j)),
+    (4, 2): ((0.0004677101497764487+0.007642512911213809j), (0.0004677101497764487+0.007642512911213809j), (0.0037592020088069865+0.01115790824667941j), (0.0008020110539323541+0.008098712445620514j)),
+    (4, 3): ((0.0007562202399502852+0.0010822991879172476j), (0.0007562202399502853+0.0010822991879172474j), (-0.00027461893178777017+0.0016698329205549881j), (0.002244390305855359+0.002147441641641724j)),
+    (4, 4): ((-0.001126417226424017+0.00014226906501236072j), (-0.0011264172264240163+0.00014226906501236075j), (-0.0003213845972650399-1.7991532592044242e-05j), (-0.00076405300187206+8.3694784533508e-06j)),
+    (5, 1): ((0.05722261333432112+0.13826970150339715j), (0.05722261333432114+0.13826970150339718j), (-0.054837374680888964+0.09098255962982445j), (0.12183813524757363+0.20310698410858216j)),
+    (5, 2): ((-0.0014039968726799591+0.002953249152257265j), (-0.00140399687267996+0.002953249152257265j), (-0.0008712988318630682+0.003796070389712776j), (-0.014865652544366375+0.006088939476584207j)),
+    (5, 3): ((0.00012480123045398154-2.0801100389053627e-05j), (0.00012480123045398154-2.080110038905363e-05j), (8.726044813544726e-05-3.428517504521195e-06j), (0.00018432881601658461-1.9637240904027313e-05j)),
+    (5, 4): ((-3.9982699561551975e-05-5.361362669666352e-05j), (-3.9982699561551975e-05-5.3613626696663514e-05j), (-0.0001417291596362396-8.47647244217047e-05j), (-4.711454532355355e-05-7.519243600374627e-05j)),
+    (5, 5): ((-2.853569576449494e-08+1.5265629151410017e-07j), (-2.8535695764494957e-08+1.526562915141002e-07j), (6.7116387545184045e-06+6.2388629294739575e-06j), (4.287102091589968e-08+6.2720112203119e-07j)),
+}
+
+
+def _ladder_pin_cases():
+    rng = np.random.default_rng(2026)
+    for n in range(2, 6):
+        for m in range(1, n + 1):
+            z = tuple(complex(x, y) for x, y in zip(rng.uniform(-3, 3, n), rng.uniform(0.05, 3, n)))
+            b = tuple(float(x) for x in rng.uniform(0.2, 4, n - 1))
+            t = tuple(float(x) for x in rng.uniform(-5, 5, m))
+            yield n, m, z, b, t
+
+
+def test_ladder_kernel_pinned_values():
+    seen = set()
+    for n, m, z, b, t in _ladder_pin_cases():
+        want = _LADDER_PINS[(n, m)]
+        last = np.array([t[-1], -t[-1], 0.5 * t[-1]])
+        got = (ladder_kernel(z, t, b, m, n - m),) + tuple(
+            ladder_kernel(z, t[:-1] + (last,), b, m, n - m))
+        for g, w in zip(got, want, strict=True):
+            assert abs(g - w) <= 1e-12 * abs(w)
+        seen.add((n, m))
+    assert seen == set(_LADDER_PINS)
+
+
+def test_require_upper_half_rejects_empty_point():
+    for empty in ((), [], np.array([])):
+        with pytest.raises(DomainError):
+            require_upper_half(empty)

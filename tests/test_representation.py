@@ -85,6 +85,12 @@ def test_herglotz_property_reports(inverse_data, halfway_data, cfg_nested):
     assert rep.passed and rep.min_imag > 0
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_herglotz_check_rejects_empty_sample_set(inverse_data, count):
+    with pytest.raises(DomainError):
+        check_herglotz(inverse_data, sample_count=count)
+
+
 def test_linear_coefficient_monotonicity(inverse_data):
     z = (0.7 + 1.3j,)
     eps = 0.25
