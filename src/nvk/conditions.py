@@ -22,12 +22,13 @@ of 25 points per variable pair with Im in [0.1, 10] and Re in [-10, 10];
 this is the strongest desk-scale surrogate for the universally quantified
 statement.  A value counts as zero when |value| <= max(1e-8, 1e-6 * S)
 where S integrates the modulus of the integrand (cancellation-dominated
-integrals need a relative yardstick).  The points of a grid are the members
-of one ``measures.integrate_many`` call (``nevanlinna_grid``): the values
-at all points take one batched solve and their scales one more, and the
-one-point checkers are the one-member case.  The sign vectors of the
-n-variable sum and the points of the cubic condition are batched the same
-way.
+integrals need a relative yardstick).  A grid is one batched solve
+(``nevanlinna_grid``): the values at all points and their scales are the
+members of one ``measures.integrate_many`` call, each at its own config,
+with the points' poles (z1, conj z2) as the layout hint, so every row's t2
+lines sit on its own poles.  The one-point checkers are the one-point
+case.  The sign vectors of the n-variable sum, and the values and moduli
+of the cubic condition, are batched the same way.
 
 The classifier for measures of the planar pushforward family decides from
 the affine coefficients and declared traits of the base measure which of
@@ -38,6 +39,7 @@ the command-line front end reports such conflicts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -148,28 +150,36 @@ def nevanlinna_grid(mu: Measure, zs: Sequence[Sequence[complex]],
     given ``scale_cfg``, the modulus scales of the points before the first
     one whose integral diverged (a "for all z" check stops there).
 
-    The points are the members of one ``integrate_many`` call, and the
-    scales of one more, so the grid costs two batched solves.
+    Values at ``cfg`` and scales at ``scale_cfg`` are the members of one
+    ``integrate_many`` call, so the grid costs one batched solve.
     """
     z1, z2 = _grid_columns(zs)
-    z2c = z2.conj()
-
-    def f(t1, t2, k):
-        return 1.0 / ((t1 - z1[k]) ** 2 * (t2 - z2c[k]) ** 2)
-
-    values = integrate_many(mu, f, len(zs), cfg)
-    if scale_cfg is None:
-        return values, []
+    values, moduli = _nevanlinna_integrals(mu, z1, z2.conj(), cfg, scale_cfg)
     upto = next((i for i, v in enumerate(values) if v.diverged), len(values))
-    return values, _modulus_scales(mu, z1[:upto], z2c[:upto], scale_cfg)
+    return values, [abs(r.value) for r in moduli[:upto]]
 
 
-def _modulus_scales(mu: Measure, z1: np.ndarray, z2c: np.ndarray,
-                    cfg: QuadratureConfig) -> list[float]:
+def _nevanlinna_integrals(mu: Measure, z1: np.ndarray, z2c: np.ndarray,
+                          cfg: Optional[QuadratureConfig], scale_cfg: Optional[QuadratureConfig],
+                          ) -> tuple[list[QuadratureResult], list[QuadratureResult]]:
+    """The integrals of 1/((t1 - z1)^2 (t2 - conj z2)^2) at ``cfg`` and of
+    its modulus at ``scale_cfg``, each at every point (either set is empty
+    when its config is None), as the members of one ``integrate_many`` call
+    whose layout follows the poles (z1, conj z2)."""
+    m = z1.size
+    cfgs = [c for c in (cfg, scale_cfg) if c is not None for _ in range(m)]
+    if not cfgs:
+        return [], []
+    point = np.arange(len(cfgs)) % m
+    n_values = m if cfg is not None else 0
+
     def f(t1, t2, k):
-        return 1.0 / (np.abs(t1 - z1[k]) ** 2 * np.abs(t2 - z2c[k]) ** 2) + 0.0j
+        p = point[k]
+        v = 1.0 / ((t1 - z1[p]) ** 2 * (t2 - z2c[p]) ** 2)
+        return np.where(k < n_values, v, np.abs(v))
 
-    return [abs(r.value) for r in integrate_many(mu, f, len(z1), cfg)]
+    out = integrate_many(mu, f, len(cfgs), cfgs, poles=np.column_stack((z1, z2c))[point])
+    return out[:n_values], out[n_values:]
 
 
 def check_nevanlinna_2var(mu: Measure, z: Sequence[complex],
@@ -220,7 +230,7 @@ def nevanlinna_modulus_scale(mu: Measure, z: Sequence[complex],
     reference scale for deciding that a cancellation-dominated value is
     numerically zero."""
     z1, z2 = _grid_columns([z])
-    return _modulus_scales(mu, z1, z2.conj(), cfg)[0]
+    return abs(_nevanlinna_integrals(mu, z1, z2.conj(), None, cfg)[1][0].value)
 
 
 def nevanlinna_zero_tolerance(scale: float) -> float:
@@ -249,18 +259,20 @@ def _halton(d: int, count: int) -> list[list[float]]:
     return [[_radical_inverse(i, q) for q in primes] for i in range(count)]
 
 
+@functools.lru_cache(maxsize=32)
+def _z_grid(n: int, count: int) -> tuple[tuple[complex, ...], ...]:
+    return tuple(
+        tuple((-10.0 + 20.0 * row[2 * j]) + 1j * (0.1 + 9.9 * row[2 * j + 1]) for j in range(n))
+        for row in _halton(2 * n, count))
+
+
 def default_z_grid(n: int = 2, count: int = 25) -> list[tuple[complex, ...]]:
     """Deterministic quasi-random sample of the box
-    {Re in [-10, 10], Im in [0.1, 10]}^n used for "for all z" checks."""
-    pts = _halton(2 * n, count)
-    grid = []
-    for row in pts:
-        z = tuple(
-            (-10.0 + 20.0 * row[2 * j]) + 1j * (0.1 + 9.9 * row[2 * j + 1])
-            for j in range(n)
-        )
-        grid.append(z)
-    return grid
+    {Re in [-10, 10], Im in [0.1, 10]}^n used for "for all z" checks.
+
+    The points are computed once per (n, count); each call returns a new
+    list of them."""
+    return list(_z_grid(n, count))
 
 
 def check_cubic_condition(coeff_det: float, delta: float, beta: float,
@@ -279,17 +291,17 @@ def check_cubic_condition(coeff_det: float, delta: float, beta: float,
     if is_zero_measure(mu1):
         return True
     w = np.array([-delta * z1 + beta * z2.conjugate() for z1, z2 in points])
+    m = w.size
 
+    # Members m..2m-1 integrate the moduli of members 0..m-1.
     def f(t1, k):
-        return 1.0 / (coeff_det * t1 + w[k]) ** 3
+        u = coeff_det * t1 + w[k % m]
+        return np.where(k < m, 1.0 / u ** 3, 1.0 / np.abs(u) ** 3 + 0.0j)
 
-    def f_abs(t1, k):
-        return 1.0 / np.abs(coeff_det * t1 + w[k]) ** 3 + 0.0j
-
-    values = integrate_many(mu1, f, w.size, cfg)
+    out = integrate_many(mu1, f, 2 * m, cfg)
+    values, scales = out[:m], out[m:]
     if any(r.diverged for r in values):
         return False
-    scales = integrate_many(mu1, f_abs, w.size, cfg)
     return all(abs(r.value) <= nevanlinna_zero_tolerance(abs(s.value))
                for r, s in zip(values, scales))
 

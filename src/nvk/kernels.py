@@ -44,6 +44,7 @@ __all__ = [
     "kernel_nd",
     "ladder_kernel_full",
     "ladder_kernel",
+    "require_ladder_coefficients",
     "ladder_weight",
     "ladder_z_sum",
 ]
@@ -153,6 +154,14 @@ def kernel_nd_rational(z: Sequence[complex], t: Sequence):
 kernel_nd = kernel_nd_rational
 
 
+def require_ladder_coefficients(b: Sequence[float]) -> None:
+    """Reject ladder coefficients that are not finite and strictly positive
+    or whose reciprocal overflows (b_j below about 5.6e-309)."""
+    if not all(0 < bj < math.inf and 1.0 / bj < math.inf for bj in map(float, b)):
+        raise DomainError("ladder coefficients must be finite and strictly positive, "
+                          "with finite reciprocals")
+
+
 def ladder_weight(m: int, d: int, b: Sequence[float]) -> float:
     """Weight accumulated by d integrations: 1 + sum_{j=m}^{m+d-1} 1/b_j."""
     return 1.0 + sum(1.0 / b[i - 1] for i in range(m, m + d))
@@ -184,8 +193,7 @@ def ladder_kernel(z: Sequence[complex], t: Sequence, b: Sequence[float],
         raise DomainError("need m >= 1, d >= 0 and m + d = len(z) >= 2")
     if len(b) != n - 1:
         raise DimensionMismatchError("need n - 1 ladder coefficients")
-    if any(not bj > 0 for bj in b):
-        raise DomainError("ladder coefficients must be strictly positive")
+    require_ladder_coefficients(b)
     if len(t) != m:
         raise DimensionMismatchError("t must have length m")
 

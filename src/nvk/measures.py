@@ -46,6 +46,15 @@ midpoint, the row is solved as two half-line rows split at the midpoint,
 each centred on its own line, and their values and error estimates are
 added; otherwise the one substitution is centred on the level's centre.
 
+A caller that knows where its test function peaks passes ``poles``: for
+each member, the pole nearest the real line in each argument.  Lines that
+sit where one argument vanishes (the two t2 lines of a planar pushforward
+with beta and delta nonzero, the Lebesgue axes of a ``Product`` or
+``LebesguePad``) then sit, row by row, where that argument equals Re p,
+|Im p| / |coefficient| wide.  Ladder lines, lines with a density and the
+lone t2 line of a planar pushforward with beta or delta 0 keep their
+layout.  Without poles the layout is the one above.
+
 Error estimates are weighted like the values they belong to: a row's
 estimate enters its member's total times the measure's scale and the
 weights of the atoms the row sits on.
@@ -58,7 +67,12 @@ a (member, weight) table, which an atomic level expands.  Each member keeps
 its own error estimate, ``converged`` and ``diverged``: one whose inner
 integral diverges reports (nan, inf, False, True), its rows leave the later
 solves, and the other members go on.  The work stops early only when every
-member has diverged.  ``integrate`` is the one-member case.
+member has diverged.  ``integrate`` is the one-member case.  Members may
+have configs of their own (sharing ``max_subdivisions`` and
+``divergence_threshold``): each row then converges at its member's
+tolerances, tightened per level like a single config.  A row's result does
+not depend on the other rows of its solve, so every member equals its own
+one-member call bit for bit.
 
 Sets are finite unions of closed axis-aligned boxes.  Atoms sitting on a
 box boundary count as inside.
@@ -68,13 +82,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .kernels import ladder_weight
+from .kernels import ladder_weight, require_ladder_coefficients
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -253,8 +267,7 @@ class PushforwardLadder(Measure):
             raise DimensionMismatchError("base measure must be one-dimensional")
         if not self.b:
             raise DomainError("ladder needs at least one coefficient")
-        if not all(0 < bj < math.inf for bj in self.b):
-            raise DomainError("ladder coefficients must be finite and strictly positive")
+        require_ladder_coefficients(self.b)
         if not 0 < self.scale < math.inf:
             raise DomainError("scale must be finite and strictly positive")
 
@@ -359,12 +372,18 @@ class _Line:
     centre lines as (form, halfwidth) pairs: a row whose lines lie more than
     ``halfwidth`` from their midpoint is solved as two half-line rows split
     there, each centred on its own line; other rows use ``centre``.
+
+    ``anchors`` holds, for the centre line (or for each split line), the
+    test-function argument j that vanishes on it and the coefficient q of
+    this level's variable in that argument.  Given poles, the line moves to
+    where argument j equals Re p_j and is |Im p_j| / |q| wide (``_layout``).
     """
 
     density: Optional[Callable] = None
     centre: _Form = ()
     halfwidth: float = 1.0
     split: Optional[tuple[tuple[_Form, float], tuple[_Form, float]]] = None
+    anchors: tuple[tuple[int, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -426,7 +445,12 @@ def _compile(mu: Measure) -> _Plan:
         return _Plan((_Line(),) * mu.dim, _eye(mu.dim), mu.density, mu.dim)
 
     if isinstance(mu, Product):
+        # Factor i's variable is argument i; a Lebesgue factor's line is
+        # anchored there.
         levels = tuple(_one_dimensional_level(f, "product factors") for f in mu.factors)
+        levels = tuple(replace(v, anchors=((i, 1.0),))
+                       if isinstance(v, _Line) and v.density is None else v
+                       for i, v in enumerate(levels))
         return _Plan(levels, _eye(len(levels)))
 
     if isinstance(mu, Pushforward2D):
@@ -435,10 +459,12 @@ def _compile(mu: Measure) -> _Plan:
         # and on t2 = -g t1/d, each 1/|coefficient| wide (in units of Im z).
         lines = [(-p / q, 1.0 / abs(q)) for p, q in ((a, b), (g, d)) if q != 0]
         width = max([1.0] + [h for _, h in lines])
+        # The two lines are anchored on the image coordinates; a lone line
+        # (beta or delta 0) is not, for the reason ROADMAP item 4 records.
         if len(lines) == 2:
             (c1, _), (c2, _) = lines
             t2 = _Line(None, ((0, 0.5 * (c1 + c2)),), width,
-                       ((((0, c1),), width), (((0, c2),), width)))
+                       ((((0, c1),), width), (((0, c2),), width)), ((0, b), (1, d)))
         else:
             t2 = _Line(None, tuple((0, c) for c, _ in lines if c), width)
         # An image coordinate that is identically 0 keeps one zero term, so
@@ -476,12 +502,16 @@ def _compile(mu: Measure) -> _Plan:
     if isinstance(mu, LebesguePad):
         # The inner measure's levels run outermost, then one Lebesgue level
         # per padded axis, the largest index innermost.
+        # Anchors name arguments, so the inner measure's move to its axes.
         inner = _compile(mu.inner)
         nv = sum(v.points.shape[1] if isinstance(v, _Atoms) else 1 for v in inner.levels)
         pad = mu.padded_axes
         rows = dict(zip(mu.axes, inner.A))
         rows.update((axis, ((nv + p, 1.0),)) for p, axis in enumerate(pad))
-        return _Plan(inner.levels + (_Line(),) * len(pad), tuple(rows[axis] for axis in range(mu.dim)),
+        levels = tuple(replace(v, anchors=tuple((mu.axes[j], q) for j, q in v.anchors))
+                       if isinstance(v, _Line) and v.anchors else v for v in inner.levels)
+        return _Plan(levels + tuple(_Line(anchors=((axis, 1.0),)) for axis in pad),
+                     tuple(rows[axis] for axis in range(mu.dim)),
                      inner.density, inner.density_dim, inner.scale)
 
     raise DomainError(f"unknown measure variant {type(mu).__name__}")
@@ -511,31 +541,72 @@ class _ErrorBudget:
         self.converged[members[~r.converged]] = False
 
 
-def _solve(g: Callable, k: np.ndarray, table, cfg: QuadratureConfig, budget: _ErrorBudget,
-           center, halfwidth, lo=-math.inf, hi=math.inf) -> np.ndarray:
-    """Integrals of ``g(x, rows)`` over [lo, hi] in one batched solve; row i
-    has entry ``k[i]`` of the (member, weight) table.  Rows of diverged
-    members are not solved and read 0, so the levels above them settle at
-    once."""
+@dataclass(frozen=True)
+class _Run:
+    """What the levels of one ``integrate_many`` call share.
+
+    ``tols`` is set when the members have configs of their own: per plan
+    level, the members' (rel_tol, abs_tol) arrays, tightened as the level's
+    config is.  ``poles`` holds one row of test-function poles per member.
+    """
+
+    plan: _Plan
+    call: Callable
+    cfg: QuadratureConfig
+    budget: _ErrorBudget
+    tols: Optional[tuple[tuple[np.ndarray, np.ndarray], ...]] = None
+    poles: Optional[np.ndarray] = None
+
+
+def _solve(run: _Run, i: int, g: Callable, k: np.ndarray, table, center, halfwidth,
+           lo=-math.inf, hi=math.inf) -> np.ndarray:
+    """Integrals of ``g(x, rows)`` over [lo, hi] in one batched solve at the
+    tolerances of level i; row r has entry ``k[r]`` of the (member, weight)
+    table.  Rows of diverged members are not solved and read 0, so the
+    levels above them settle at once."""
+    budget = run.budget
     members = table[0][k]
     if budget.diverged.any() and budget.diverged[members].any():
         live = np.flatnonzero(~budget.diverged[members])
         out = np.zeros(k.size, dtype=complex)
         if live.size:
-            out[live] = _solve(lambda x, rows: g(x, live[rows]), k[live], table, cfg, budget,
+            out[live] = _solve(run, i, lambda x, rows: g(x, live[rows]), k[live], table,
                                *(v[live] if np.ndim(v) else v
                                  for v in (center, halfwidth, lo, hi)))
         return out
-    r = integrate_rows(g, k.size, cfg, center=center, halfwidth=halfwidth, lo=lo, hi=hi)
+    cfg = run.cfg.tighter(0.1 ** i) if i else run.cfg
+    rel_tol, abs_tol = (None, None) if run.tols is None else (t[members] for t in run.tols[i])
+    r = integrate_rows(g, k.size, cfg, center=center, halfwidth=halfwidth, lo=lo, hi=hi,
+                       rel_tol=rel_tol, abs_tol=abs_tol)
     budget.absorb(r, members, table[1][k])
     if r.diverged.any():
         return np.where(budget.diverged[members], 0.0, r.value)
     return r.value
 
 
-def _walk(plan: _Plan, call: Callable, cfg: QuadratureConfig, budget: _ErrorBudget, i: int,
-          vals: list, k: np.ndarray, table) -> np.ndarray:
-    """Integrals over the levels i, i+1, ... of ``plan``, one per row.
+def _layout(level: _Line, vals: list, poles: Optional[np.ndarray]):
+    """The node layout of a line level's rows at the outer variables
+    ``vals``: (centre, halfwidth, lines), ``lines`` None or the two centre
+    lines as (centre, halfwidth) pairs; each a scalar or one entry per row.
+
+    ``poles``, one row per level row, moves every anchored line to where its
+    argument equals the real part of the row's pole, |Im p| / |q| wide; two
+    such lines share their midpoint as centre and the larger halfwidth.
+    """
+    if poles is None or not level.anchors:
+        lines = None if level.split is None else tuple((_form(f, vals), w) for f, w in level.split)
+        return _form(level.centre, vals), level.halfwidth, lines
+    forms = (level.centre,) if level.split is None else tuple(f for f, _ in level.split)
+    lines = tuple((_form(f, vals) + poles[:, j].real / q, np.abs(poles[:, j].imag / q))
+                  for f, (j, q) in zip(forms, level.anchors))
+    if len(lines) == 1:
+        return lines[0][0], lines[0][1], None
+    (c1, w1), (c2, w2) = lines
+    return 0.5 * (c1 + c2), np.maximum(w1, w2), lines
+
+
+def _walk(run: _Run, i: int, vals: list, k: np.ndarray, table) -> np.ndarray:
+    """Integrals over the levels i, i+1, ... of ``run.plan``, one per row.
 
     Row r has the outer level variables ``vals[j][r]`` and entry ``k[r]`` of
     ``table``, a pair of arrays (member, weight): the row's member and the
@@ -543,6 +614,7 @@ def _walk(plan: _Plan, call: Callable, cfg: QuadratureConfig, budget: _ErrorBudg
     times the weights of the atoms it sits on), which its error estimates
     carry too.  Level i runs at ``cfg.tighter(0.1**i)``, level 0 at ``cfg``.
     """
+    plan = run.plan
     level, last = plan.levels[i], i + 1 == len(plan.levels)
     if isinstance(level, _Atoms):
         # One row per (row, atom) pair, rows outermost.
@@ -552,8 +624,8 @@ def _walk(plan: _Plan, call: Callable, cfg: QuadratureConfig, budget: _ErrorBudg
         sub = [v.repeat(na) for v in vals] + [np.tile(x, k.size) for x in level.points.T]
         kk = (k[:, None] * na + np.arange(na)).ravel()
         tt = (table[0].repeat(na), (table[1][:, None] * level.weights).ravel())
-        inner = (plan.evaluate(call, sub, kk, slice(None), tt) if last
-                 else _walk(plan, call, cfg, budget, i + 1, sub, kk, tt))
+        inner = (plan.evaluate(run.call, sub, kk, slice(None), tt) if last
+                 else _walk(run, i + 1, sub, kk, tt))
         if inner.shape != kk.shape:
             inner = np.broadcast_to(inner, kk.shape)
         inner = inner.reshape(k.size, na)
@@ -562,28 +634,27 @@ def _walk(plan: _Plan, call: Callable, cfg: QuadratureConfig, budget: _ErrorBudg
             total += w * inner[:, a]
         return total
 
-    lcfg = cfg.tighter(0.1 ** i) if i else cfg
     dens = level.density
 
     def g(x, rows):
         sub = [t[rows] for t in vals] + [x]
-        v = (plan.evaluate(call, sub, k, rows, table) if last
-             else _walk(plan, call, cfg, budget, i + 1, sub, k[rows], table))
+        v = (plan.evaluate(run.call, sub, k, rows, table) if last
+             else _walk(run, i + 1, sub, k[rows], table))
         return v * np.asarray(dens(x)) if dens is not None else v
 
-    near, width = _form(level.centre, vals), level.halfwidth
-    if level.split is None:
-        return _solve(g, k, table, lcfg, budget, near, width)
-    (f1, w1), (f2, w2) = level.split
-    c1, c2 = _form(f1, vals), _form(f2, vals)
+    near, width, lines = _layout(level, vals, None if run.poles is None else run.poles[table[0][k]])
+    if lines is None:
+        return _solve(run, i, g, k, table, near, width)
+    (c1, w1), (c2, w2) = lines
     far = np.flatnonzero(0.5 * np.abs(c1 - c2) > width)
     if not far.size:
-        return _solve(g, k, table, lcfg, budget, near, width)
+        return _solve(run, i, g, k, table, near, width)
     # A far row becomes two half-line rows split at the midpoint, each
     # centred on its own line; their values and error estimates add up to
     # the row's.
     m = k.size
     near, c1, c2 = (np.broadcast_to(c, (m,)) for c in (near, c1, c2))
+    w1, w2 = (np.broadcast_to(w, (m,))[far] for w in (w1, w2))
     mid = 0.5 * (c1[far] + c2[far])
     src = np.concatenate((np.arange(m), far))
     lo, hi = np.full(src.size, -math.inf), np.full(src.size, math.inf)
@@ -591,18 +662,21 @@ def _walk(plan: _Plan, call: Callable, cfg: QuadratureConfig, budget: _ErrorBudg
     c1_low = c1[far] < c2[far]
     center = np.concatenate((near, np.where(c1_low, c2[far], c1[far])))
     center[far] = np.where(c1_low, c1[far], c2[far])
-    halfwidth = np.full(src.size, width)
+    halfwidth = np.empty(src.size)
+    halfwidth[:m] = width
     halfwidth[far] = np.where(c1_low, w1, w2)
     halfwidth[m:] = np.where(c1_low, w2, w1)
-    v = _solve(lambda x, rows: g(x, src[rows]), k[src], table, lcfg, budget,
-               center, halfwidth, lo, hi)
+    v = _solve(run, i, lambda x, rows: g(x, src[rows]), k[src], table, center, halfwidth, lo, hi)
     out = v[:m].copy()
     out[far] += v[m:]
     return out
 
 
-def integrate_many(mu: Measure, f: Callable, m: int,
-                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[QuadratureResult]:
+Configs = Union[QuadratureConfig, Sequence[QuadratureConfig]]
+
+
+def integrate_many(mu: Measure, f: Callable, m: int, cfg: Configs = DEFAULT_CONFIG, *,
+                   poles=None) -> list[QuadratureResult]:
     """The ``m`` integrals of ``f(t, k)`` against ``mu`` for k = 0, ..., m-1.
 
     ``f`` takes ``mu.dimension`` coordinates followed by an integer array of
@@ -610,31 +684,84 @@ def integrate_many(mu: Measure, f: Callable, m: int,
     array.  The members are the outermost rows of every batched solve; each
     keeps its own error estimate and flags, and one whose integral diverges
     reports ``(nan, inf, False, True)`` without disturbing the others.
+
+    ``cfg`` is one config for all members or a sequence of one per member;
+    such configs must agree on ``max_subdivisions`` and
+    ``divergence_threshold``, and each member is solved at its own
+    tolerances.  ``poles``, an (m, dimension) array, names the pole of
+    member k's test function nearest the real line in each argument: line
+    levels whose centre is where one argument vanishes (the two t2 lines of
+    a ``Pushforward2D`` with beta and delta nonzero, the Lebesgue axes of a
+    ``Product`` or ``LebesguePad``) are centred where that argument equals
+    Re p instead, |Im p| / |coefficient| wide.  Poles shape only the node
+    layout.
     """
     if m < 0:
         raise DomainError("need a nonnegative member count")
     if m == 0:
         return []
-    return _integrate(mu, lambda args, k, rows, table: f(*args, table[0][k[rows]]), m, cfg)
+    return _integrate(mu, lambda args, k, rows, table: f(*args, table[0][k[rows]]), m, cfg, poles)
 
 
-def integrate(mu: Measure, f: Callable,
-              cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+def integrate(mu: Measure, f: Callable, cfg: QuadratureConfig = DEFAULT_CONFIG, *,
+              poles=None) -> QuadratureResult:
     """Integral of ``f`` against ``mu``: ``integrate_many`` with one member.
 
     ``f`` takes ``mu.dimension`` positional arguments and must broadcast when
     any of them arrives as an array; arrays passed together have one length.
-    Divergence is reported through the result, not raised.
+    ``poles`` is ``integrate_many``'s, of shape (1, dimension).  Divergence
+    is reported through the result, not raised.
     """
-    return _integrate(mu, lambda args, k, rows, table: f(*args), 1, cfg)[0]
+    return _integrate(mu, lambda args, k, rows, table: f(*args), 1, cfg, poles)[0]
 
 
-def _integrate(mu: Measure, call: Callable, m: int,
-               cfg: QuadratureConfig) -> list[QuadratureResult]:
+def _member_configs(cfg: Configs, m: int) -> tuple[QuadratureConfig, Optional[list[QuadratureConfig]]]:
+    """The config whose limits every member shares, and the members' own
+    configs when they differ (None when one config serves all)."""
+    if isinstance(cfg, QuadratureConfig):
+        return cfg, None
+    cfgs = list(cfg)
+    if len(cfgs) != m or not all(isinstance(c, QuadratureConfig) for c in cfgs):
+        raise DomainError("need one QuadratureConfig or one per member")
+    first = cfgs[0]
+    if any((c.max_subdivisions, c.divergence_threshold)
+           != (first.max_subdivisions, first.divergence_threshold) for c in cfgs):
+        raise DomainError("member configs must share max_subdivisions and divergence_threshold")
+    return first, (None if all(c == first for c in cfgs) else cfgs)
+
+
+def _level_tolerances(cfgs: list[QuadratureConfig], levels: int):
+    """Per plan level, the members' (rel_tol, abs_tol) arrays at that
+    level's tightening."""
+    distinct = list(dict.fromkeys(cfgs))
+    which = np.array([distinct.index(c) for c in cfgs])
+    out = []
+    for i in range(levels):
+        level = [c.tighter(0.1 ** i) if i else c for c in distinct]
+        out.append((np.array([c.rel_tol for c in level])[which],
+                    np.array([c.abs_tol for c in level])[which]))
+    return tuple(out)
+
+
+def _member_poles(poles, m: int, dimension: int) -> Optional[np.ndarray]:
+    if poles is None:
+        return None
+    p = np.asarray(poles, dtype=complex)
+    if p.shape != (m, dimension):
+        raise DimensionMismatchError("poles need one row per member and one column per argument")
+    if not (np.isfinite(p).all() and (p.imag != 0).all()):
+        raise DomainError("poles must be finite and off the real line")
+    return p
+
+
+def _integrate(mu: Measure, call: Callable, m: int, cfg: Configs,
+               poles) -> list[QuadratureResult]:
     """The ``m`` member integrals of ``integrate_many``, where ``call(args,
     k, rows, table)`` evaluates the test function at the coordinates
     ``args`` for rows with entries ``k[rows]`` of the (member, weight)
     table."""
+    shared, cfgs = _member_configs(cfg, m)
+    poles = _member_poles(poles, m, mu.dimension)
     budget = _ErrorBudget.for_members(m)
     members = np.arange(m)
     if isinstance(mu, Atomic):
@@ -643,9 +770,10 @@ def _integrate(mu: Measure, call: Callable, m: int,
             values += w * np.asarray(call(loc, members, slice(None), (members,)), dtype=complex)
     else:
         plan = mu._plan
+        run = _Run(plan, call, shared, budget,
+                   None if cfgs is None else _level_tolerances(cfgs, len(plan.levels)), poles)
         try:
-            values = plan.scale * _walk(plan, call, cfg, budget, 0, [], members,
-                                        (members, plan.scale + np.zeros(m)))
+            values = plan.scale * _walk(run, 0, [], members, (members, plan.scale + np.zeros(m)))
         except _Diverged:
             values = np.full(m, complex("nan"))
     return [QuadratureResult(complex("nan"), math.inf, False, True) if budget.diverged[j]

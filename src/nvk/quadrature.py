@@ -10,17 +10,18 @@ path.
 One row-batched engine does all the work.  ``integrate_rows`` solves many
 integrals at once: its integrand ``f(x, rows)`` receives a flat array of
 nodes and, for each node, the index of the row (integral) it belongs to.
-Every row has its own segment [lo, hi] (the whole line unless stated) and
-its own substitution centre and halfwidth, keeps its own panels, running
-total and error and stops by its own rules (tolerance met, total past the
-divergence threshold, subdivision cap, noise floor).  The initial panels of
-all rows are evaluated first; after that each round splits the worst panel
-of every row still running and evaluates all new panels.  A batch of panels
-goes to ``f`` in blocks of at most ``_PANEL_BLOCK`` panels, sized so that
-one call's arrays stay in a per-core L2 cache; the rows of a block are
-independent, so blocking changes no result.  A nest level whose integrand
-is itself an integral thus evaluates all of its nodes with a few large
-batched inner solves per round.  ``integrate_line`` and
+Every row has its own segment [lo, hi] (the whole line unless stated), its
+own substitution centre and halfwidth and, when given, its own tolerances;
+it keeps its own panels, running total and error and stops by its own rules
+(tolerance met, total past the divergence threshold, subdivision cap, noise
+floor).  The initial panels of all rows are evaluated first; after that
+each round splits the worst panel of every row still running and evaluates
+all new panels.  A batch of panels goes to ``f`` in blocks of at most
+``_PANEL_BLOCK`` panels, sized so that one call's arrays stay in a per-core
+L2 cache.  A row's arithmetic does not depend on the other rows of its
+batch or on the blocking, so a row solved alone returns the same bits.  A
+nest level whose integrand is itself an integral thus evaluates all of its
+nodes with a few large batched inner solves per round.  ``integrate_line`` and
 ``integrate_segment`` are the one-row case.
 
 Divergence cannot be proven numerically.  It is declared heuristically:
@@ -177,6 +178,14 @@ def _panel_block(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     if y.shape != (x.size,):
         y = np.broadcast_to(y, (x.size,))
     y = y.reshape(x.shape)
+    # BLAS sums the last (rows mod 4) rows of a product with another kernel,
+    # which rounds differently.  Zero panels that pad the block to a
+    # multiple of four keep every panel on one kernel, so a panel's sums do
+    # not depend on the other panels of its block.
+    p, pad = a.size, -a.size % 4
+    if pad:
+        y = np.concatenate((y, np.zeros((pad, _XK.size), dtype=complex)))
+        h, d = (np.concatenate((v, np.ones(pad))) for v in (h, d))
     mags = np.abs(y)
     resabs = h * np.dot(mags, _WK)
     if not math.isfinite(np.add.reduce(resabs)):
@@ -190,13 +199,14 @@ def _panel_block(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     rough = resasc > 0.0
     ratio = 200.0 * diff / np.where(rough, resasc, 1.0)
     err = np.where(rough, resasc * np.minimum(1.0, ratio ** 1.5), diff)
-    return ik, np.maximum(err, 1e-15 * resabs)
+    return ik[:p], np.maximum(err, 1e-15 * resabs)[:p]
 
 
 def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
-              initial_panels: int = 8):
+              initial_panels: int = 8, *, rel_tol=None, abs_tol=None):
     """Adaptive bisection of [lo, hi] for ``nrows`` integrals at once; ``lo``
-    and ``hi`` are shared scalars or arrays with one entry per row.
+    and ``hi`` are shared scalars or arrays with one entry per row, and so
+    are ``rel_tol`` and ``abs_tol`` when given in place of ``cfg``'s.
 
     ``g(x, rows)`` evaluates node ``x[i]`` of row ``rows[i]``.  Returns the
     arrays (value, error, converged, suspect), where ``suspect`` means the
@@ -210,6 +220,8 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
     (error, insertion order) would pop.
     """
     p0 = initial_panels
+    if rel_tol is None:
+        rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     # Equispaced edges of every row, by np.linspace's arithmetic (without
     # its per-call overhead, which one-row solves would pay each time).
     lo, hi = lo + np.zeros(nrows), hi + np.zeros(nrows)
@@ -227,8 +239,12 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
     pv, pk = np.empty(pa.shape, dtype=complex), np.full(pa.shape, -np.inf)
     pa[:p0], pb[:p0] = edges[:-1], edges[1:]
     pv[:p0], pk[:p0] = v.reshape(p0, nrows), e.reshape(p0, nrows)
-    total = pv[:p0].sum(axis=0)
-    total_err = pk[:p0].sum(axis=0)
+    if nrows > 1:
+        total, total_err = pv[:p0].sum(axis=0), pk[:p0].sum(axis=0)
+    else:
+        # A one-row sum would add the panels pairwise; running sums add
+        # them in order, as every row of a larger batch does.
+        total, total_err = np.add.accumulate(pv[:p0])[-1], np.add.accumulate(pk[:p0])[-1]
     pushed = np.zeros(nrows, dtype=int)  # rounds in which the row could not split
     history = np.empty((_NOISE_ROUNDS + 1, nrows))
     value, error = np.empty(nrows, dtype=complex), np.empty(nrows)
@@ -236,7 +252,7 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
     stale = True
     for rounds in itertools.count():
         mag = np.abs(total)
-        conv = total_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * mag)
+        conv = total_err <= np.maximum(abs_tol, rel_tol * mag)
         done = conv | (mag > cfg.divergence_threshold)
         if rounds >= cfg.max_subdivisions:
             done |= rounds - pushed >= cfg.max_subdivisions
@@ -256,6 +272,8 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
             ids, total, total_err, pushed = ids[keep], total[keep], total_err[keep], pushed[keep]
             # compress returns C-contiguous copies, as the flat views need.
             history, pa, pb, pv, pk = (x.compress(keep, axis=1) for x in (history, pa, pb, pv, pk))
+            if np.ndim(rel_tol):
+                rel_tol, abs_tol = rel_tol[keep], abs_tol[keep]
             stale = True
         u = p0 + 2 * rounds
         if u + 2 > pk.shape[0]:
@@ -352,11 +370,12 @@ def _windows_grow(f: Callable, cfg: QuadratureConfig, lo: float = -math.inf,
 
 
 def _solve(f: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
-           center, halfwidth) -> RowResults:
+           center, halfwidth, rel_tol, abs_tol) -> RowResults:
     """``nrows`` integrals of ``f(x, rows)`` over [lo, hi] under the
     substitution x = center + halfwidth * tan(theta), with per-row or shared
-    ``lo``, ``hi``, ``center`` and ``halfwidth``; unconverged rows with an
-    infinite end get the divergence scan over their own segment."""
+    ``lo``, ``hi``, ``center``, ``halfwidth`` and tolerances; unconverged
+    rows with an infinite end get the divergence scan over their own
+    segment, at their own tolerances."""
     if not (np.all(np.greater(halfwidth, 0)) and np.all(np.isfinite(center))
             and np.all(np.isfinite(halfwidth))):
         raise DomainError("need a finite center and a positive halfwidth")
@@ -376,23 +395,27 @@ def _solve(f: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
     if np.any((theta_lo >= theta_hi) & np.less(lo, hi)):
         raise DomainError("segment too far from its center for the substitution; "
                           "center it on the segment")
-    value, err, converged, suspect = _adaptive(g, nrows, theta_lo, theta_hi, cfg)
+    value, err, converged, suspect = _adaptive(g, nrows, theta_lo, theta_hi, cfg,
+                                               rel_tol=rel_tol, abs_tol=abs_tol)
     diverged = np.zeros(nrows, dtype=bool)
     if not converged.all():
         # A near-zero non-converged estimate cannot hide a divergence, so the
         # window scan is only consulted for suspicious or sizeable values.
-        scan = ~converged & (suspect | (np.abs(value) > 1000.0 * cfg.abs_tol))
+        scan = ~converged & (suspect | (np.abs(value) > 1000.0 * abs_tol))
         scan &= np.isinf(lo) | np.isinf(hi)
         lo_rows, hi_rows = np.broadcast_to(lo, nrows), np.broadcast_to(hi, nrows)
         for row in np.flatnonzero(scan):
-            diverged[row] = _windows_grow(lambda x: f(x, np.full(x.shape, row)), cfg,
+            row_cfg = cfg if not np.ndim(rel_tol) else replace(
+                cfg, rel_tol=float(rel_tol[row]), abs_tol=float(abs_tol[row]))
+            diverged[row] = _windows_grow(lambda x: f(x, np.full(x.shape, row)), row_cfg,
                                           lo_rows[row], hi_rows[row])
         err[diverged] = math.inf
     return RowResults(value, err, converged, diverged)
 
 
 def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONFIG, *,
-                   center=0.0, halfwidth=1.0, lo=-math.inf, hi=math.inf) -> RowResults:
+                   center=0.0, halfwidth=1.0, lo=-math.inf, hi=math.inf,
+                   rel_tol=None, abs_tol=None) -> RowResults:
     """``nrows`` integrals over the segments [lo, hi] in one batched solve.
 
     ``f(x, rows)`` receives a 1-d array of nodes and an equally long integer
@@ -402,14 +425,25 @@ def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONF
     (the default is the whole line).  Like in ``integrate_line``, ``center``
     and ``halfwidth`` only shape the node layout, but a segment more than
     about 1e16 halfwidths from its centre cannot be resolved and raises
-    ``DomainError``.
+    ``DomainError``.  ``rel_tol`` and ``abs_tol``, when given, replace the
+    tolerances of ``cfg`` in each row's convergence test and divergence
+    scan; they too are scalars or arrays with one entry per row.
+    ``max_subdivisions`` and ``divergence_threshold`` are always ``cfg``'s.
     """
     if nrows < 1:
         raise DomainError("need at least one row")
     if not np.all(np.less_equal(lo, hi)):
         raise DomainError("segment endpoints must satisfy lo <= hi")
+    if rel_tol is None and abs_tol is None:
+        rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
+    else:
+        rel_tol, abs_tol = (np.broadcast_to(np.asarray(default if v is None else v, dtype=float),
+                                            (nrows,))
+                            for v, default in ((rel_tol, cfg.rel_tol), (abs_tol, cfg.abs_tol)))
+        if not np.all((rel_tol > 0) & (rel_tol < math.inf) & (abs_tol > 0) & (abs_tol < math.inf)):
+            raise DomainError("tolerances must be positive and finite")
     if nrows <= _ROW_CHUNK:
-        return _solve(f, nrows, lo, hi, cfg, center, halfwidth)
+        return _solve(f, nrows, lo, hi, cfg, center, halfwidth, rel_tol, abs_tol)
     # Rows are independent: solving them in chunks bounds the node arrays
     # (and the integrand's temporaries) that one round allocates.
     parts = []
@@ -417,7 +451,8 @@ def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONF
         part = slice(start, min(start + _ROW_CHUNK, nrows))
         parts.append(_solve(lambda x, rows, s=start: f(x, rows + s), part.stop - start,
                             *(v[part] if np.ndim(v) else v for v in (lo, hi)), cfg,
-                            *(v[part] if np.ndim(v) else v for v in (center, halfwidth))))
+                            *(v[part] if np.ndim(v) else v
+                              for v in (center, halfwidth, rel_tol, abs_tol))))
     return RowResults(*(np.concatenate([getattr(p, name) for p in parts])
                         for name in ("value", "error_estimate", "converged", "diverged")))
 

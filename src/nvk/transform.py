@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
+from .kernels import require_ladder_coefficients
 from .measures import LebesguePad, Product, PushforwardLadder, is_zero_measure, lebesgue, zero_measure
 from .representation import RepresentationData
 
@@ -76,8 +77,7 @@ def _validate_ladder(b: Sequence[float]) -> np.ndarray:
     bs = np.asarray(b, dtype=float)
     if bs.ndim != 1 or bs.size < 1:
         raise DomainError("need at least one ladder coefficient")
-    if np.any(bs <= 0):
-        raise DomainError("ladder coefficients must be strictly positive")
+    require_ladder_coefficients(bs)
     return bs
 
 

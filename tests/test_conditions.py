@@ -35,7 +35,7 @@ from nvk.measures import (
     lebesgue,
     zero_measure,
 )
-from nvk.quadrature import QuadratureConfig, QuadratureResult
+from nvk.quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult
 from nvk.residues import line_integral
 from nvk.sampling import rng_for
 from nvk.transform import transform
@@ -396,3 +396,90 @@ def test_cubic_condition_rejects_bad_or_empty_samples(pi_delta0, cfg, samples):
     for mu1 in (pi_delta0, zero_measure(1)):
         with pytest.raises(DomainError):
             check_cubic_condition(1.0, 2.0, 1.0, mu1, samples, cfg)
+
+
+# Coefficient sets of every case, one with beta, delta < 0 and a generic one.
+_GRID_COEFFS = [(0, 0, 1, 1), (1, 0, 1, 1), (0, 1, 0, 0), (0, 1, 1, 0), (1, 1, -1, -1),
+                (1, 1, 1, -1), (1, 1, 1, 1), (1, 1, 1, 2), (-1, -2, 0.5, -1), (2, -0.5, 0.3, 3)]
+
+
+@pytest.mark.parametrize("coeffs", _GRID_COEFFS, ids=lambda c: ",".join(map(str, c)))
+def test_nevanlinna_grid_matches_closed_form_on_the_default_grid(coeffs, cfg):
+    # A single atom w delta_x makes the grid value w times the inner closed
+    # form at t1 = x, at each of the 25 points, the corner (-10+0.1i,
+    # -10+0.1i) included.
+    w, x = 2.0, 0.4
+    grid = default_z_grid(2, 25)
+    values, scales = nevanlinna_grid(Pushforward2D(Atomic.single(w, x), *coeffs), grid, cfg,
+                                     QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9))
+    assert len(values) == len(scales) == 25
+    for z, v, s in zip(grid, values, scales):
+        want = w * nevanlinna_inner_value(*coeffs, x, *z)
+        assert v.converged and abs(v.value - want) <= 1e-10 * s
+
+
+def test_grid_corner_takes_few_rounds(cfg, monkeypatch):
+    # The t2 lines through each row's poles resolve the corner point of the
+    # grid, 10 away from the lines through 0, in 15 rounds; centred where the
+    # image coordinates vanish it took 63.
+    import nvk.quadrature as quadrature
+
+    calls = [0]
+    panels = quadrature._panels
+
+    def counted(*args):
+        calls[0] += 1
+        return panels(*args)
+
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    corner = default_z_grid(2, 25)[0]
+    assert corner == (-10 + 0.1j, -10 + 0.1j)
+    r = check_nevanlinna_2var(Pushforward2D(Atomic.single(PI, 0.0), 1, 1, -1, -1), corner, cfg)
+    assert r.converged and abs(r.value) <= 1e-12
+    assert calls[0] <= 20
+
+
+@pytest.mark.parametrize("mu1", [lebesgue(), LebesgueDensity(1, density=lambda t: 1.0 / (1.0 + t * t))],
+                         ids=["lebesgue", "cauchy"])
+def test_cubic_condition_is_one_call_with_unchanged_members(mu1, cfg, monkeypatch):
+    import nvk.conditions as conditions
+
+    calls = []
+    many = conditions.integrate_many
+
+    def recorded(mu, f, m, c=DEFAULT_CONFIG, **kw):
+        out = many(mu, f, m, c, **kw)
+        calls.append((m, out))
+        return out
+
+    monkeypatch.setattr(conditions, "integrate_many", recorded)
+    grid = default_z_grid(2, 9)
+    det, delta, beta = 1.0, 2.0, 1.0
+    check_cubic_condition(det, delta, beta, mu1, grid, cfg)
+    assert len(calls) == 1 and calls[0][0] == 2 * len(grid)
+    out = calls[0][1]
+    for k, (z1, z2) in enumerate(grid):
+        w = -delta * z1 + beta * z2.conjugate()
+        value = many(mu1, lambda t, kk: 1.0 / (det * t + w) ** 3, 1, cfg)[0]
+        modulus = many(mu1, lambda t, kk: 1.0 / np.abs(det * t + w) ** 3 + 0.0j, 1, cfg)[0]
+        assert out[k] == value and out[len(grid) + k] == modulus
+
+
+def test_default_z_grid_is_computed_once(monkeypatch):
+    import nvk.conditions as conditions
+
+    conditions._z_grid.cache_clear()
+    calls = [0]
+    inverse = conditions._radical_inverse
+
+    def counted(i, base):
+        calls[0] += 1
+        return inverse(i, base)
+
+    monkeypatch.setattr(conditions, "_radical_inverse", counted)
+    first = default_z_grid(2, 13)
+    assert calls[0] == 13 * 4
+    second = default_z_grid(2, 13)
+    assert calls[0] == 13 * 4 and second == first and second is not first
+    first.clear()
+    assert default_z_grid(2, 13) == second

@@ -262,3 +262,20 @@ def test_require_upper_half_rejects_empty_point():
     for empty in ((), [], np.array([])):
         with pytest.raises(DomainError):
             require_upper_half(empty)
+
+
+# b_j = inf or NaN, and a b_j whose reciprocal overflows, gave nan+nanj with
+# RuntimeWarnings; every ladder kernel entry point now rejects them.
+_BAD_LADDER_B = [math.inf, math.nan, 1e-320, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("bad", _BAD_LADDER_B, ids=["inf", "nan", "tiny", "zero", "negative"])
+def test_ladder_kernels_reject_bad_coefficients(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="ladder coefficients"):
+            ladder_kernel_full((1j, 1j), (0.0, 1.0), (bad,))
+        with pytest.raises(DomainError, match="ladder coefficients"):
+            ladder_kernel((1j, 1j), (0.5,), (bad,), 1, 1)
+        with pytest.raises(DomainError, match="ladder coefficients"):
+            ladder_kernel((1j, 1j, 1j), (0.5, 0.2), (1.0, bad), 2, 1)

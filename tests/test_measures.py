@@ -26,6 +26,8 @@ from nvk.measures import (
     mass,
     zero_measure,
 )
+import nvk.quadrature as quadrature
+from nvk.quadrature import QuadratureConfig
 
 PI = math.pi
 
@@ -360,3 +362,93 @@ def test_lebesgue_pad_density_matches_reduction(cfg_nested):
     got = evaluate(padded, z, cfg_nested)
     want = evaluate(data, (0.4 * z[0] + 0.6 * z[2],))
     assert abs(got - want) <= 1e-7 * abs(want)
+
+
+# One config per member: every member is solved at its own tolerances, so it
+# equals a one-member call at its config bit for bit, with or without poles.
+_OWN_CONFIG_MEASURES = ("atomic", "pushforward2d_atomic", "pushforward2d_density", "product")
+
+
+@pytest.mark.parametrize("with_poles", [False, True], ids=["no_poles", "poles"])
+@pytest.mark.parametrize("name", _OWN_CONFIG_MEASURES)
+def test_integrate_many_member_configs_match_one_member_calls(name, with_poles):
+    mu = _MANY_MEASURES[name]
+    loose, tight = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9), QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
+    cfgs = [loose, tight, loose]
+    poles = np.array([[w * (1 + 0.1 * j) for j in range(mu.dimension)] for w in _W]) if with_poles else None
+    many = integrate_many(mu, _member_integrand, _W.size, cfgs, poles=poles)
+    for k, got in enumerate(many):
+        one = integrate_many(mu, lambda *args, k=k: _member_integrand(*args[:-1], k + args[-1]), 1,
+                             cfgs[k], poles=None if poles is None else poles[k:k + 1])[0]
+        assert got == one
+    if name == "pushforward2d_density":
+        # Here the result depends on the tolerance, so a member solved at
+        # another member's config would not match its own one-member call.
+        assert integrate_many(mu, _member_integrand, _W.size, tight, poles=poles)[0] != many[0]
+
+
+def test_integrate_many_member_configs_must_share_limits():
+    mu, f = _MANY_MEASURES["product"], _member_integrand
+    base = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-11)
+    for other in (QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9, max_subdivisions=100),
+                  QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9, divergence_threshold=1e6)):
+        with pytest.raises(DomainError, match="max_subdivisions and divergence_threshold"):
+            integrate_many(mu, f, 3, [base, other, base])
+    with pytest.raises(DomainError):
+        integrate_many(mu, f, 3, [base, base])
+    with pytest.raises(DomainError):
+        integrate_many(mu, f, 3, [base, base, 1e-8])
+
+
+def test_poles_must_match_members_and_lie_off_the_line():
+    mu, f = _MANY_MEASURES["product"], _member_integrand
+    good = np.ones((3, 2)) * (0.5 + 1j)
+    assert integrate_many(mu, f, 3, poles=good)[0].converged
+    for bad in (np.ones((2, 2)) * 1j, np.ones((3, 1)) * 1j, np.ones((3, 2)) * 0.5,
+                np.where(np.arange(6).reshape(3, 2) == 4, complex("nan"), good)):
+        with pytest.raises(DomainError):
+            integrate_many(mu, f, 3, poles=bad)
+
+
+def _lorentz_pair(w):
+    """t |-> 1/((t - w)(t - conj w)), a peak of halfwidth Im w at Re w, and
+    its integral over the line, pi / Im w."""
+    return (lambda t: 1.0 / ((t - w) * (t - w.conjugate()))), PI / w.imag
+
+
+@pytest.mark.parametrize("name", ["product", "pad", "pad_of_product"])
+def test_poles_centre_lebesgue_axes(name, cfg_nested, monkeypatch):
+    # Peaks 0.05 wide at Re t = 40, -35 and 25: centring the Lebesgue axes
+    # on them keeps the value and takes far fewer panels than the lines
+    # through 0.
+    w = (40.0 + 0.05j, -35.0 + 0.05j, 25.0 + 0.05j)
+    (f0, i0), (f1, i1), (f2, i2) = (_lorentz_pair(x) for x in w)
+    mu, want = {
+        "product": (Product((lebesgue(), lebesgue())), i0 * i1),
+        "pad": (LebesguePad(Atomic.single(2.0, 0.3), (0,), 2), 2.0 * f0(0.3) * i1),
+        "pad_of_product": (LebesguePad(Product((lebesgue(), Atomic.single(2.0, 0.3))), (1, 2), 3),
+                           i0 * i1 * 2.0 * f2(0.3)),
+    }[name]
+    fs = (f0, f1, f2)[:mu.dimension]
+
+    def f(*ts):
+        v = 1.0 + 0.0j
+        for fj, t in zip(fs, ts):
+            v = v * fj(t)
+        return v
+
+    count = [0]
+    panels = quadrature._panels
+
+    def counted(*args):
+        count[0] += 1
+        return panels(*args)
+
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    calls = {}
+    for key, poles in (("plain", None), ("poles", np.array([w[:mu.dimension]]))):
+        count[0] = 0
+        r = integrate(mu, f, cfg_nested, poles=poles)
+        calls[key] = count[0]
+        assert r.converged and abs(r.value - want) <= 1e-7 * abs(want)
+    assert calls["poles"] * 3 < calls["plain"]

@@ -1,6 +1,7 @@
 """Coefficient bijection, ladder matrix and the convex-combination transform."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,3 +174,17 @@ def test_non_finite_coefficients_rejected(ks, data):
     for strict in (True, False):
         with pytest.raises(DomainError):
             validate_convex_coefficients(ks, strict=strict)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1e-320, 0.0, -1.0],
+                         ids=["inf", "nan", "tiny", "zero", "negative"])
+def test_ladder_entry_points_reject_bad_coefficients(bad):
+    # ladder_normalization((nan, 1.0)) returned nan silently, and 1e-320
+    # (whose reciprocal overflows) gave inf/nan with RuntimeWarnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in (ladder_normalization, ladder_matrix, ladder_to_coefficients):
+            with pytest.raises(DomainError, match="ladder coefficients"):
+                entry((bad, 1.0))
+        with pytest.raises(DomainError, match="ladder coefficients"):
+            PushforwardLadder(Atomic.single(1.0, 0.0), (1.0, bad), 1.0)
