@@ -46,14 +46,13 @@ midpoint, the row is solved as two half-line rows split at the midpoint,
 each centred on its own line, and their values and error estimates are
 added; otherwise the one substitution is centred on the level's centre.
 
-A caller that knows where its test function peaks passes ``poles``: for
-each member, the pole nearest the real line in each argument.  Lines that
-sit where one argument vanishes (the two t2 lines of a planar pushforward
-with beta and delta nonzero, the Lebesgue axes of a ``Product`` or
-``LebesguePad``) then sit, row by row, where that argument equals Re p,
-|Im p| / |coefficient| wide.  Ladder lines, lines with a density and the
-lone t2 line of a planar pushforward with beta or delta 0 keep their
-layout.  Without poles the layout is the one above.
+A caller of ``integrate_many`` that knows where its test function peaks
+passes ``poles``: for each member, the pole nearest the real line in each
+argument.  The two t2 lines of a planar pushforward with beta and delta
+nonzero, which sit where an image coordinate vanishes, then sit, row by
+row, where that coordinate equals Re p, |Im p| / |coefficient| wide.  Every
+other line keeps its layout, and without poles the layout is the one
+above.
 
 Error estimates are weighted like the values they belong to: a row's
 estimate enters its member's total times the measure's scale and the
@@ -373,10 +372,10 @@ class _Line:
     ``halfwidth`` from their midpoint is solved as two half-line rows split
     there, each centred on its own line; other rows use ``centre``.
 
-    ``anchors`` holds, for the centre line (or for each split line), the
-    test-function argument j that vanishes on it and the coefficient q of
-    this level's variable in that argument.  Given poles, the line moves to
-    where argument j equals Re p_j and is |Im p_j| / |q| wide (``_layout``).
+    ``anchors``, when given, holds for each split line the test-function
+    argument j that vanishes on it and the coefficient q of this level's
+    variable in that argument.  Given poles, the line moves to where
+    argument j equals Re p_j and is |Im p_j| / |q| wide (``_layout``).
     """
 
     density: Optional[Callable] = None
@@ -445,12 +444,7 @@ def _compile(mu: Measure) -> _Plan:
         return _Plan((_Line(),) * mu.dim, _eye(mu.dim), mu.density, mu.dim)
 
     if isinstance(mu, Product):
-        # Factor i's variable is argument i; a Lebesgue factor's line is
-        # anchored there.
         levels = tuple(_one_dimensional_level(f, "product factors") for f in mu.factors)
-        levels = tuple(replace(v, anchors=((i, 1.0),))
-                       if isinstance(v, _Line) and v.density is None else v
-                       for i, v in enumerate(levels))
         return _Plan(levels, _eye(len(levels)))
 
     if isinstance(mu, Pushforward2D):
@@ -510,8 +504,7 @@ def _compile(mu: Measure) -> _Plan:
         rows.update((axis, ((nv + p, 1.0),)) for p, axis in enumerate(pad))
         levels = tuple(replace(v, anchors=tuple((mu.axes[j], q) for j, q in v.anchors))
                        if isinstance(v, _Line) and v.anchors else v for v in inner.levels)
-        return _Plan(levels + tuple(_Line(anchors=((axis, 1.0),)) for axis in pad),
-                     tuple(rows[axis] for axis in range(mu.dim)),
+        return _Plan(levels + (_Line(),) * len(pad), tuple(rows[axis] for axis in range(mu.dim)),
                      inner.density, inner.density_dim, inner.scale)
 
     raise DomainError(f"unknown measure variant {type(mu).__name__}")
@@ -589,19 +582,16 @@ def _layout(level: _Line, vals: list, poles: Optional[np.ndarray]):
     ``vals``: (centre, halfwidth, lines), ``lines`` None or the two centre
     lines as (centre, halfwidth) pairs; each a scalar or one entry per row.
 
-    ``poles``, one row per level row, moves every anchored line to where its
-    argument equals the real part of the row's pole, |Im p| / |q| wide; two
-    such lines share their midpoint as centre and the larger halfwidth.
+    ``poles``, one row per level row, moves both anchored lines to where
+    their arguments equal the real parts of the row's poles, |Im p| / |q|
+    wide; they share their midpoint as centre and the larger halfwidth.
     """
     if poles is None or not level.anchors:
         lines = None if level.split is None else tuple((_form(f, vals), w) for f, w in level.split)
         return _form(level.centre, vals), level.halfwidth, lines
-    forms = (level.centre,) if level.split is None else tuple(f for f, _ in level.split)
-    lines = tuple((_form(f, vals) + poles[:, j].real / q, np.abs(poles[:, j].imag / q))
-                  for f, (j, q) in zip(forms, level.anchors))
-    if len(lines) == 1:
-        return lines[0][0], lines[0][1], None
-    (c1, w1), (c2, w2) = lines
+    (c1, w1), (c2, w2) = lines = tuple(
+        (_form(f, vals) + poles[:, j].real / q, np.abs(poles[:, j].imag / q))
+        for (f, _), (j, q) in zip(level.split, level.anchors))
     return 0.5 * (c1 + c2), np.maximum(w1, w2), lines
 
 
@@ -689,12 +679,11 @@ def integrate_many(mu: Measure, f: Callable, m: int, cfg: Configs = DEFAULT_CONF
     such configs must agree on ``max_subdivisions`` and
     ``divergence_threshold``, and each member is solved at its own
     tolerances.  ``poles``, an (m, dimension) array, names the pole of
-    member k's test function nearest the real line in each argument: line
-    levels whose centre is where one argument vanishes (the two t2 lines of
-    a ``Pushforward2D`` with beta and delta nonzero, the Lebesgue axes of a
-    ``Product`` or ``LebesguePad``) are centred where that argument equals
-    Re p instead, |Im p| / |coefficient| wide.  Poles shape only the node
-    layout.
+    member k's test function nearest the real line in each argument: the
+    two t2 lines of a ``Pushforward2D`` with beta and delta nonzero, which
+    sit where an image coordinate vanishes, are centred where that
+    coordinate equals Re p instead, |Im p| / |coefficient| wide.  Poles
+    shape only the node layout.
     """
     if m < 0:
         raise DomainError("need a nonnegative member count")
@@ -703,16 +692,15 @@ def integrate_many(mu: Measure, f: Callable, m: int, cfg: Configs = DEFAULT_CONF
     return _integrate(mu, lambda args, k, rows, table: f(*args, table[0][k[rows]]), m, cfg, poles)
 
 
-def integrate(mu: Measure, f: Callable, cfg: QuadratureConfig = DEFAULT_CONFIG, *,
-              poles=None) -> QuadratureResult:
+def integrate(mu: Measure, f: Callable,
+              cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """Integral of ``f`` against ``mu``: ``integrate_many`` with one member.
 
     ``f`` takes ``mu.dimension`` positional arguments and must broadcast when
     any of them arrives as an array; arrays passed together have one length.
-    ``poles`` is ``integrate_many``'s, of shape (1, dimension).  Divergence
-    is reported through the result, not raised.
+    Divergence is reported through the result, not raised.
     """
-    return _integrate(mu, lambda args, k, rows, table: f(*args), 1, cfg, poles)[0]
+    return _integrate(mu, lambda args, k, rows, table: f(*args), 1, cfg, None)[0]
 
 
 def _member_configs(cfg: Configs, m: int) -> tuple[QuadratureConfig, Optional[list[QuadratureConfig]]]:

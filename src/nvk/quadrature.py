@@ -178,28 +178,29 @@ def _panel_block(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     if y.shape != (x.size,):
         y = np.broadcast_to(y, (x.size,))
     y = y.reshape(x.shape)
-    # BLAS sums the last (rows mod 4) rows of a product with another kernel,
-    # which rounds differently.  Zero panels that pad the block to a
-    # multiple of four keep every panel on one kernel, so a panel's sums do
-    # not depend on the other panels of its block.
-    p, pad = a.size, -a.size % 4
-    if pad:
-        y = np.concatenate((y, np.zeros((pad, _XK.size), dtype=complex)))
-        h, d = (np.concatenate((v, np.ones(pad))) for v in (h, d))
-    mags = np.abs(y)
-    resabs = h * np.dot(mags, _WK)
+    resabs = h * _node_sums(np.abs(y), _WK)
     if not math.isfinite(np.add.reduce(resabs)):
         raise IntegrandError("integrand not finite")
-    kd = np.dot(y, _WKD)
+    kd = _node_sums(y, _WKD)
     ik = h * kd[:, 0]
     diff = np.abs(h * kd[:, 1])
     # QUADPACK-style estimate: scale the raw Gauss/Kronrod difference by the
     # variation of the integrand so that non-smooth panels are not trusted.
-    resasc = h * np.dot(np.abs(y - (ik / d)[:, None]), _WK)
+    resasc = h * _node_sums(np.abs(y - (ik / d)[:, None]), _WK)
     rough = resasc > 0.0
     ratio = 200.0 * diff / np.where(rough, resasc, 1.0)
     err = np.where(rough, resasc * np.minimum(1.0, ratio ** 1.5), diff)
-    return ik[:p], np.maximum(err, 1e-15 * resabs)[:p]
+    return ik, np.maximum(err, 1e-15 * resabs)
+
+
+def _node_sums(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row p of ``y`` times the weights ``w`` (a vector or a matrix), for
+    every panel p.  The rows go to ``matmul`` as a stack of one-row
+    matrices, which it multiplies one at a time.  The product of the whole
+    matrix would go to BLAS in one call, which blocks rows and rounds the
+    last rows of a block differently; this way a panel's sums do not depend
+    on the other panels of its block."""
+    return np.matmul(y[:, None, :], w)[:, 0]
 
 
 def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,

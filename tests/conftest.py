@@ -1,9 +1,16 @@
 import math
+import os
+import pathlib
 
 import pytest
 
 from nvk.measures import Atomic
 from nvk.quadrature import QuadratureConfig
+
+# pytest puts src/ on this process's path (pyproject's ``pythonpath``); tests
+# that start ``python -m nvk.cli`` in a subprocess need it there too.
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

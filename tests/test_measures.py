@@ -26,7 +26,6 @@ from nvk.measures import (
     mass,
     zero_measure,
 )
-import nvk.quadrature as quadrature
 from nvk.quadrature import QuadratureConfig
 
 PI = math.pi
@@ -408,47 +407,3 @@ def test_poles_must_match_members_and_lie_off_the_line():
                 np.where(np.arange(6).reshape(3, 2) == 4, complex("nan"), good)):
         with pytest.raises(DomainError):
             integrate_many(mu, f, 3, poles=bad)
-
-
-def _lorentz_pair(w):
-    """t |-> 1/((t - w)(t - conj w)), a peak of halfwidth Im w at Re w, and
-    its integral over the line, pi / Im w."""
-    return (lambda t: 1.0 / ((t - w) * (t - w.conjugate()))), PI / w.imag
-
-
-@pytest.mark.parametrize("name", ["product", "pad", "pad_of_product"])
-def test_poles_centre_lebesgue_axes(name, cfg_nested, monkeypatch):
-    # Peaks 0.05 wide at Re t = 40, -35 and 25: centring the Lebesgue axes
-    # on them keeps the value and takes far fewer panels than the lines
-    # through 0.
-    w = (40.0 + 0.05j, -35.0 + 0.05j, 25.0 + 0.05j)
-    (f0, i0), (f1, i1), (f2, i2) = (_lorentz_pair(x) for x in w)
-    mu, want = {
-        "product": (Product((lebesgue(), lebesgue())), i0 * i1),
-        "pad": (LebesguePad(Atomic.single(2.0, 0.3), (0,), 2), 2.0 * f0(0.3) * i1),
-        "pad_of_product": (LebesguePad(Product((lebesgue(), Atomic.single(2.0, 0.3))), (1, 2), 3),
-                           i0 * i1 * 2.0 * f2(0.3)),
-    }[name]
-    fs = (f0, f1, f2)[:mu.dimension]
-
-    def f(*ts):
-        v = 1.0 + 0.0j
-        for fj, t in zip(fs, ts):
-            v = v * fj(t)
-        return v
-
-    count = [0]
-    panels = quadrature._panels
-
-    def counted(*args):
-        count[0] += 1
-        return panels(*args)
-
-    monkeypatch.setattr(quadrature, "_panels", counted)
-    calls = {}
-    for key, poles in (("plain", None), ("poles", np.array([w[:mu.dimension]]))):
-        count[0] = 0
-        r = integrate(mu, f, cfg_nested, poles=poles)
-        calls[key] = count[0]
-        assert r.converged and abs(r.value - want) <= 1e-7 * abs(want)
-    assert calls["poles"] * 3 < calls["plain"]

@@ -263,6 +263,25 @@ def test_rows_beyond_one_panel_block_match_one_at_a_time():
         assert abs(batch.value[i] - one.value) <= 1e-13 * abs(one.value)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 9, 255, 256])
+def test_panel_sums_do_not_depend_on_the_block(size):
+    # Every panel of a block equals its own one-panel call bit for bit, for
+    # block sizes on both sides of the multiples of four that BLAS blocks
+    # rows by.
+    from nvk.quadrature import _panel_block
+
+    rng = np.random.default_rng(size)
+    a = rng.uniform(-5.0, 5.0, size)
+    b = a + rng.uniform(1e-3, 3.0, size)
+    scale = 10.0 ** rng.integers(-6, 6, size)
+    g = lambda x, rows: scale[rows] / (x - 0.3 - 0.05j) ** 2 + np.exp(1j * x * rows)
+    rows = np.arange(size)
+    v, e = _panel_block(g, a, b, rows)
+    for p in range(size):
+        v1, e1 = _panel_block(g, a[p:p + 1], b[p:p + 1], rows[p:p + 1])
+        assert v1[0] == v[p] and e1[0] == e[p]
+
+
 def test_rows_on_own_segments_match_integrate_segment():
     lo = np.array([-math.inf, -math.inf, 0.0, -1.0, 2.0, -math.inf])
     hi = np.array([math.inf, 0.5, math.inf, 3.0, 2.5, -4.0])
