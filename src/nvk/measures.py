@@ -20,9 +20,9 @@ Variants
                       the inner measure's.
 
 Integration order is part of each variant's definition and is never
-reversed.  Test functions receive one argument per axis and must broadcast
-when any argument arrives as an array; arrays passed together have one
-length.
+reversed.  Test functions and densities receive one argument per axis and
+must broadcast when any argument arrives as an array; arguments passed
+together broadcast against each other, but need not share one shape.
 
 Every variant but ``Atomic`` (summed exactly) compiles to one plan: its
 one-dimensional levels, outermost first, each a set of atoms or a line
@@ -31,9 +31,13 @@ the test function's arguments; an optional joint density; and a scale.
 One walker runs every plan.  Each line level is one row-batched solve
 (``integrate_rows``): the inner integrals for all nodes of the level above,
 and for all atoms of an atomic level, are the rows of a single adaptive
-pass, so outer coordinates reach the test function as arrays as long as the
-innermost variable's nodes.  Level i runs at ``cfg.tighter(0.1**i)``, the
-outermost at ``cfg``.
+pass.  That solve hands each block of panels over node-major: at the
+innermost level the test function gets the innermost variable as a (15, P)
+array of nodes, and the outer variables, every argument free of the
+innermost variable and the member indices once per panel, as (P,) arrays
+that broadcast along the node axis.  A level above the innermost flattens
+its nodes, panel by panel, into the rows of the next level's solve.  Level
+i runs at ``cfg.tighter(0.1**i)``, the outermost at ``cfg``.
 
 A line level's node layout is data: a centre (a linear form in the outer
 level variables) with a halfwidth and, for a variable that enters two
@@ -627,9 +631,15 @@ def _walk(run: _Run, i: int, vals: list, k: np.ndarray, table) -> np.ndarray:
     dens = level.density
 
     def g(x, rows):
-        sub = [t[rows] for t in vals] + [x]
-        v = (plan.evaluate(run.call, sub, k, rows, table) if last
-             else _walk(run, i + 1, sub, k[rows], table))
+        # x is a (15, P) block of nodes and rows has one row per panel: the
+        # outer variables are gathered per panel and broadcast over nodes.
+        if last:
+            v = plan.evaluate(run.call, [t[rows] for t in vals] + [x], k, rows, table)
+        else:
+            # The next level's rows are the nodes, panel by panel.
+            nodes = x.shape[0]
+            v = _walk(run, i + 1, [t[rows].repeat(nodes) for t in vals] + [x.T.ravel()],
+                      k[rows].repeat(nodes), table).reshape(-1, nodes).T
         return v * np.asarray(dens(x)) if dens is not None else v
 
     near, width, lines = _layout(level, vals, None if run.poles is None else run.poles[table[0][k]])
@@ -671,9 +681,12 @@ def integrate_many(mu: Measure, f: Callable, m: int, cfg: Configs = DEFAULT_CONF
 
     ``f`` takes ``mu.dimension`` coordinates followed by an integer array of
     member indices, and must broadcast when any argument arrives as an
-    array.  The members are the outermost rows of every batched solve; each
-    keeps its own error estimate and flags, and one whose integral diverges
-    reports ``(nan, inf, False, True)`` without disturbing the others.
+    array; the arguments broadcast against each other (the innermost
+    variable may arrive as a (15, P) array and the others as (P,) arrays,
+    see the module docstring).  The members are the outermost rows of every
+    batched solve; each keeps its own error estimate and flags, and one
+    whose integral diverges reports ``(nan, inf, False, True)`` without
+    disturbing the others.
 
     ``cfg`` is one config for all members or a sequence of one per member;
     such configs must agree on ``max_subdivisions`` and
@@ -697,7 +710,8 @@ def integrate(mu: Measure, f: Callable,
     """Integral of ``f`` against ``mu``: ``integrate_many`` with one member.
 
     ``f`` takes ``mu.dimension`` positional arguments and must broadcast when
-    any of them arrives as an array; arrays passed together have one length.
+    any of them arrives as an array; the arguments broadcast against each
+    other, as in ``integrate_many``.
     Divergence is reported through the result, not raised.
     """
     return _integrate(mu, lambda args, k, rows, table: f(*args), 1, cfg, None)[0]

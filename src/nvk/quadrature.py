@@ -8,21 +8,27 @@ theta-interval, so indicator-type integrands and box masses reuse one code
 path.
 
 One row-batched engine does all the work.  ``integrate_rows`` solves many
-integrals at once: its integrand ``f(x, rows)`` receives a flat array of
-nodes and, for each node, the index of the row (integral) it belongs to.
-Every row has its own segment [lo, hi] (the whole line unless stated), its
-own substitution centre and halfwidth and, when given, its own tolerances;
-it keeps its own panels, running total and error and stops by its own rules
-(tolerance met, total past the divergence threshold, subdivision cap, noise
-floor).  The initial panels of all rows are evaluated first; after that
-each round splits the worst panel of every row still running and evaluates
-all new panels.  A batch of panels goes to ``f`` in blocks of at most
-``_PANEL_BLOCK`` panels, sized so that one call's arrays stay in a per-core
-L2 cache.  A row's arithmetic does not depend on the other rows of its
-batch or on the blocking, so a row solved alone returns the same bits.  A
-nest level whose integrand is itself an integral thus evaluates all of its
-nodes with a few large batched inner solves per round.  ``integrate_line`` and
-``integrate_segment`` are the one-row case.
+integrals at once: its integrand ``f(x, rows)`` receives a block of panels
+laid out node-major, the nodes ``x`` with shape (15, P) (column p holds
+panel p's nodes) and ``rows`` with shape (P,), the row (integral) of each
+panel.  Per-row data is thus gathered once per panel, as ``data[rows]``,
+and broadcast along the node axis, and elementwise arithmetic runs over P
+contiguous elements at a time.  Every row has its own segment [lo, hi]
+(the whole line unless stated), its own substitution centre and halfwidth
+and, when given, its own tolerances; it keeps its own panels, running
+total and error and stops by its own rules (tolerance met, total past the
+divergence threshold, subdivision cap, noise floor).  The initial panels
+of all rows are evaluated first; after that each round splits the worst
+panel of every row still running and evaluates all new panels.  A batch of
+panels goes to ``f`` in blocks of at most ``_PANEL_BLOCK`` panels, sized
+so that one call's arrays stay in a per-core L2 cache; each panel's sums
+then run on a panel-major copy of the block's values.  A row's arithmetic
+does not depend on the other rows of its batch or on the blocking, so a
+row solved alone returns the same bits.  A nest level whose integrand is
+itself an integral thus evaluates all of its nodes with a few large
+batched inner solves per round.  ``integrate_line`` and
+``integrate_segment`` are the one-row case; their integrands keep the 1-d
+elementwise contract and see each block's nodes as one flat array.
 
 Divergence cannot be proven numerically.  It is declared heuristically:
 when the adaptive pass of a row with an infinite end fails to settle,
@@ -145,11 +151,12 @@ _ROW_CHUNK = 1024
 # One block is 3,840 nodes, so the node arrays and the integrand's
 # temporaries of one call (a kernel keeps several complex arrays of that
 # length, 60 KB each) stay inside a 2 MiB per-core L2 cache instead of
-# streaming through memory.  On a 2-vCPU Xeon with 2 MiB L2 per core, nested
-# ladder evaluations ran at 0.72x the unblocked time with blocks of 256
-# panels, against 0.88-0.90x at 128, 0.69-1.00x at 512 and 0.89-0.93x at
-# 1024.  A block holds more nodes than ``_ROW_CHUNK`` rows, so the inner
-# solve that one block feeds still runs in chunks of full size.
+# streaming through memory.  With node-major blocks, on a 2-vCPU Xeon with
+# 2 MiB L2 per core, blocks of 128 panels took 1.18x the time of 256 on the
+# benchmark's convex_atomic ops and 1.06x on its ladder_verify ops, and
+# blocks of 512 took 1.21x and 1.03x (in process, medians of 15 interleaved
+# passes over 60 ops).  A block holds more nodes than ``_ROW_CHUNK`` rows,
+# so the inner solve that one block feeds still runs in chunks of full size.
 _PANEL_BLOCK = 256
 
 # Rounds over which a row's error estimate must drop by 2% (noise floor).
@@ -173,11 +180,12 @@ def _panel_block(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     """The panels of ``_panels`` in one call of ``g``."""
     d = b - a
     h = 0.5 * d
-    x = (0.5 * (a + b))[:, None] + h[:, None] * _XK
-    y = np.asarray(g(x.ravel(), rows.repeat(_XK.size)), dtype=complex)
-    if y.shape != (x.size,):
-        y = np.broadcast_to(y, (x.size,))
-    y = y.reshape(x.shape)
+    x = 0.5 * (a + b) + h * _XK[:, None]
+    y = np.asarray(g(x, rows), dtype=complex)
+    if y.shape != x.shape:
+        y = np.broadcast_to(y, x.shape)
+    # The sums below run panel by panel, on a panel-major copy.
+    y = np.ascontiguousarray(y.T)
     resabs = h * _node_sums(np.abs(y), _WK)
     if not math.isfinite(np.add.reduce(resabs)):
         raise IntegrandError("integrand not finite")
@@ -209,7 +217,8 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
     and ``hi`` are shared scalars or arrays with one entry per row, and so
     are ``rel_tol`` and ``abs_tol`` when given in place of ``cfg``'s.
 
-    ``g(x, rows)`` evaluates node ``x[i]`` of row ``rows[i]``.  Returns the
+    ``g(x, rows)`` evaluates the (15, P) nodes ``x`` of P panels, panel p
+    in row ``rows[p]``, as in ``integrate_rows``.  Returns the
     arrays (value, error, converged, suspect), where ``suspect`` means the
     row's running total blew past the divergence threshold.
 
@@ -318,17 +327,19 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
 
 
 def _composite(f: Callable, a: np.ndarray, b: np.ndarray) -> complex:
-    """Sum of one Gauss-Kronrod panel of ``f(x)`` on each [a[p], b[p]]."""
-    v, _ = _panels(lambda x, rows: f(x), a, b, np.zeros(a.size, dtype=int))
+    """Sum of one Gauss-Kronrod panel of ``f(x, rows)`` on each [a[p], b[p]],
+    all of them in row 0."""
+    v, _ = _panels(f, a, b, np.zeros(a.size, dtype=int))
     return complex(v.sum())
 
 
 def _windows_grow(f: Callable, cfg: QuadratureConfig, lo: float = -math.inf,
                   hi: float = math.inf) -> bool:
-    """True when partial integrals over the windows [c - 2^j, c + 2^j], cut to
-    the segment [lo, hi], exceed the divergence threshold while growing
-    monotonically across doublings.  The anchor c is the segment's finite
-    end, or 0 on the whole line, so every window overlaps the segment.
+    """True when partial integrals of ``f(x, rows)`` (every panel in row 0)
+    over the windows [c - 2^j, c + 2^j], cut to the segment [lo, hi],
+    exceed the divergence threshold while growing monotonically across
+    doublings.  The anchor c is the segment's finite end, or 0 on the whole
+    line, so every window overlaps the segment.
 
     The windows are accumulated as a core piece plus dyadic shells so the
     fixed panel count stays adequate at every scale.  A shell that adds no
@@ -383,6 +394,7 @@ def _solve(f: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
     c_rows, w_rows = np.ndim(center) > 0, np.ndim(halfwidth) > 0
 
     def g(theta, rows):
+        # One centre and halfwidth per panel, broadcast over its nodes.
         u = np.tan(theta)
         c = center[rows] if c_rows else center
         w = halfwidth[rows] if w_rows else halfwidth
@@ -408,7 +420,7 @@ def _solve(f: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
         for row in np.flatnonzero(scan):
             row_cfg = cfg if not np.ndim(rel_tol) else replace(
                 cfg, rel_tol=float(rel_tol[row]), abs_tol=float(abs_tol[row]))
-            diverged[row] = _windows_grow(lambda x: f(x, np.full(x.shape, row)), row_cfg,
+            diverged[row] = _windows_grow(lambda x, rows: f(x, rows + row), row_cfg,
                                           lo_rows[row], hi_rows[row])
         err[diverged] = math.inf
     return RowResults(value, err, converged, diverged)
@@ -419,9 +431,12 @@ def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONF
                    rel_tol=None, abs_tol=None) -> RowResults:
     """``nrows`` integrals over the segments [lo, hi] in one batched solve.
 
-    ``f(x, rows)`` receives a 1-d array of nodes and an equally long integer
-    array naming the row of each node, and returns the integrand at every
-    node.  ``lo``, ``hi``, ``center`` and ``halfwidth`` are scalars or
+    ``f(x, rows)`` receives a block of P panels: the nodes ``x``, a (15, P)
+    array whose column p holds panel p's nodes, and ``rows``, a (P,)
+    integer array naming the row of each panel.  It returns the integrand at
+    every node, as any value that broadcasts to ``x``'s shape: a (15, P)
+    array, a (P,) array with one value per panel (``c[rows]``), or a
+    scalar.  ``lo``, ``hi``, ``center`` and ``halfwidth`` are scalars or
     arrays with one entry per row; either end of a segment may be infinite
     (the default is the whole line).  Like in ``integrate_line``, ``center``
     and ``halfwidth`` only shape the node layout, but a segment more than
@@ -462,7 +477,8 @@ def integrate_line(f: Callable, cfg: QuadratureConfig = DEFAULT_CONFIG, *,
                    center: float = 0.0, halfwidth: float = 1.0) -> QuadratureResult:
     """Integral of a complex-valued ``f`` over the whole real line.
 
-    ``f`` must accept a float or a 1-d numpy array and evaluate elementwise.
+    ``f`` must accept a float or a 1-d numpy array and evaluate elementwise;
+    it may also return a scalar, which counts as constant.
     ``center`` and ``halfwidth`` shift and stretch the compactifying
     substitution; they do not change the value, only how well the node
     layout matches where the integrand actually lives.
@@ -479,7 +495,13 @@ def integrate_segment(f: Callable, lo: float, hi: float,
         raise DomainError("segment endpoints must satisfy lo <= hi")
     if lo == hi:
         return QuadratureResult(0.0 + 0.0j, 0.0, True, False)
-    r = integrate_rows(lambda x, rows: f(x), 1, cfg, center=center, halfwidth=halfwidth,
-                       lo=lo, hi=hi)
+
+    def flat(x, rows):
+        # ``f`` sees the block's nodes as one 1-d view; a full-size result
+        # goes back to the block's shape, also as a view.
+        y = f(x.reshape(-1))
+        return y if np.size(y) == 1 else np.reshape(y, x.shape)
+
+    r = integrate_rows(flat, 1, cfg, center=center, halfwidth=halfwidth, lo=lo, hi=hi)
     return QuadratureResult(complex(r.value[0]), float(r.error_estimate[0]),
                             bool(r.converged[0]), bool(r.diverged[0]))

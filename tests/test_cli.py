@@ -220,6 +220,31 @@ def test_verify_unknown_suite_usage_error():
     assert rc == 2
 
 
+def test_main_builds_its_parser_once(inverse_descriptor, monkeypatch, capsys):
+    from nvk import cli
+
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["verify", "--suite", "bogus"]) == 2
+            assert main(["classify", "--mu", inverse_descriptor]) == 2
+            assert run_main(["eval", inverse_descriptor, "--z", "0+1i"])[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    err = capsys.readouterr().err
+    assert err.count("invalid choice: 'bogus'") == 3
+    assert err.count("the following arguments are required: --alpha") == 3
+
+
 def test_entry_point_subprocess(inverse_descriptor):
     proc = subprocess.run(
         [sys.executable, "-m", "nvk.cli", "eval", inverse_descriptor, "--z", "0+1i"],

@@ -240,6 +240,33 @@ def test_integrate_many_matches_per_member(name, cfg_nested):
         assert abs(got.error_estimate - want.error_estimate) <= 1e-13 * abs(want.value)
 
 
+# At the innermost level the test function gets the innermost variable as a
+# (15, P) block of nodes, and what is constant along a panel once per panel:
+# member indices and every argument free of the innermost variable.  Flags
+# mark the arguments that arrive once per panel.
+_PER_PANEL_ARGS = {
+    "product": (Product((lebesgue(), lebesgue())), (True, False)),
+    "ladder": (PushforwardLadder(Atomic((((0.2,), 1.0),)), (1.0, 0.5), 0.7), (True, False, False)),
+    "pushforward2d": (Pushforward2D(_CAUCHY, 1, 0, 1, 2), (True, False)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PER_PANEL_ARGS))
+def test_innermost_level_gets_row_data_once_per_panel(name, cfg_nested):
+    mu, per_panel = _PER_PANEL_ARGS[name]
+    calls = []
+
+    def f(*args):
+        *ts, k = args
+        panels = k.shape[0]
+        calls.append([np.shape(t) for t in ts] + [k.shape])
+        assert calls[-1] == [(panels,) if once else (15, panels) for once in per_panel] + [(panels,)]
+        return _member_integrand(*args)
+
+    many = integrate_many(mu, f, _W.size, cfg_nested)
+    assert calls and all(r.converged for r in many)
+
+
 def test_integrate_many_diverging_member_leaves_others(cfg):
     # Member 1's inner integrand does not decay for t1 > 2 only.
     mu = Product((_CAUCHY, lebesgue()))

@@ -346,3 +346,44 @@ def test_segment_the_substitution_cannot_resolve_is_rejected(f, lo, hi):
         integrate_segment(f, lo, hi)
     with pytest.raises(DomainError):
         integrate_rows(lambda x, rows: f(x), 2, lo=np.array([0.0, lo]), hi=np.array([1.0, hi]))
+
+
+def test_rows_integrand_gets_node_major_blocks():
+    # Each call hands a (15, P) block of nodes, node-major, and one row index
+    # per panel; node j of panel p lies in panel p's segment.
+    seen = []
+    c = np.array([0.5, -1.0, 2.0])
+
+    def f(x, rows):
+        seen.append((x.shape, rows.shape))
+        assert x.ndim == 2 and x.shape[0] == 15 and rows.shape == (x.shape[1],)
+        return 1.0 / (1.0 + (x - c[rows]) ** 2)
+
+    r = integrate_rows(f, c.size, lo=np.array([-math.inf, 0.0, 1.0]), hi=np.array([math.inf, 3.0, math.inf]))
+    assert r.converged.all() and seen
+    assert abs(r.value[0] - math.pi) < 1e-12
+    assert abs(r.value[1] - (math.atan(4.0) - math.atan(1.0))) < 1e-12
+    assert abs(r.value[2] - (0.5 * math.pi - math.atan(-1.0))) < 1e-12
+
+
+def test_rows_integrand_may_return_a_scalar_or_one_value_per_row():
+    c = np.array([2.0, -0.5, 3.0])
+    lo, hi = np.array([0.0, -1.0, 2.0]), np.array([1.0, 3.0, 2.5])
+    r = integrate_rows(lambda x, rows: 2.0, c.size, lo=lo, hi=hi)
+    assert r.converged.all() and np.allclose(r.value, 2.0 * (hi - lo), rtol=1e-13)
+    r = integrate_rows(lambda x, rows: c[rows], c.size, lo=lo, hi=hi)
+    assert r.converged.all() and np.allclose(r.value, c * (hi - lo), rtol=1e-13)
+    seg = integrate_segment(lambda x: 2.0, -1.0, 3.0)
+    assert seg.converged and abs(seg.value - 8.0) < 1e-12
+
+
+def test_segment_integrand_gets_flat_nodes():
+    shapes = set()
+
+    def f(x):
+        shapes.add(x.shape)
+        return 1.0 / (1.0 + x * x)
+
+    r = integrate_segment(f, 0.0, math.inf)
+    assert r.converged and abs(r.value - 0.5 * math.pi) < 1e-12
+    assert shapes and all(len(s) == 1 and s[0] % 15 == 0 for s in shapes)
