@@ -30,14 +30,13 @@ batched inner solves per round.  ``integrate_line`` and
 ``integrate_segment`` are the one-row case; their integrands keep the 1-d
 elementwise contract and see each block's nodes as one flat array.
 
-Divergence cannot be proven numerically.  It is declared heuristically:
-when the adaptive pass of a row with an infinite end fails to settle,
-partial integrals over the windows [c - 2^j, c + 2^j], cut to the row's
-segment and anchored at its finite end c (0 on the whole line), are
-compared across doublings, and monotone growth past
-``divergence_threshold`` flags that row as divergent.  Integrands that
-oscillate themselves to a conditionally finite value are outside the scope
-of the detector.
+Divergence cannot be proven numerically.  It is declared heuristically,
+from how the integral grows rather than how large it gets: the rows that
+fail to settle on a segment with an infinite end are scanned together over
+dyadic shells around the segment's finite end (0 on the whole line), and
+a row whose outermost shells keep adding as much as the shells inside
+them is flagged (``_diverging``).  Integrands that oscillate themselves to
+a conditionally finite value are outside the scope of the detector.
 
 Iterated integrals are measure integrals: ``measures.integrate`` against a
 ``Product`` of Lebesgue factors runs one ``integrate_rows`` solve per nest
@@ -48,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -78,8 +78,12 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise DomainError("tolerances must be positive and finite")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
+        m = self.max_subdivisions
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise DomainError("max_subdivisions must be an integer >= 1")
+        # +inf means that no row stops early on its total; NaN would too, silently.
+        if not self.divergence_threshold > 0:
+            raise DomainError("divergence_threshold must be positive (or +inf)")
 
     def tighter(self, factor: float = 0.1) -> "QuadratureConfig":
         """Config for a nested (inner) integral; clamped at round-off level."""
@@ -326,59 +330,46 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
         fa[new], fb[new], fv[new], fk[new] = left, right, v, k
 
 
-def _composite(f: Callable, a: np.ndarray, b: np.ndarray) -> complex:
-    """Sum of one Gauss-Kronrod panel of ``f(x, rows)`` on each [a[p], b[p]],
-    all of them in row 0."""
-    v, _ = _panels(f, a, b, np.zeros(a.size, dtype=int))
-    return complex(v.sum())
+# The divergence scan of a row with an infinite end runs around the row's
+# anchor c (its finite end, or 0 on the whole line) over shell 0, the core
+# |x - c| <= 1, and the shells 2^(j-1) <= |x - c| <= 2^j, j = 1..27, each in
+# 8 panels a side and cut to the row's segment.  Row j of ``_SCAN_EDGES``
+# holds shell j's edges on the positive side, as offsets from c.
+_SHELLS = 27
+_SCAN_EDGES = np.vstack((np.linspace(0.0, 1.0, 9),
+                         2.0 ** np.arange(_SHELLS)[:, None] * np.linspace(1.0, 2.0, 9)))
+_SCAN_LO = np.hstack((_SCAN_EDGES[:, :-1], -_SCAN_EDGES[:, 1:])).ravel()
+_SCAN_HI = np.hstack((_SCAN_EDGES[:, 1:], -_SCAN_EDGES[:, :-1])).ravel()
+# Outermost shells that must each add at least what the shell inside adds.
+# For f ~ C |x|^-p, shell j adds C' 2^(j(1-p)), so the run holds for
+# every shell exactly when p <= 1, whatever C; four shells rather than one
+# keep an integrand that merely has a bump or a sign change far out (a
+# shell that happens to add more than the one inside it) from passing.
+_GROWTH_RUN = 4
 
 
-def _windows_grow(f: Callable, cfg: QuadratureConfig, lo: float = -math.inf,
-                  hi: float = math.inf) -> bool:
-    """True when partial integrals of ``f(x, rows)`` (every panel in row 0)
-    over the windows [c - 2^j, c + 2^j], cut to the segment [lo, hi],
-    exceed the divergence threshold while growing monotonically across
-    doublings.  The anchor c is the segment's finite end, or 0 on the whole
-    line, so every window overlaps the segment.
-
-    The windows are accumulated as a core piece plus dyadic shells so the
-    fixed panel count stays adequate at every scale.  A shell that adds no
-    panel (its part of the segment is empty at floating-point resolution)
-    counts neither as settling nor as growth.
-    """
-    c = lo if lo > -math.inf else (hi if hi < math.inf else 0.0)
-
-    def piece(a: np.ndarray, b: np.ndarray):
-        if lo == -math.inf and hi == math.inf:
-            return _composite(f, a, b)
-        a, b = np.clip(c + a, lo, hi), np.clip(c + b, lo, hi)
-        keep = a < b
-        return _composite(f, a[keep], b[keep]) if keep.any() else None
-
-    core = np.linspace(-1.0, 1.0, 17)
-    partial = piece(core[:-1], core[1:]) or 0j
-    mags = [abs(partial)]
-    settled = 0
-    for j in range(1, 28):
-        shell = np.linspace(2.0 ** (j - 1), 2.0 ** j, 9)
-        added = piece(np.concatenate((shell[:-1], -shell[1:])),
-                      np.concatenate((shell[1:], -shell[:-1])))
-        if added is None:
-            continue
-        partial += added
-        mag = abs(partial)
-        mags.append(mag)
-        if abs(mag - mags[-2]) <= max(cfg.abs_tol, 10.0 * cfg.rel_tol * mag):
-            settled += 1
-            if settled >= 2:
-                return False
-        else:
-            settled = 0
-        if mag > cfg.divergence_threshold and len(mags) >= 4:
-            recent = mags[-6:]
-            if all(x <= y * (1.0 + 1e-9) for x, y in zip(recent, recent[1:])):
-                return True
-    return False
+def _diverging(f: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               rel_tol: np.ndarray, abs_tol: np.ndarray) -> np.ndarray:
+    """For each of ``rows`` (with their segments and tolerances), whether
+    each of the outermost ``_GROWTH_RUN`` shells of its scan adds at least
+    what the shell inside it adds, and more than the row's tolerance on the
+    partial integral so far.  All rows' panels go to ``f(x, rows)`` in one
+    ``_panels`` call."""
+    c = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))[:, None]
+    a = np.clip(c + _SCAN_LO, lo[:, None], hi[:, None])
+    b = np.clip(c + _SCAN_HI, lo[:, None], hi[:, None])
+    keep = a < b  # a shell part off the segment holds no panel
+    v, _ = _panels(f, a[keep], b[keep], np.broadcast_to(rows[:, None], a.shape)[keep])
+    # 16 panels per shell, so a panel's flat index // 16 is its (row, shell).
+    slot, size = np.flatnonzero(keep) // 16, rows.size * (_SHELLS + 1)
+    shells = (np.bincount(slot, v.real, size)
+              + 1j * np.bincount(slot, v.imag, size)).reshape(rows.size, -1)
+    partial = np.abs(np.cumsum(shells, axis=1)[:, -_GROWTH_RUN:])
+    added = np.abs(shells[:, -_GROWTH_RUN - 1:])
+    # Equal shells (p = 1) may differ by round-off.
+    grows = added[:, 1:] >= (1.0 - 1e-9) * added[:, :-1]
+    sizeable = added[:, 1:] > np.maximum(abs_tol[:, None], rel_tol[:, None] * partial)
+    return np.all(grows & sizeable, axis=1)
 
 
 def _solve(f: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
@@ -412,17 +403,15 @@ def _solve(f: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
                                                rel_tol=rel_tol, abs_tol=abs_tol)
     diverged = np.zeros(nrows, dtype=bool)
     if not converged.all():
-        # A near-zero non-converged estimate cannot hide a divergence, so the
-        # window scan is only consulted for suspicious or sizeable values.
+        # A near-zero non-converged estimate cannot hide a divergence, so
+        # only suspicious or sizeable values of rows with an infinite end
+        # are scanned.
         scan = ~converged & (suspect | (np.abs(value) > 1000.0 * abs_tol))
-        scan &= np.isinf(lo) | np.isinf(hi)
-        lo_rows, hi_rows = np.broadcast_to(lo, nrows), np.broadcast_to(hi, nrows)
-        for row in np.flatnonzero(scan):
-            row_cfg = cfg if not np.ndim(rel_tol) else replace(
-                cfg, rel_tol=float(rel_tol[row]), abs_tol=float(abs_tol[row]))
-            diverged[row] = _windows_grow(lambda x, rows: f(x, rows + row), row_cfg,
-                                          lo_rows[row], hi_rows[row])
-        err[diverged] = math.inf
+        rows = np.flatnonzero(scan & (np.isinf(lo) | np.isinf(hi)))
+        if rows.size:
+            diverged[rows] = _diverging(f, rows, *(np.broadcast_to(v, nrows)[rows]
+                                                   for v in (lo, hi, rel_tol, abs_tol)))
+            err[diverged] = math.inf
     return RowResults(value, err, converged, diverged)
 
 
@@ -444,7 +433,10 @@ def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONF
     ``DomainError``.  ``rel_tol`` and ``abs_tol``, when given, replace the
     tolerances of ``cfg`` in each row's convergence test and divergence
     scan; they too are scalars or arrays with one entry per row.
-    ``max_subdivisions`` and ``divergence_threshold`` are always ``cfg``'s.
+    ``max_subdivisions`` and ``divergence_threshold`` are always ``cfg``'s;
+    the threshold only stops a row's adaptive pass early, and the rows left
+    unconverged with an infinite end are then scanned together for
+    divergence (see the module docstring).
     """
     if nrows < 1:
         raise DomainError("need at least one row")

@@ -315,6 +315,15 @@ def test_nevanlinna_grid_scales_stop_at_divergence(pi_delta0, cfg_nested):
         nevanlinna_grid(Pushforward2D(pi_delta0, 1, 1, 1, 2), [(1j, 1j), (1j, -1j)], cfg_nested)
 
 
+def test_nevanlinna_grid_flags_a_small_linear_divergence(pi_delta0):
+    # beta = delta = 0: the inner integrand is constant in t2, of modulus
+    # about 1e-3, so the integral grows linearly but stays below the
+    # divergence threshold of 1e8 within the scan's 2^27; every point must
+    # still read diverged.
+    values, scales = nevanlinna_grid(Pushforward2D(pi_delta0, 1, 0, 1, 0), default_z_grid(2, 3))
+    assert [(v.converged, v.diverged) for v in values] == [(False, True)] * 3 and scales == []
+
+
 def _cubic_per_point(coeff_det, delta, beta, mu1, z_samples, cfg):
     """``check_cubic_condition`` as one pair of integrals per point (reference)."""
     for z1, z2 in z_samples:
@@ -339,14 +348,22 @@ def test_cubic_condition_matches_per_point(mu1, cfg):
 
 
 def test_undecided_growth_is_unknown_not_satisfied(cfg):
-    # (1+t^2)/(1+|t|) makes the growth integrand 1/(1+|t|): log-divergent,
-    # which the quadrature can neither converge nor flag as divergent.
-    mu1 = LebesgueDensity(1, density=lambda t: (1.0 + t * t) / (1.0 + np.abs(t)))
+    # (1+t^2)/(1+|t|)^1.05 makes the growth integrand 1/(1+|t|)^1.05: finite,
+    # but decaying too slowly for the quadrature to converge, while its
+    # dyadic shells shrink, so the divergence scan does not flag it either.
+    mu1 = LebesgueDensity(1, density=lambda t: (1.0 + t * t) / (1.0 + np.abs(t)) ** 1.05)
     traits = derive_traits(mu1, cfg, coefficients=(1, 0, 1, 1))
     assert traits.satisfies_1var_growth is None
     assert traits.is_finite is False
     got = classify_pushforward2d(1, 0, 1, 1, traits)
     assert (got.case, got.representing) == (Case.I2, None)
+
+
+def test_log_divergent_growth_is_not_satisfied(cfg):
+    # (1+t^2)/(1+|t|) makes the growth integrand 1/(1+|t|): log-divergent,
+    # its dyadic shells all add the same, so the scan flags it.
+    mu1 = LebesgueDensity(1, density=lambda t: (1.0 + t * t) / (1.0 + np.abs(t)))
+    assert derive_traits(mu1, cfg, coefficients=(1, 0, 1, 1)).satisfies_1var_growth is False
 
 
 @pytest.mark.parametrize(

@@ -199,7 +199,8 @@ def test_transformed_atomic_evaluation_matches_closed_form(n, k, z):
 @pytest.mark.parametrize("n, k, z, atoms", [
     (3, (0.2, 0.3, 0.5), (0.1 + 1j, -0.3 + 0.8j, 0.2 + 1.2j), (((50.0,), 1.5),)),
     (3, (0.5, 0.3, 0.2), (0.4 + 0.6j, -0.3 + 0.8j, 0.2 + 1.2j), (((-50.0,), 0.8), ((0.1,), 1.1))),
-    (4, (0.1, 0.2, 0.3, 0.4), (0.1 + 1j, -0.3 + 0.8j, 0.2 + 1.2j, 0.4 + 0.5j), (((-50.0,), 1.5),)),
+    pytest.param(4, (0.1, 0.2, 0.3, 0.4), (0.1 + 1j, -0.3 + 0.8j, 0.2 + 1.2j, 0.4 + 0.5j),
+                 (((-50.0,), 1.5),), marks=pytest.mark.slow),
 ])
 def test_transformed_far_atom_evaluation_matches_closed_form(n, k, z, atoms):
     # An atom at |x| = 50 puts the two centre lines of most ladder rows far

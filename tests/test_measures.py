@@ -186,8 +186,8 @@ def test_product_divergence_of_some_rows_propagates(cfg):
 
 # (converged, diverged) of the growth integral and of the two-variable
 # Nevanlinna integral at the first three grid points, per classification
-# fixture; only the degenerate fixture diverges or stays undecided.
-_FIXTURE_FLAGS = {"neg_degenerate": ((False, True), ((False, False),) * 3)}
+# fixture; only the degenerate fixture diverges.
+_FIXTURE_FLAGS = {"neg_degenerate": ((False, True), ((False, True),) * 3)}
 
 
 @pytest.mark.parametrize("fixture", CLASSIFICATION_FIXTURES, ids=lambda f: f[0])

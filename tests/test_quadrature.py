@@ -62,6 +62,22 @@ def test_config_validation():
         QuadratureConfig(max_subdivisions=0)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("divergence_threshold", math.nan), ("divergence_threshold", -1.0),
+    ("divergence_threshold", 0.0), ("max_subdivisions", 2.5),
+    ("max_subdivisions", True), ("max_subdivisions", 100.0),
+])
+def test_config_rejects_bad_limits(field, bad):
+    with pytest.raises(DomainError, match=field):
+        QuadratureConfig(**{field: bad})
+
+
+def test_config_accepts_an_infinite_threshold_and_numpy_integers():
+    # +inf means no row stops early on its total.
+    cfg = QuadratureConfig(max_subdivisions=np.int64(50), divergence_threshold=math.inf)
+    assert integrate_line(lambda t: 1.0 / (1.0 + t * t), cfg).converged
+
+
 @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_config_rejects_non_finite_tolerances(field, bad):
@@ -333,6 +349,64 @@ def test_window_scan_of_a_half_line_at_floating_point_scale(lo, hi):
     end = lo if math.isfinite(lo) else hi
     r = integrate_segment(lambda x: np.ones_like(x) + 0j, lo, hi, center=end)
     assert r.diverged and not r.converged
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: 1e-3 + 0.0 * x,
+    lambda x: np.where(x > 1e3, 1.0, 0.0),
+], ids=["small-constant", "late-step"])
+def test_divergence_without_reaching_the_threshold(f):
+    # Partial integrals over the scan's 2^27 stay far below the divergence
+    # threshold of 1e8 (the step is 0 on the first ten shells): the verdict
+    # rests on the shells' growth, not on the size of the integral.
+    r = integrate_segment(f, 0.0, math.inf)
+    assert r.diverged and not r.converged and r.error_estimate == math.inf
+
+
+@pytest.mark.parametrize("p, verdict", [
+    (0.5, "diverged"), (1.0, "diverged"), (1.05, "undecided"), (1.5, "converged"), (2.0, "converged"),
+])
+def test_power_decay_verdict_changes_at_p_one(p, verdict):
+    # For f ~ |x|^-p, each dyadic shell adds 2^(1-p) times the one inside
+    # it: as much or more exactly when p <= 1.
+    r = integrate_line(lambda x: 1.0 / (1.0 + np.abs(x)) ** p)
+    got = "converged" if r.converged else "diverged" if r.diverged else "undecided"
+    assert got == verdict
+    if verdict == "converged":
+        # Not to rel_tol: at p = 1.5 the value is off by 1.2e-8 while the
+        # estimate reads 4e-10, a known gap of the end panel's estimate.
+        assert abs(r.value - 2.0 / (p - 1.0)) <= 1e-7
+
+
+@pytest.mark.parametrize("f, lo", [
+    (lambda x: 1.0 / (1.0 + (x - 1e4) ** 2), -math.inf),
+    (lambda x: np.exp(-x), 0.0),
+], ids=["far-lorentzian", "exponential"])
+def test_forced_scan_of_a_convergent_integrand(f, lo):
+    # One subdivision leaves the row unconverged and sends it to the scan,
+    # which must not read a bump far out or a decay to zero as growth.
+    r = integrate_segment(f, lo, math.inf, QuadratureConfig(max_subdivisions=1))
+    assert not r.converged and not r.diverged and math.isfinite(r.error_estimate)
+
+
+def test_scan_of_many_rows_is_one_batch(monkeypatch):
+    # Rows 0, 2 and 3 diverge and are scanned; the scan of all three is one
+    # call of _panels after the adaptive pass (two calls at one subdivision).
+    import nvk.quadrature as quadrature
+
+    calls = []
+    panels = quadrature._panels
+
+    def counting(g, a, b, rows):
+        calls.append(np.unique(rows))
+        return panels(g, a, b, rows)
+
+    monkeypatch.setattr(quadrature, "_panels", counting)
+    shift = np.array([1.0, 0.0, 2e-3, 0.5])
+    r = integrate_rows(lambda x, rows: 1.0 / (1.0 + x * x) + shift[rows], 4,
+                       QuadratureConfig(max_subdivisions=1))
+    assert list(r.diverged) == [True, False, True, True]
+    assert len(calls) == 3 and list(calls[-1]) == [0, 2, 3]
 
 
 @pytest.mark.parametrize("f, lo, hi", [
