@@ -294,9 +294,7 @@ def classification_evidence(mu1, coeffs, grid_count: int, cfg: QuadratureConfig)
     max_mod = 0.0
     scale = 0.0
     if growth_ok:
-        scale_cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
-        values, scales = cond.nevanlinna_grid(planar, cond.default_z_grid(2, grid_count),
-                                              cfg, scale_cfg)
+        values, scales = cond.nevanlinna_grid(planar, cond.default_z_grid(2, grid_count), cfg)
         # Scales stop at the first diverged point, like a per-point loop.
         nevan_ok = len(scales) == len(values)
         for v, s in zip(values, scales):

@@ -24,9 +24,9 @@ statement.  A value counts as zero when |value| <= max(1e-8, 1e-6 * S)
 where S integrates the modulus of the integrand (cancellation-dominated
 integrals need a relative yardstick).  A grid is one batched solve
 (``nevanlinna_grid``): the values at all points and their scales are the
-members of one ``measures.integrate_many`` call, each at its own config,
-with the points' poles (z1, conj z2) as the layout hint, so every row's t2
-lines sit on its own poles.  The one-point checkers are the one-point
+members of one ``measures.integrate_many`` call at one config, with the
+points' poles (z1, conj z2) as the layout hint, so every row's t2 lines
+sit on its own poles.  The one-point checkers are the one-point
 case.  The sign vectors of the n-variable sum, and the values and moduli
 of the cubic condition, are batched the same way.
 
@@ -144,48 +144,45 @@ def _grid_columns(zs: Sequence[Sequence[complex]]) -> tuple[np.ndarray, np.ndarr
 
 def nevanlinna_grid(mu: Measure, zs: Sequence[Sequence[complex]],
                     cfg: QuadratureConfig = DEFAULT_CONFIG,
-                    scale_cfg: Optional[QuadratureConfig] = None,
                     ) -> tuple[list[QuadratureResult], list[float]]:
-    """The two-variable Nevanlinna integral at every point of ``zs`` and,
-    given ``scale_cfg``, the modulus scales of the points before the first
-    one whose integral diverged (a "for all z" check stops there).
+    """The two-variable Nevanlinna integral at every point of ``zs`` and the
+    modulus scales of the points before the first one whose integral
+    diverged (a "for all z" check stops there).
 
-    Values at ``cfg`` and scales at ``scale_cfg`` are the members of one
-    ``integrate_many`` call, so the grid costs one batched solve.
+    Values and scales are the members of one ``integrate_many`` call at
+    ``cfg``, so the grid costs one batched solve.
     """
     z1, z2 = _grid_columns(zs)
-    values, moduli = _nevanlinna_integrals(mu, z1, z2.conj(), cfg, scale_cfg)
+    values, moduli = _nevanlinna_integrals(mu, z1, z2.conj(), cfg, (False, True))
     upto = next((i for i, v in enumerate(values) if v.diverged), len(values))
     return values, [abs(r.value) for r in moduli[:upto]]
 
 
 def _nevanlinna_integrals(mu: Measure, z1: np.ndarray, z2c: np.ndarray,
-                          cfg: Optional[QuadratureConfig], scale_cfg: Optional[QuadratureConfig],
-                          ) -> tuple[list[QuadratureResult], list[QuadratureResult]]:
-    """The integrals of 1/((t1 - z1)^2 (t2 - conj z2)^2) at ``cfg`` and of
-    its modulus at ``scale_cfg``, each at every point (either set is empty
-    when its config is None), as the members of one ``integrate_many`` call
-    whose layout follows the poles (z1, conj z2)."""
+                          cfg: QuadratureConfig, moduli: tuple[bool, ...],
+                          ) -> list[list[QuadratureResult]]:
+    """One set of integrals per entry of ``moduli``, each over every point:
+    of 1/((t1 - z1)^2 (t2 - conj z2)^2), or of its modulus where the entry
+    is True.  All sets are the members of one ``integrate_many`` call at
+    ``cfg`` whose layout follows the poles (z1, conj z2)."""
     m = z1.size
-    cfgs = [c for c in (cfg, scale_cfg) if c is not None for _ in range(m)]
-    if not cfgs:
-        return [], []
-    point = np.arange(len(cfgs)) % m
-    n_values = m if cfg is not None else 0
+    absolute = np.repeat(moduli, m)
+    point = np.arange(absolute.size) % m
 
     def f(t1, t2, k):
         p = point[k]
         v = 1.0 / ((t1 - z1[p]) ** 2 * (t2 - z2c[p]) ** 2)
-        return np.where(k < n_values, v, np.abs(v))
+        return np.where(absolute[k], np.abs(v), v)
 
-    out = integrate_many(mu, f, len(cfgs), cfgs, poles=np.column_stack((z1, z2c))[point])
-    return out[:n_values], out[n_values:]
+    out = integrate_many(mu, f, absolute.size, cfg, poles=np.column_stack((z1, z2c))[point])
+    return [out[j * m:(j + 1) * m] for j in range(len(moduli))]
 
 
 def check_nevanlinna_2var(mu: Measure, z: Sequence[complex],
                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """int dmu / ((t1 - z1)^2 (t2 - conj(z2))^2) at one sample point z."""
-    return nevanlinna_grid(mu, [z], cfg)[0][0]
+    z1, z2 = _grid_columns([z])
+    return _nevanlinna_integrals(mu, z1, z2.conj(), cfg, (False,))[0][0]
 
 
 def _mixed_sign_vectors(n: int):
@@ -230,7 +227,7 @@ def nevanlinna_modulus_scale(mu: Measure, z: Sequence[complex],
     reference scale for deciding that a cancellation-dominated value is
     numerically zero."""
     z1, z2 = _grid_columns([z])
-    return abs(_nevanlinna_integrals(mu, z1, z2.conj(), None, cfg)[1][0].value)
+    return abs(_nevanlinna_integrals(mu, z1, z2.conj(), cfg, (True,))[0][0].value)
 
 
 def nevanlinna_zero_tolerance(scale: float) -> float:

@@ -70,12 +70,10 @@ a (member, weight) table, which an atomic level expands.  Each member keeps
 its own error estimate, ``converged`` and ``diverged``: one whose inner
 integral diverges reports (nan, inf, False, True), its rows leave the later
 solves, and the other members go on.  The work stops early only when every
-member has diverged.  ``integrate`` is the one-member case.  Members may
-have configs of their own (sharing ``max_subdivisions`` and
-``divergence_threshold``): each row then converges at its member's
-tolerances, tightened per level like a single config.  A row's result does
-not depend on the other rows of its solve, so every member equals its own
-one-member call bit for bit.
+member has diverged.  ``integrate`` is the one-member case.  All members
+share one config, so a family that needs two configs takes two calls.  A
+row's result does not depend on the other rows of its solve, so every
+member equals its own one-member call bit for bit.
 
 Sets are finite unions of closed axis-aligned boxes.  Atoms sitting on a
 box boundary count as inside.
@@ -540,18 +538,13 @@ class _ErrorBudget:
 
 @dataclass(frozen=True)
 class _Run:
-    """What the levels of one ``integrate_many`` call share.
-
-    ``tols`` is set when the members have configs of their own: per plan
-    level, the members' (rel_tol, abs_tol) arrays, tightened as the level's
-    config is.  ``poles`` holds one row of test-function poles per member.
-    """
+    """What the levels of one ``integrate_many`` call share; ``poles`` holds
+    one row of test-function poles per member."""
 
     plan: _Plan
     call: Callable
     cfg: QuadratureConfig
     budget: _ErrorBudget
-    tols: Optional[tuple[tuple[np.ndarray, np.ndarray], ...]] = None
     poles: Optional[np.ndarray] = None
 
 
@@ -572,9 +565,7 @@ def _solve(run: _Run, i: int, g: Callable, k: np.ndarray, table, center, halfwid
                                  for v in (center, halfwidth, lo, hi)))
         return out
     cfg = run.cfg.tighter(0.1 ** i) if i else run.cfg
-    rel_tol, abs_tol = (None, None) if run.tols is None else (t[members] for t in run.tols[i])
-    r = integrate_rows(g, k.size, cfg, center=center, halfwidth=halfwidth, lo=lo, hi=hi,
-                       rel_tol=rel_tol, abs_tol=abs_tol)
+    r = integrate_rows(g, k.size, cfg, center=center, halfwidth=halfwidth, lo=lo, hi=hi)
     budget.absorb(r, members, table[1][k])
     if r.diverged.any():
         return np.where(budget.diverged[members], 0.0, r.value)
@@ -672,10 +663,7 @@ def _walk(run: _Run, i: int, vals: list, k: np.ndarray, table) -> np.ndarray:
     return out
 
 
-Configs = Union[QuadratureConfig, Sequence[QuadratureConfig]]
-
-
-def integrate_many(mu: Measure, f: Callable, m: int, cfg: Configs = DEFAULT_CONFIG, *,
+def integrate_many(mu: Measure, f: Callable, m: int, cfg: QuadratureConfig = DEFAULT_CONFIG, *,
                    poles=None) -> list[QuadratureResult]:
     """The ``m`` integrals of ``f(t, k)`` against ``mu`` for k = 0, ..., m-1.
 
@@ -684,19 +672,15 @@ def integrate_many(mu: Measure, f: Callable, m: int, cfg: Configs = DEFAULT_CONF
     array; the arguments broadcast against each other (the innermost
     variable may arrive as a (15, P) array and the others as (P,) arrays,
     see the module docstring).  The members are the outermost rows of every
-    batched solve; each keeps its own error estimate and flags, and one
-    whose integral diverges reports ``(nan, inf, False, True)`` without
-    disturbing the others.
+    batched solve, all at the one config ``cfg``; each keeps its own error
+    estimate and flags, and one whose integral diverges reports ``(nan,
+    inf, False, True)`` without disturbing the others.
 
-    ``cfg`` is one config for all members or a sequence of one per member;
-    such configs must agree on ``max_subdivisions`` and
-    ``divergence_threshold``, and each member is solved at its own
-    tolerances.  ``poles``, an (m, dimension) array, names the pole of
-    member k's test function nearest the real line in each argument: the
-    two t2 lines of a ``Pushforward2D`` with beta and delta nonzero, which
-    sit where an image coordinate vanishes, are centred where that
-    coordinate equals Re p instead, |Im p| / |coefficient| wide.  Poles
-    shape only the node layout.
+    ``poles``, an (m, dimension) array, names the pole of member k's test
+    function nearest the real line in each argument: the two t2 lines of a
+    ``Pushforward2D`` with beta and delta nonzero, which sit where an image
+    coordinate vanishes, are centred where that coordinate equals Re p
+    instead, |Im p| / |coefficient| wide.  Poles shape only the node layout.
     """
     if m < 0:
         raise DomainError("need a nonnegative member count")
@@ -717,34 +701,6 @@ def integrate(mu: Measure, f: Callable,
     return _integrate(mu, lambda args, k, rows, table: f(*args), 1, cfg, None)[0]
 
 
-def _member_configs(cfg: Configs, m: int) -> tuple[QuadratureConfig, Optional[list[QuadratureConfig]]]:
-    """The config whose limits every member shares, and the members' own
-    configs when they differ (None when one config serves all)."""
-    if isinstance(cfg, QuadratureConfig):
-        return cfg, None
-    cfgs = list(cfg)
-    if len(cfgs) != m or not all(isinstance(c, QuadratureConfig) for c in cfgs):
-        raise DomainError("need one QuadratureConfig or one per member")
-    first = cfgs[0]
-    if any((c.max_subdivisions, c.divergence_threshold)
-           != (first.max_subdivisions, first.divergence_threshold) for c in cfgs):
-        raise DomainError("member configs must share max_subdivisions and divergence_threshold")
-    return first, (None if all(c == first for c in cfgs) else cfgs)
-
-
-def _level_tolerances(cfgs: list[QuadratureConfig], levels: int):
-    """Per plan level, the members' (rel_tol, abs_tol) arrays at that
-    level's tightening."""
-    distinct = list(dict.fromkeys(cfgs))
-    which = np.array([distinct.index(c) for c in cfgs])
-    out = []
-    for i in range(levels):
-        level = [c.tighter(0.1 ** i) if i else c for c in distinct]
-        out.append((np.array([c.rel_tol for c in level])[which],
-                    np.array([c.abs_tol for c in level])[which]))
-    return tuple(out)
-
-
 def _member_poles(poles, m: int, dimension: int) -> Optional[np.ndarray]:
     if poles is None:
         return None
@@ -756,13 +712,14 @@ def _member_poles(poles, m: int, dimension: int) -> Optional[np.ndarray]:
     return p
 
 
-def _integrate(mu: Measure, call: Callable, m: int, cfg: Configs,
+def _integrate(mu: Measure, call: Callable, m: int, cfg: QuadratureConfig,
                poles) -> list[QuadratureResult]:
     """The ``m`` member integrals of ``integrate_many``, where ``call(args,
     k, rows, table)`` evaluates the test function at the coordinates
     ``args`` for rows with entries ``k[rows]`` of the (member, weight)
     table."""
-    shared, cfgs = _member_configs(cfg, m)
+    if not isinstance(cfg, QuadratureConfig):
+        raise DomainError("cfg must be one QuadratureConfig")
     poles = _member_poles(poles, m, mu.dimension)
     budget = _ErrorBudget.for_members(m)
     members = np.arange(m)
@@ -772,8 +729,7 @@ def _integrate(mu: Measure, call: Callable, m: int, cfg: Configs,
             values += w * np.asarray(call(loc, members, slice(None), (members,)), dtype=complex)
     else:
         plan = mu._plan
-        run = _Run(plan, call, shared, budget,
-                   None if cfgs is None else _level_tolerances(cfgs, len(plan.levels)), poles)
+        run = _Run(plan, call, cfg, budget, poles)
         try:
             values = plan.scale * _walk(run, 0, [], members, (members, plan.scale + np.zeros(m)))
         except _Diverged:

@@ -13,10 +13,10 @@ laid out node-major, the nodes ``x`` with shape (15, P) (column p holds
 panel p's nodes) and ``rows`` with shape (P,), the row (integral) of each
 panel.  Per-row data is thus gathered once per panel, as ``data[rows]``,
 and broadcast along the node axis, and elementwise arithmetic runs over P
-contiguous elements at a time.  Every row has its own segment [lo, hi]
-(the whole line unless stated), its own substitution centre and halfwidth
-and, when given, its own tolerances; it keeps its own panels, running
-total and error and stops by its own rules (tolerance met, total past the
+contiguous elements at a time.  All rows share one config.  Every row has
+its own segment [lo, hi] (the whole line unless stated) and its own
+substitution centre and halfwidth; it keeps its own panels, running total
+and error and stops by its own rules (tolerance met, total past the
 divergence threshold, subdivision cap, noise floor).  The initial panels
 of all rows are evaluated first; after that each round splits the worst
 panel of every row still running and evaluates all new panels.  A batch of
@@ -216,10 +216,9 @@ def _node_sums(y: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
-              initial_panels: int = 8, *, rel_tol=None, abs_tol=None):
+              initial_panels: int = 8):
     """Adaptive bisection of [lo, hi] for ``nrows`` integrals at once; ``lo``
-    and ``hi`` are shared scalars or arrays with one entry per row, and so
-    are ``rel_tol`` and ``abs_tol`` when given in place of ``cfg``'s.
+    and ``hi`` are shared scalars or arrays with one entry per row.
 
     ``g(x, rows)`` evaluates the (15, P) nodes ``x`` of P panels, panel p
     in row ``rows[p]``, as in ``integrate_rows``.  Returns the
@@ -234,8 +233,6 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
     (error, insertion order) would pop.
     """
     p0 = initial_panels
-    if rel_tol is None:
-        rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     # Equispaced edges of every row, by np.linspace's arithmetic (without
     # its per-call overhead, which one-row solves would pay each time).
     lo, hi = lo + np.zeros(nrows), hi + np.zeros(nrows)
@@ -253,12 +250,9 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
     pv, pk = np.empty(pa.shape, dtype=complex), np.full(pa.shape, -np.inf)
     pa[:p0], pb[:p0] = edges[:-1], edges[1:]
     pv[:p0], pk[:p0] = v.reshape(p0, nrows), e.reshape(p0, nrows)
-    if nrows > 1:
-        total, total_err = pv[:p0].sum(axis=0), pk[:p0].sum(axis=0)
-    else:
-        # A one-row sum would add the panels pairwise; running sums add
-        # them in order, as every row of a larger batch does.
-        total, total_err = np.add.accumulate(pv[:p0])[-1], np.add.accumulate(pk[:p0])[-1]
+    # Running sums add each row's panels in order, whatever the row count
+    # (a one-row ``sum`` would add them pairwise).
+    total, total_err = np.add.accumulate(pv[:p0])[-1], np.add.accumulate(pk[:p0])[-1]
     pushed = np.zeros(nrows, dtype=int)  # rounds in which the row could not split
     history = np.empty((_NOISE_ROUNDS + 1, nrows))
     value, error = np.empty(nrows, dtype=complex), np.empty(nrows)
@@ -266,7 +260,7 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
     stale = True
     for rounds in itertools.count():
         mag = np.abs(total)
-        conv = total_err <= np.maximum(abs_tol, rel_tol * mag)
+        conv = total_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * mag)
         done = conv | (mag > cfg.divergence_threshold)
         if rounds >= cfg.max_subdivisions:
             done |= rounds - pushed >= cfg.max_subdivisions
@@ -286,8 +280,6 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
             ids, total, total_err, pushed = ids[keep], total[keep], total_err[keep], pushed[keep]
             # compress returns C-contiguous copies, as the flat views need.
             history, pa, pb, pv, pk = (x.compress(keep, axis=1) for x in (history, pa, pb, pv, pk))
-            if np.ndim(rel_tol):
-                rel_tol, abs_tol = rel_tol[keep], abs_tol[keep]
             stale = True
         u = p0 + 2 * rounds
         if u + 2 > pk.shape[0]:
@@ -349,11 +341,11 @@ _GROWTH_RUN = 4
 
 
 def _diverging(f: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-               rel_tol: np.ndarray, abs_tol: np.ndarray) -> np.ndarray:
-    """For each of ``rows`` (with their segments and tolerances), whether
-    each of the outermost ``_GROWTH_RUN`` shells of its scan adds at least
-    what the shell inside it adds, and more than the row's tolerance on the
-    partial integral so far.  All rows' panels go to ``f(x, rows)`` in one
+               cfg: QuadratureConfig) -> np.ndarray:
+    """For each of ``rows`` (with their segments), whether each of the
+    outermost ``_GROWTH_RUN`` shells of its scan adds at least what the
+    shell inside it adds, and more than ``cfg``'s tolerance on the partial
+    integral so far.  All rows' panels go to ``f(x, rows)`` in one
     ``_panels`` call."""
     c = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))[:, None]
     a = np.clip(c + _SCAN_LO, lo[:, None], hi[:, None])
@@ -368,17 +360,16 @@ def _diverging(f: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     added = np.abs(shells[:, -_GROWTH_RUN - 1:])
     # Equal shells (p = 1) may differ by round-off.
     grows = added[:, 1:] >= (1.0 - 1e-9) * added[:, :-1]
-    sizeable = added[:, 1:] > np.maximum(abs_tol[:, None], rel_tol[:, None] * partial)
+    sizeable = added[:, 1:] > np.maximum(cfg.abs_tol, cfg.rel_tol * partial)
     return np.all(grows & sizeable, axis=1)
 
 
-def _solve(f: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
-           center, halfwidth, rel_tol, abs_tol) -> RowResults:
+def _solve(f: Callable, nrows: int, cfg: QuadratureConfig, lo, hi,
+           center, halfwidth) -> RowResults:
     """``nrows`` integrals of ``f(x, rows)`` over [lo, hi] under the
     substitution x = center + halfwidth * tan(theta), with per-row or shared
-    ``lo``, ``hi``, ``center``, ``halfwidth`` and tolerances; unconverged
-    rows with an infinite end get the divergence scan over their own
-    segment, at their own tolerances."""
+    ``lo``, ``hi``, ``center`` and ``halfwidth``; unconverged rows with an
+    infinite end get the divergence scan over their own segment."""
     if not (np.all(np.greater(halfwidth, 0)) and np.all(np.isfinite(center))
             and np.all(np.isfinite(halfwidth))):
         raise DomainError("need a finite center and a positive halfwidth")
@@ -399,25 +390,23 @@ def _solve(f: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
     if np.any((theta_lo >= theta_hi) & np.less(lo, hi)):
         raise DomainError("segment too far from its center for the substitution; "
                           "center it on the segment")
-    value, err, converged, suspect = _adaptive(g, nrows, theta_lo, theta_hi, cfg,
-                                               rel_tol=rel_tol, abs_tol=abs_tol)
+    value, err, converged, suspect = _adaptive(g, nrows, theta_lo, theta_hi, cfg)
     diverged = np.zeros(nrows, dtype=bool)
     if not converged.all():
         # A near-zero non-converged estimate cannot hide a divergence, so
         # only suspicious or sizeable values of rows with an infinite end
         # are scanned.
-        scan = ~converged & (suspect | (np.abs(value) > 1000.0 * abs_tol))
+        scan = ~converged & (suspect | (np.abs(value) > 1000.0 * cfg.abs_tol))
         rows = np.flatnonzero(scan & (np.isinf(lo) | np.isinf(hi)))
         if rows.size:
             diverged[rows] = _diverging(f, rows, *(np.broadcast_to(v, nrows)[rows]
-                                                   for v in (lo, hi, rel_tol, abs_tol)))
+                                                   for v in (lo, hi)), cfg)
             err[diverged] = math.inf
     return RowResults(value, err, converged, diverged)
 
 
 def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONFIG, *,
-                   center=0.0, halfwidth=1.0, lo=-math.inf, hi=math.inf,
-                   rel_tol=None, abs_tol=None) -> RowResults:
+                   center=0.0, halfwidth=1.0, lo=-math.inf, hi=math.inf) -> RowResults:
     """``nrows`` integrals over the segments [lo, hi] in one batched solve.
 
     ``f(x, rows)`` receives a block of P panels: the nodes ``x``, a (15, P)
@@ -430,37 +419,24 @@ def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONF
     (the default is the whole line).  Like in ``integrate_line``, ``center``
     and ``halfwidth`` only shape the node layout, but a segment more than
     about 1e16 halfwidths from its centre cannot be resolved and raises
-    ``DomainError``.  ``rel_tol`` and ``abs_tol``, when given, replace the
-    tolerances of ``cfg`` in each row's convergence test and divergence
-    scan; they too are scalars or arrays with one entry per row.
-    ``max_subdivisions`` and ``divergence_threshold`` are always ``cfg``'s;
-    the threshold only stops a row's adaptive pass early, and the rows left
-    unconverged with an infinite end are then scanned together for
-    divergence (see the module docstring).
+    ``DomainError``.  Every row converges at ``cfg``'s tolerances; the
+    divergence threshold only stops a row's adaptive pass early, and the
+    rows left unconverged with an infinite end are then scanned together
+    for divergence (see the module docstring).
     """
     if nrows < 1:
         raise DomainError("need at least one row")
     if not np.all(np.less_equal(lo, hi)):
         raise DomainError("segment endpoints must satisfy lo <= hi")
-    if rel_tol is None and abs_tol is None:
-        rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
-    else:
-        rel_tol, abs_tol = (np.broadcast_to(np.asarray(default if v is None else v, dtype=float),
-                                            (nrows,))
-                            for v, default in ((rel_tol, cfg.rel_tol), (abs_tol, cfg.abs_tol)))
-        if not np.all((rel_tol > 0) & (rel_tol < math.inf) & (abs_tol > 0) & (abs_tol < math.inf)):
-            raise DomainError("tolerances must be positive and finite")
     if nrows <= _ROW_CHUNK:
-        return _solve(f, nrows, lo, hi, cfg, center, halfwidth, rel_tol, abs_tol)
+        return _solve(f, nrows, cfg, lo, hi, center, halfwidth)
     # Rows are independent: solving them in chunks bounds the node arrays
     # (and the integrand's temporaries) that one round allocates.
     parts = []
     for start in range(0, nrows, _ROW_CHUNK):
         part = slice(start, min(start + _ROW_CHUNK, nrows))
-        parts.append(_solve(lambda x, rows, s=start: f(x, rows + s), part.stop - start,
-                            *(v[part] if np.ndim(v) else v for v in (lo, hi)), cfg,
-                            *(v[part] if np.ndim(v) else v
-                              for v in (center, halfwidth, rel_tol, abs_tol))))
+        parts.append(_solve(lambda x, rows, s=start: f(x, rows + s), part.stop - start, cfg,
+                            *(v[part] if np.ndim(v) else v for v in (lo, hi, center, halfwidth))))
     return RowResults(*(np.concatenate([getattr(p, name) for p in parts])
                         for name in ("value", "error_estimate", "converged", "diverged")))
 

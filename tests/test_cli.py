@@ -268,13 +268,12 @@ def _evidence_per_point(mu1, coeffs, grid_count, cfg):
     nevan_ok = growth_ok = growth.converged and not growth.diverged
     max_mod = scale = 0.0
     if growth_ok:
-        scale_cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
         for z in cond.default_z_grid(2, grid_count):
             v = cond.check_nevanlinna_2var(planar, z, cfg)
             if v.diverged:
                 nevan_ok = False
                 break
-            s = cond.nevanlinna_modulus_scale(planar, z, scale_cfg)
+            s = cond.nevanlinna_modulus_scale(planar, z, cfg)
             scale, max_mod = max(scale, s), max(max_mod, abs(v.value))
             if abs(v.value) > cond.nevanlinna_zero_tolerance(s):
                 nevan_ok = False
@@ -292,8 +291,8 @@ def test_classification_evidence_matches_per_point_loop(fixture):
     assert evidence["evidence_representing"] == numeric_rep
     conflict = None if numeric_rep == expected_rep else "declared traits disagree with numerical evidence"
     assert evidence["trait_conflict"] == conflict
-    assert abs(evidence["nevanlinna_max_modulus"] - max_mod) <= 1e-12 * max_mod
-    assert abs(evidence["nevanlinna_scale"] - scale) <= 1e-12 * scale
+    assert evidence["nevanlinna_max_modulus"] == max_mod
+    assert evidence["nevanlinna_scale"] == scale
 
 
 def test_cli_import_leaves_out_multiprocessing():

@@ -295,20 +295,33 @@ def test_nevanlinna_grid_matches_per_point(kind, pi_delta0, cfg_nested):
     base = pi_delta0 if kind == "atom" else LebesgueDensity(1, density=lambda t: 1.0 / (1.0 + t * t))
     mu = Pushforward2D(base, 1, 1, 1, 2)
     grid = default_z_grid(2, 6)
-    scale_cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
-    values, scales = nevanlinna_grid(mu, grid, cfg_nested, scale_cfg)
+    values, scales = nevanlinna_grid(mu, grid, cfg_nested)
     assert len(values) == len(scales) == len(grid)
     for z, v, s in zip(grid, values, scales):
-        want_v = check_nevanlinna_2var(mu, z, cfg_nested)
-        want_s = nevanlinna_modulus_scale(mu, z, scale_cfg)
-        assert (v.converged, v.diverged) == (want_v.converged, want_v.diverged)
-        assert abs(v.value - want_v.value) <= 1e-13 * want_s
-        assert abs(s - want_s) <= 1e-13 * want_s
+        assert v == check_nevanlinna_2var(mu, z, cfg_nested)
+        assert s == nevanlinna_modulus_scale(mu, z, cfg_nested)
+
+
+def test_nevanlinna_grid_is_one_call_at_one_config(pi_delta0, cfg_nested, monkeypatch):
+    # Values and moduli of every point are the 2m members of one call, all
+    # at the caller's config.
+    import nvk.conditions as conditions
+
+    calls = []
+    many = conditions.integrate_many
+
+    def recorded(mu, f, m, c=DEFAULT_CONFIG, **kw):
+        calls.append((m, c))
+        return many(mu, f, m, c, **kw)
+
+    monkeypatch.setattr(conditions, "integrate_many", recorded)
+    grid = default_z_grid(2, 6)
+    nevanlinna_grid(Pushforward2D(pi_delta0, 1, 1, 1, 2), grid, cfg_nested)
+    assert calls == [(2 * len(grid), cfg_nested)]
 
 
 def test_nevanlinna_grid_scales_stop_at_divergence(pi_delta0, cfg_nested):
-    values, scales = nevanlinna_grid(_GROWING_2D, default_z_grid(2, 3),
-                                     cfg_nested, QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9))
+    values, scales = nevanlinna_grid(_GROWING_2D, default_z_grid(2, 3), cfg_nested)
     assert [v.diverged for v in values] == [True] * 3 and scales == []
     assert nevanlinna_grid(Pushforward2D(pi_delta0, 1, 1, 1, 2), [], cfg_nested) == ([], [])
     with pytest.raises(DomainError):
@@ -427,8 +440,7 @@ def test_nevanlinna_grid_matches_closed_form_on_the_default_grid(coeffs, cfg):
     # -10+0.1i) included.
     w, x = 2.0, 0.4
     grid = default_z_grid(2, 25)
-    values, scales = nevanlinna_grid(Pushforward2D(Atomic.single(w, x), *coeffs), grid, cfg,
-                                     QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9))
+    values, scales = nevanlinna_grid(Pushforward2D(Atomic.single(w, x), *coeffs), grid, cfg)
     assert len(values) == len(scales) == 25
     for z, v, s in zip(grid, values, scales):
         want = w * nevanlinna_inner_value(*coeffs, x, *z)

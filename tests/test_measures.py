@@ -390,8 +390,9 @@ def test_lebesgue_pad_density_matches_reduction(cfg_nested):
     assert abs(got - want) <= 1e-7 * abs(want)
 
 
-# One config per member: every member is solved at its own tolerances, so it
-# equals a one-member call at its config bit for bit, with or without poles.
+# All members share one config, and a row's result does not depend on the
+# other rows of its solve: every member equals its one-member call bit for
+# bit, with or without poles, at a loose and at a tight config.
 _OWN_CONFIG_MEASURES = ("atomic", "pushforward2d_atomic", "pushforward2d_density", "product")
 
 
@@ -399,31 +400,27 @@ _OWN_CONFIG_MEASURES = ("atomic", "pushforward2d_atomic", "pushforward2d_density
 @pytest.mark.parametrize("name", _OWN_CONFIG_MEASURES)
 def test_integrate_many_member_configs_match_one_member_calls(name, with_poles):
     mu = _MANY_MEASURES[name]
-    loose, tight = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9), QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
-    cfgs = [loose, tight, loose]
     poles = np.array([[w * (1 + 0.1 * j) for j in range(mu.dimension)] for w in _W]) if with_poles else None
-    many = integrate_many(mu, _member_integrand, _W.size, cfgs, poles=poles)
-    for k, got in enumerate(many):
-        one = integrate_many(mu, lambda *args, k=k: _member_integrand(*args[:-1], k + args[-1]), 1,
-                             cfgs[k], poles=None if poles is None else poles[k:k + 1])[0]
-        assert got == one
-    if name == "pushforward2d_density":
-        # Here the result depends on the tolerance, so a member solved at
-        # another member's config would not match its own one-member call.
-        assert integrate_many(mu, _member_integrand, _W.size, tight, poles=poles)[0] != many[0]
+    for cfg in (QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9), QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)):
+        many = integrate_many(mu, _member_integrand, _W.size, cfg, poles=poles)
+        for k, got in enumerate(many):
+            one = integrate_many(mu, lambda *args, k=k: _member_integrand(*args[:-1], k + args[-1]), 1,
+                                 cfg, poles=None if poles is None else poles[k:k + 1])[0]
+            assert got == one
 
 
 def test_integrate_many_member_configs_must_share_limits():
-    mu, f = _MANY_MEASURES["product"], _member_integrand
+    # One config serves every member: a list of configs, or a bare
+    # tolerance, is rejected rather than ignored (atomic) or failing deep
+    # inside the solve (product).
+    f = _member_integrand
     base = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-11)
-    for other in (QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9, max_subdivisions=100),
-                  QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9, divergence_threshold=1e6)):
-        with pytest.raises(DomainError, match="max_subdivisions and divergence_threshold"):
-            integrate_many(mu, f, 3, [base, other, base])
-    with pytest.raises(DomainError):
-        integrate_many(mu, f, 3, [base, base])
-    with pytest.raises(DomainError):
-        integrate_many(mu, f, 3, [base, base, 1e-8])
+    for mu in (_MANY_MEASURES["atomic"], _MANY_MEASURES["product"]):
+        for bad in ([base, base, base], 1e-8):
+            with pytest.raises(DomainError, match="one QuadratureConfig"):
+                integrate_many(mu, f, 3, bad)
+            with pytest.raises(DomainError, match="one QuadratureConfig"):
+                integrate(mu, lambda *ts: f(*ts, 0), bad)
 
 
 def test_poles_must_match_members_and_lie_off_the_line():
