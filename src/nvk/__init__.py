@@ -68,8 +68,6 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
-    integrate_line,
-    integrate_segment,
 )
 from .representation import (
     HerglotzReport,

@@ -365,10 +365,7 @@ def derive_traits(mu1: Measure, cfg: QuadratureConfig = DEFAULT_CONFIG,
     finite = decided(total)
     zero = finite and abs(total.value) <= 1e-12
 
-    def g(t):
-        return 1.0 / (1.0 + t * t) + 0.0j
-
-    growth = decided(integrate(mu1, g, cfg))
+    growth = decided(check_growth(mu1, cfg))
 
     cubic: Optional[bool] = True if zero else None
     if coefficients is not None and not zero:

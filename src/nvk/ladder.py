@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError, QuadratureFailure
 from .kernels import kernel_1d, ladder_kernel, ladder_kernel_full, require_upper_half
 from .measures import Atomic, Product, PushforwardLadder, integrate, is_zero_measure, lebesgue
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_line
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .representation import RepresentationData, evaluate
 from .transform import ladder_normalization, ladder_to_coefficients, transform, transform_general
 
@@ -68,6 +68,10 @@ class MainTheoremReport:
     samples: tuple[tuple[complex, complex, complex], ...]  # (reference, closed, quad)
 
 
+# Lebesgue measure on the line, whose integration plan the rungs share.
+_LINE = lebesgue()
+
+
 def _require_converged(r, what: str) -> complex:
     if r.diverged or not r.converged:
         raise QuadratureFailure(f"quadrature failed while verifying {what}")
@@ -97,7 +101,7 @@ def verify_step(m: int, d: int, b: Sequence[float], z: Sequence[complex],
         raise DomainError("t must fix the first m - 1 coordinates")
     ts = tuple(float(x) for x in t)
 
-    r = integrate_line(lambda x: ladder_kernel(zs, ts + (x,), b, m, d), cfg)
+    r = integrate(_LINE, lambda x: ladder_kernel(zs, ts + (x,), b, m, d), cfg)
     lhs = _require_converged(r, f"the ({m},{d}) ladder rung")
     rhs = pi / b[m - 2] * ladder_kernel(zs, ts, b, m - 1, d + 1)
     return lhs, rhs
@@ -114,7 +118,7 @@ def verify_final_step(n: int, b: Sequence[float], z: Sequence[complex],
     if len(b) != n - 1:
         raise DomainError("need n - 1 ladder coefficients")
 
-    r = integrate_line(lambda x: ladder_kernel(zs, (t1, x), b, 2, n - 2), cfg)
+    r = integrate(_LINE, lambda x: ladder_kernel(zs, (t1, x), b, 2, n - 2), cfg)
     lhs = _require_converged(r, "the final ladder rung")
     s, beta = _combined_point(b, zs)
     return lhs, pi * float(np.prod(b[1:])) / beta * kernel_1d(s, t1)

@@ -456,7 +456,7 @@ def _compile(mu: Measure) -> _Plan:
         lines = [(-p / q, 1.0 / abs(q)) for p, q in ((a, b), (g, d)) if q != 0]
         width = max([1.0] + [h for _, h in lines])
         # The two lines are anchored on the image coordinates; a lone line
-        # (beta or delta 0) is not, for the reason ROADMAP item 4 records.
+        # (beta or delta 0) is not yet, for the reason ROADMAP item 1 records.
         if len(lines) == 2:
             (c1, _), (c2, _) = lines
             t2 = _Line(None, ((0, 0.5 * (c1 + c2)),), width,

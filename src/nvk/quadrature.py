@@ -16,19 +16,19 @@ and broadcast along the node axis, and elementwise arithmetic runs over P
 contiguous elements at a time.  All rows share one config.  Every row has
 its own segment [lo, hi] (the whole line unless stated) and its own
 substitution centre and halfwidth; it keeps its own panels, running total
-and error and stops by its own rules (tolerance met, total past the
-divergence threshold, subdivision cap, noise floor).  The initial panels
-of all rows are evaluated first; after that each round splits the worst
-panel of every row still running and evaluates all new panels.  A batch of
-panels goes to ``f`` in blocks of at most ``_PANEL_BLOCK`` panels, sized
-so that one call's arrays stay in a per-core L2 cache; each panel's sums
-then run on a panel-major copy of the block's values.  A row's arithmetic
-does not depend on the other rows of its batch or on the blocking, so a
-row solved alone returns the same bits.  A nest level whose integrand is
-itself an integral thus evaluates all of its nodes with a few large
-batched inner solves per round.  ``integrate_line`` and
-``integrate_segment`` are the one-row case; their integrands keep the 1-d
-elementwise contract and see each block's nodes as one flat array.
+and error and stops by its own rules: tolerance met, subdivision cap, or
+noise floor.  No rule stops a row because its total is large, so a heavy
+integrand converges like a light one.  The initial panels of all rows are
+evaluated first; after that each round splits the worst panel of every row
+still running and evaluates all new panels.  A batch of panels goes to
+``f`` in blocks of at most ``_PANEL_BLOCK`` panels, sized so that one
+call's arrays stay in a per-core L2 cache; each panel's sums then run on a
+panel-major copy of the block's values.  A row's arithmetic does not
+depend on the other rows of its batch or on the blocking, so a row solved
+alone returns the same bits.  A nest level whose integrand is itself an
+integral thus evaluates all of its nodes with a few large batched inner
+solves per round.  A single integral of a function of one variable is
+``measures.integrate(lebesgue(), f)``.
 
 Divergence cannot be proven numerically.  It is declared heuristically,
 from how the integral grows rather than how large it gets: the rows that
@@ -60,8 +60,6 @@ __all__ = [
     "QuadratureResult",
     "RowResults",
     "DEFAULT_CONFIG",
-    "integrate_line",
-    "integrate_segment",
     "integrate_rows",
 ]
 
@@ -73,7 +71,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    divergence_threshold: float = 1e8
 
     def __post_init__(self):
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
@@ -81,9 +78,6 @@ class QuadratureConfig:
         m = self.max_subdivisions
         if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
             raise DomainError("max_subdivisions must be an integer >= 1")
-        # +inf means that no row stops early on its total; NaN would too, silently.
-        if not self.divergence_threshold > 0:
-            raise DomainError("divergence_threshold must be positive (or +inf)")
 
     def tighter(self, factor: float = 0.1) -> "QuadratureConfig":
         """Config for a nested (inner) integral; clamped at round-off level."""
@@ -198,7 +192,9 @@ def _panel_block(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     diff = np.abs(h * kd[:, 1])
     # QUADPACK-style estimate: scale the raw Gauss/Kronrod difference by the
     # variation of the integrand so that non-smooth panels are not trusted.
-    resasc = h * _node_sums(np.abs(y - (ik / d)[:, None]), _WK)
+    # A panel of zero width (a row with lo == hi) has no mean to subtract.
+    mean = np.divide(ik, d, out=np.zeros_like(ik), where=d != 0)
+    resasc = h * _node_sums(np.abs(y - mean[:, None]), _WK)
     rough = resasc > 0.0
     ratio = 200.0 * diff / np.where(rough, resasc, 1.0)
     err = np.where(rough, resasc * np.minimum(1.0, ratio ** 1.5), diff)
@@ -215,15 +211,13 @@ def _node_sums(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(y[:, None, :], w)[:, 0]
 
 
-def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
-              initial_panels: int = 8):
+def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
     """Adaptive bisection of [lo, hi] for ``nrows`` integrals at once; ``lo``
     and ``hi`` are shared scalars or arrays with one entry per row.
 
     ``g(x, rows)`` evaluates the (15, P) nodes ``x`` of P panels, panel p
-    in row ``rows[p]``, as in ``integrate_rows``.  Returns the
-    arrays (value, error, converged, suspect), where ``suspect`` means the
-    row's running total blew past the divergence threshold.
+    in row ``rows[p]``, as in ``integrate_rows``.  Returns the arrays
+    (value, error, converged).
 
     Panels live in tables with one slot per (insertion step, row): each round
     fills two new slots of every row still running, so slot order is
@@ -232,7 +226,7 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
     free slot); the first maximum of a row is the panel a heap keyed on
     (error, insertion order) would pop.
     """
-    p0 = initial_panels
+    p0 = 8  # equal panels per row to start with
     # Equispaced edges of every row, by np.linspace's arithmetic (without
     # its per-call overhead, which one-row solves would pay each time).
     lo, hi = lo + np.zeros(nrows), hi + np.zeros(nrows)
@@ -256,14 +250,11 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
     pushed = np.zeros(nrows, dtype=int)  # rounds in which the row could not split
     history = np.empty((_NOISE_ROUNDS + 1, nrows))
     value, error = np.empty(nrows, dtype=complex), np.empty(nrows)
-    converged, suspect = np.zeros(nrows, dtype=bool), np.zeros(nrows, dtype=bool)
+    converged = np.zeros(nrows, dtype=bool)
     stale = True
     for rounds in itertools.count():
-        mag = np.abs(total)
-        conv = total_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * mag)
-        done = conv | (mag > cfg.divergence_threshold)
-        if rounds >= cfg.max_subdivisions:
-            done |= rounds - pushed >= cfg.max_subdivisions
+        conv = total_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        done = conv | (rounds - pushed >= cfg.max_subdivisions)
         # Noise floor: when fifty further rounds have not reduced the error
         # estimate, the integrand is rough at round-off level (typically an
         # inner quadrature feeding this one) and refinement cannot help.
@@ -273,10 +264,9 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig,
         if np.count_nonzero(done):
             out = ids[done]
             value[out], error[out], converged[out] = total[done], total_err[done], conv[done]
-            suspect[out] = ~conv[done] & (mag[done] > cfg.divergence_threshold)
             keep = ~done
             if not np.count_nonzero(keep):
-                return value, error, converged, suspect
+                return value, error, converged
             ids, total, total_err, pushed = ids[keep], total[keep], total_err[keep], pushed[keep]
             # compress returns C-contiguous copies, as the flat views need.
             history, pa, pb, pv, pk = (x.compress(keep, axis=1) for x in (history, pa, pb, pv, pk))
@@ -390,13 +380,12 @@ def _solve(f: Callable, nrows: int, cfg: QuadratureConfig, lo, hi,
     if np.any((theta_lo >= theta_hi) & np.less(lo, hi)):
         raise DomainError("segment too far from its center for the substitution; "
                           "center it on the segment")
-    value, err, converged, suspect = _adaptive(g, nrows, theta_lo, theta_hi, cfg)
+    value, err, converged = _adaptive(g, nrows, theta_lo, theta_hi, cfg)
     diverged = np.zeros(nrows, dtype=bool)
     if not converged.all():
         # A near-zero non-converged estimate cannot hide a divergence, so
-        # only suspicious or sizeable values of rows with an infinite end
-        # are scanned.
-        scan = ~converged & (suspect | (np.abs(value) > 1000.0 * cfg.abs_tol))
+        # only sizeable values of rows with an infinite end are scanned.
+        scan = ~converged & (np.abs(value) > 1000.0 * cfg.abs_tol)
         rows = np.flatnonzero(scan & (np.isinf(lo) | np.isinf(hi)))
         if rows.size:
             diverged[rows] = _diverging(f, rows, *(np.broadcast_to(v, nrows)[rows]
@@ -416,14 +405,18 @@ def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONF
     array, a (P,) array with one value per panel (``c[rows]``), or a
     scalar.  ``lo``, ``hi``, ``center`` and ``halfwidth`` are scalars or
     arrays with one entry per row; either end of a segment may be infinite
-    (the default is the whole line).  Like in ``integrate_line``, ``center``
-    and ``halfwidth`` only shape the node layout, but a segment more than
-    about 1e16 halfwidths from its centre cannot be resolved and raises
-    ``DomainError``.  Every row converges at ``cfg``'s tolerances; the
-    divergence threshold only stops a row's adaptive pass early, and the
-    rows left unconverged with an infinite end are then scanned together
-    for divergence (see the module docstring).
+    (the default is the whole line).  ``center`` and ``halfwidth`` shift
+    and stretch the substitution x = center + halfwidth * tan(theta): they
+    do not change the value, only how well the node layout matches where
+    the integrand lives, but a segment more than about 1e16 halfwidths from
+    its centre cannot be resolved and raises ``DomainError``.  Every row
+    converges at ``cfg``'s tolerances or stops at the subdivision cap or
+    the noise floor, whatever the size of its total; the rows left
+    unconverged with an infinite end are then scanned together for
+    divergence (see the module docstring).
     """
+    if not isinstance(cfg, QuadratureConfig):
+        raise DomainError("cfg must be one QuadratureConfig")
     if nrows < 1:
         raise DomainError("need at least one row")
     if not np.all(np.less_equal(lo, hi)):
@@ -440,36 +433,3 @@ def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONF
     return RowResults(*(np.concatenate([getattr(p, name) for p in parts])
                         for name in ("value", "error_estimate", "converged", "diverged")))
 
-
-def integrate_line(f: Callable, cfg: QuadratureConfig = DEFAULT_CONFIG, *,
-                   center: float = 0.0, halfwidth: float = 1.0) -> QuadratureResult:
-    """Integral of a complex-valued ``f`` over the whole real line.
-
-    ``f`` must accept a float or a 1-d numpy array and evaluate elementwise;
-    it may also return a scalar, which counts as constant.
-    ``center`` and ``halfwidth`` shift and stretch the compactifying
-    substitution; they do not change the value, only how well the node
-    layout matches where the integrand actually lives.
-    """
-    return integrate_segment(f, -math.inf, math.inf, cfg,
-                             center=center, halfwidth=halfwidth)
-
-
-def integrate_segment(f: Callable, lo: float, hi: float,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG, *,
-                      center: float = 0.0, halfwidth: float = 1.0) -> QuadratureResult:
-    """Integral of ``f`` over [lo, hi]; either endpoint may be infinite."""
-    if not lo <= hi:
-        raise DomainError("segment endpoints must satisfy lo <= hi")
-    if lo == hi:
-        return QuadratureResult(0.0 + 0.0j, 0.0, True, False)
-
-    def flat(x, rows):
-        # ``f`` sees the block's nodes as one 1-d view; a full-size result
-        # goes back to the block's shape, also as a view.
-        y = f(x.reshape(-1))
-        return y if np.size(y) == 1 else np.reshape(y, x.shape)
-
-    r = integrate_rows(flat, 1, cfg, center=center, halfwidth=halfwidth, lo=lo, hi=hi)
-    return QuadratureResult(complex(r.value[0]), float(r.error_estimate[0]),
-                            bool(r.converged[0]), bool(r.diverged[0]))

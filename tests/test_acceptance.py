@@ -32,11 +32,12 @@ from nvk.measures import (
     Product,
     Pushforward2D,
     PushforwardLadder,
+    integrate,
     lebesgue,
     mass,
     zero_measure,
 )
-from nvk.quadrature import QuadratureConfig, integrate_line
+from nvk.quadrature import QuadratureConfig
 from nvk.representation import RepresentationData, check_herglotz, evaluate
 from nvk.residues import line_integral
 from nvk.sampling import (
@@ -211,7 +212,7 @@ def test_criterion_7_residue_quadrature_cross_validation():
         for _ in range(200):
             f = draw_admissible_rational(rng)
             oracle = line_integral(f)
-            quad = integrate_line(f, CFG)
+            quad = integrate(lebesgue(), f, CFG)
             assert abs(quad.value - oracle) <= 1e-8 * abs(oracle)
 
         for i in range(20):

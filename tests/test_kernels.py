@@ -19,7 +19,7 @@ from nvk.kernels import (
     ladder_z_sum,
     require_upper_half,
 )
-from nvk.quadrature import integrate_line
+from nvk.measures import integrate, lebesgue
 from nvk.sampling import draw_ladder_coefficients, draw_upper_point, rng_for
 from nvk.transform import ladder_matrix
 
@@ -189,7 +189,7 @@ def test_ladder_kernel_mid_rung_against_quadrature(cfg):
     b = (1.0, 1.0)
     assert ladder_weight(2, 1, b) == 2.0
     direct = ladder_kernel(z, (0.0, 0.0), b, 2, 1)
-    r = integrate_line(lambda x: ladder_kernel_full(z, (0.0, 0.0, x), b), cfg)
+    r = integrate(lebesgue(), lambda x: ladder_kernel_full(z, (0.0, 0.0, x), b), cfg)
     assert r.converged
     assert abs(r.value / (PI / b[1]) - direct) < 1e-8
 

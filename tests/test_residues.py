@@ -7,7 +7,7 @@ from numpy.polynomial import polynomial as P
 
 from nvk.errors import DomainError, InconsistencyError
 from nvk.kernels import ladder_kernel, ladder_kernel_full
-from nvk.quadrature import integrate_line
+from nvk.measures import integrate, lebesgue
 from nvk.residues import RationalFunction, find_poles, line_integral, residue_at
 from nvk.sampling import draw_admissible_rational, rng_for
 
@@ -115,7 +115,7 @@ def test_upper_lower_cross_check_and_quadrature_agreement():
         up = 2j * PI * sum(residue_at(f, p, m) for p, m in poles if p.imag > 0)
         lo = -2j * PI * sum(residue_at(f, p, m) for p, m in poles if p.imag < 0)
         assert abs(up - lo) <= 1e-10
-        quad = integrate_line(f)
+        quad = integrate(lebesgue(), f)
         assert abs(quad.value - oracle) <= 1e-8 * abs(oracle)
 
 
