@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -135,7 +135,9 @@ def kernel_nd_rational(z: Sequence[complex], t: Sequence):
     if len(t) != n:
         raise DimensionMismatchError("z and t must have the same length")
     w = _I_POW[(3 * n + 1) % 4] * math.prod(zj + 1j for zj in zs) / 2.0 ** (n - 1)
-    shape = np.broadcast_shapes(*(np.shape(tj) for tj in t))
+    # np.broadcast takes at most 32 operands on numpy 1.x (64 on 2.x).
+    shape = (np.broadcast(*t).shape if n <= 32
+             else np.broadcast_shapes(*(np.shape(tj) for tj in t)))
     p1 = np.subtract(t[0], 1j, out=np.empty(shape, dtype=complex))
     p2 = np.subtract(t[0], zs[0], out=np.empty(shape, dtype=complex))
     q = np.multiply(t[0], t[0], out=np.empty(shape))
@@ -173,6 +175,40 @@ def ladder_z_sum(m: int, d: int, b: Sequence[float], z: Sequence[complex]) -> co
     return tail + complex(z[m + d - 1])
 
 
+def _check_ladder(z: Sequence[complex], b: Sequence[float], m: int, d: int) -> _UpperPoint:
+    """The checks of ``ladder_kernel`` that do not involve t; returns the
+    checked point."""
+    zs = require_upper_half(z)
+    n = len(zs)
+    if m < 1 or d < 0 or m + d != n or n < 2:
+        raise DomainError("need m >= 1, d >= 0 and m + d = len(z) >= 2")
+    if len(b) != n - 1:
+        raise DimensionMismatchError("need n - 1 ladder coefficients")
+    require_ladder_coefficients(b)
+    return zs
+
+
+def _ladder_core(zs: _UpperPoint, b: Sequence[float], m: int, d: int) -> Callable:
+    """The ladder kernel at a point and coefficients that ``_check_ladder``
+    has passed, as a function of t = (t1, ..., tm) of length m.
+
+    The reduced point and the weight F are formed once, so an integrand
+    built on this pays only the arithmetic per call; ``kernel_nd_rational``
+    is looked up at call time."""
+    if d:
+        f_w = ladder_weight(m, d, b)
+        reduced = _UpperPoint(zs[:m - 1] + (ladder_z_sum(m, d, b, zs) / f_w,))
+
+    def kernel(t):
+        u = [t[0] - b[j] * t[j + 1] for j in range(m - 1)]
+        if d == 0:
+            u.append(sum(t[1:], start=t[0]))
+            return kernel_nd_rational(zs, u)
+        u.append(sum(t[1:], start=f_w * t[0]) / f_w)
+        return kernel_nd_rational(reduced, u) / f_w
+    return kernel
+
+
 def ladder_kernel(z: Sequence[complex], t: Sequence, b: Sequence[float],
                   m: int, d: int):
     """Ladder kernel after d integrations, a function of t = (t1, ..., tm):
@@ -187,24 +223,10 @@ def ladder_kernel(z: Sequence[complex], t: Sequence, b: Sequence[float],
 
     Requires m >= 1, d >= 0, m + d = len(z) >= 2 and all b_j > 0.
     """
-    zs = require_upper_half(z)
-    n = len(zs)
-    if m < 1 or d < 0 or m + d != n or n < 2:
-        raise DomainError("need m >= 1, d >= 0 and m + d = len(z) >= 2")
-    if len(b) != n - 1:
-        raise DimensionMismatchError("need n - 1 ladder coefficients")
-    require_ladder_coefficients(b)
+    zs = _check_ladder(z, b, m, d)
     if len(t) != m:
         raise DimensionMismatchError("t must have length m")
-
-    u = [t[0] - b[j] * t[j + 1] for j in range(m - 1)]
-    if d == 0:
-        u.append(sum(t[1:], start=t[0]))
-        return kernel_nd_rational(zs, u)
-    f_w = ladder_weight(m, d, b)
-    u.append(sum(t[1:], start=f_w * t[0]) / f_w)
-    reduced = _UpperPoint(zs[:m - 1] + (ladder_z_sum(m, d, b, zs) / f_w,))
-    return kernel_nd_rational(reduced, u) / f_w
+    return _ladder_core(zs, b, m, d)(t)
 
 
 def ladder_kernel_full(z: Sequence[complex], t: Sequence, b: Sequence[float]):

@@ -16,7 +16,10 @@ and composing all rungs telescopes to
 Every rung is checked by adaptive quadrature of the left side against the
 closed-form right side.  Full (n-1)-dimensional quadrature of the last
 identity is kept to n in {2, 3}; for larger n the rung-by-rung checks and
-the telescoping of the prefactors substitute.
+the telescoping of the prefactors substitute.  Each verifier checks z, b
+and the dimensions once, before any integration, and integrates the
+kernel's unchecked core, the arithmetic ``ladder_kernel`` runs after its
+checks.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure
-from .kernels import kernel_1d, ladder_kernel, ladder_kernel_full, require_upper_half
+from .kernels import _check_ladder, _ladder_core, kernel_1d, require_upper_half
 from .measures import Atomic, Product, PushforwardLadder, integrate, is_zero_measure, lebesgue
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .representation import RepresentationData, evaluate
@@ -99,11 +102,13 @@ def verify_step(m: int, d: int, b: Sequence[float], z: Sequence[complex],
         raise DomainError("middle rungs need m >= 3 and m + d = len(z)")
     if len(t) != m - 1:
         raise DomainError("t must fix the first m - 1 coordinates")
+    _check_ladder(zs, b, m, d)
     ts = tuple(float(x) for x in t)
 
-    r = integrate(_LINE, lambda x: ladder_kernel(zs, ts + (x,), b, m, d), cfg)
+    kernel = _ladder_core(zs, b, m, d)
+    r = integrate(_LINE, lambda x: kernel(ts + (x,)), cfg)
     lhs = _require_converged(r, f"the ({m},{d}) ladder rung")
-    rhs = pi / b[m - 2] * ladder_kernel(zs, ts, b, m - 1, d + 1)
+    rhs = pi / b[m - 2] * _ladder_core(zs, b, m - 1, d + 1)(ts)
     return lhs, rhs
 
 
@@ -117,8 +122,10 @@ def verify_final_step(n: int, b: Sequence[float], z: Sequence[complex],
         raise DomainError("need n >= 2 coordinates")
     if len(b) != n - 1:
         raise DomainError("need n - 1 ladder coefficients")
+    _check_ladder(zs, b, 2, n - 2)
 
-    r = integrate(_LINE, lambda x: ladder_kernel(zs, (t1, x), b, 2, n - 2), cfg)
+    kernel = _ladder_core(zs, b, 2, n - 2)
+    r = integrate(_LINE, lambda x: kernel((t1, x)), cfg)
     lhs = _require_converged(r, "the final ladder rung")
     s, beta = _combined_point(b, zs)
     return lhs, pi * float(np.prod(b[1:])) / beta * kernel_1d(s, t1)
@@ -136,12 +143,11 @@ def verify_full_reduction(n: int, b: Sequence[float], z: Sequence[complex],
                           "verify rung by rung for larger n")
     if len(zs) != n or len(b) != n - 1:
         raise DomainError("inconsistent dimensions")
-
-    def f(*rest):
-        return ladder_kernel_full(zs, (t1,) + tuple(rest), b)
+    _check_ladder(zs, b, n, 0)
+    kernel = _ladder_core(zs, b, n, 0)
 
     # t2 outermost, t_n innermost.
-    r = integrate(Product((lebesgue(),) * (n - 1)), f, cfg)
+    r = integrate(Product((lebesgue(),) * (n - 1)), lambda *rest: kernel((t1,) + rest), cfg)
     lhs = _require_converged(r, "the full ladder reduction")
     s, beta = _combined_point(b, zs)
     return lhs, pi ** (n - 1) / beta * kernel_1d(s, t1)

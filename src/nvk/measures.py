@@ -538,12 +538,14 @@ class _ErrorBudget:
 
 @dataclass(frozen=True)
 class _Run:
-    """What the levels of one ``integrate_many`` call share; ``poles`` holds
-    one row of test-function poles per member."""
+    """What the levels of one ``integrate_many`` call share: ``cfgs[i]`` is
+    level i's config, ``cfg.tighter(0.1**i)`` (``cfg`` itself at level 0),
+    formed once per call; ``poles`` holds one row of test-function poles per
+    member."""
 
     plan: _Plan
     call: Callable
-    cfg: QuadratureConfig
+    cfgs: tuple[QuadratureConfig, ...]
     budget: _ErrorBudget
     poles: Optional[np.ndarray] = None
 
@@ -564,8 +566,7 @@ def _solve(run: _Run, i: int, g: Callable, k: np.ndarray, table, center, halfwid
                                *(v[live] if np.ndim(v) else v
                                  for v in (center, halfwidth, lo, hi)))
         return out
-    cfg = run.cfg.tighter(0.1 ** i) if i else run.cfg
-    r = integrate_rows(g, k.size, cfg, center=center, halfwidth=halfwidth, lo=lo, hi=hi)
+    r = integrate_rows(g, k.size, run.cfgs[i], center=center, halfwidth=halfwidth, lo=lo, hi=hi)
     budget.absorb(r, members, table[1][k])
     if r.diverged.any():
         return np.where(budget.diverged[members], 0.0, r.value)
@@ -729,7 +730,8 @@ def _integrate(mu: Measure, call: Callable, m: int, cfg: QuadratureConfig,
             values += w * np.asarray(call(loc, members, slice(None), (members,)), dtype=complex)
     else:
         plan = mu._plan
-        run = _Run(plan, call, cfg, budget, poles)
+        cfgs = tuple(cfg.tighter(0.1 ** i) if i else cfg for i in range(len(plan.levels)))
+        run = _Run(plan, call, cfgs, budget, poles)
         try:
             values = plan.scale * _walk(run, 0, [], members, (members, plan.scale + np.zeros(m)))
         except _Diverged:

@@ -30,6 +30,14 @@ integral thus evaluates all of its nodes with a few large batched inner
 solves per round.  A single integral of a function of one variable is
 ``measures.integrate(lebesgue(), f)``.
 
+Two steps take a common-case path beside the general one, chosen from the
+input alone: a block whose panels all have positive width and a nonzero
+variation skips the masks of the panel estimate, and a solve with the
+scalar centre 0 and halfwidth 1 (every line of a ``Product`` of Lebesgue
+factors or of ``lebesgue()``) substitutes x = tan(theta) without per-panel
+centres and halfwidths.  Each common-case path puts every panel through the
+same operations as the general one, so it computes the same bits.
+
 Divergence cannot be proven numerically.  It is declared heuristically,
 from how the integral grows rather than how large it gets: the rows that
 fail to settle on a segment with an infinite end are scanned together over
@@ -122,6 +130,7 @@ _XK = np.array([
     0.741531185599394, 0.864864423359769, 0.949107912342759,
     0.991455371120813,
 ])
+_XK_COL = _XK[:, None]  # the nodes along the node axis of a block
 _WK = np.array([
     0.022935322010529, 0.063092092629979, 0.104790010322250,
     0.140653259715525, 0.169004726639267, 0.190350578064785,
@@ -160,6 +169,11 @@ _PANEL_BLOCK = 256
 # Rounds over which a row's error estimate must drop by 2% (noise floor).
 _NOISE_ROUNDS = 50
 
+# Equal panels per row to start with, and the steps 0, 1, ..., _P0 that
+# place their edges.
+_P0 = 8
+_STEPS = np.arange(_P0 + 1.0)[:, None]
+
 
 def _panels(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     """Gauss-Kronrod panels [a[p], b[p]] of rows ``rows[p]``, evaluated in
@@ -178,7 +192,7 @@ def _panel_block(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     """The panels of ``_panels`` in one call of ``g``."""
     d = b - a
     h = 0.5 * d
-    x = 0.5 * (a + b) + h * _XK[:, None]
+    x = 0.5 * (a + b) + h * _XK_COL
     y = np.asarray(g(x, rows), dtype=complex)
     if y.shape != x.shape:
         y = np.broadcast_to(y, x.shape)
@@ -192,12 +206,22 @@ def _panel_block(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     diff = np.abs(h * kd[:, 1])
     # QUADPACK-style estimate: scale the raw Gauss/Kronrod difference by the
     # variation of the integrand so that non-smooth panels are not trusted.
-    # A panel of zero width (a row with lo == hi) has no mean to subtract.
-    mean = np.divide(ik, d, out=np.zeros_like(ik), where=d != 0)
+    # A panel of zero width (a row with lo == hi) has no mean to subtract,
+    # and one whose integrand is constant (resasc == 0) keeps the raw
+    # difference.  The common case, where every panel has positive width and
+    # is rough, skips the masks; each panel goes through the same operations
+    # either way, so the bits are the same.
+    if np.count_nonzero(d) == d.size:
+        mean = ik / d
+    else:
+        mean = np.divide(ik, d, out=np.zeros_like(ik), where=d != 0)
     resasc = h * _node_sums(np.abs(y - mean[:, None]), _WK)
-    rough = resasc > 0.0
-    ratio = 200.0 * diff / np.where(rough, resasc, 1.0)
-    err = np.where(rough, resasc * np.minimum(1.0, ratio ** 1.5), diff)
+    if np.minimum.reduce(resasc) > 0.0:
+        err = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
+    else:
+        rough = resasc > 0.0
+        ratio = 200.0 * diff / np.where(rough, resasc, 1.0)
+        err = np.where(rough, resasc * np.minimum(1.0, ratio ** 1.5), diff)
     return ik, np.maximum(err, 1e-15 * resabs)
 
 
@@ -221,65 +245,85 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
 
     Panels live in tables with one slot per (insertion step, row): each round
     fills two new slots of every row still running, so slot order is
-    insertion order in every row.  ``pk`` holds each panel's error estimate
-    as its priority (0 for a panel at floating-point resolution, -inf for a
-    free slot); the first maximum of a row is the panel a heap keyed on
-    (error, insertion order) would pop.
+    insertion order in every row.  The float table ``pf`` holds, for every
+    slot, the panel's left and right edge and its priority, its error
+    estimate (0 for a panel at floating-point resolution, -inf for a free
+    slot), so that one compress and one growth serve all three; ``pv``
+    holds the panels' values.  The first maximum of a row's priorities is
+    the panel a heap keyed on (error, insertion order) would pop.  No array
+    test of the subdivision cap runs while every row could split so far.
     """
-    p0 = 8  # equal panels per row to start with
+    p0 = _P0
     # Equispaced edges of every row, by np.linspace's arithmetic (without
     # its per-call overhead, which one-row solves would pay each time).
     lo, hi = lo + np.zeros(nrows), hi + np.zeros(nrows)
-    edges = np.arange(p0 + 1.0)[:, None] * ((hi - lo) / p0) + lo
+    edges = _STEPS * ((hi - lo) / p0) + lo
     edges[-1] = hi
     # A panel after k splits is at least span / p0 / 2**k - ulp wide, where
     # span is the narrowest row's, so none can be at floating-point
     # resolution (midpoint on an endpoint) while that bound exceeds a few
     # ulps of the largest endpoint.
-    span, big = float((hi - lo).min()), float(np.abs(edges[[0, -1]]).max())
+    span = float(np.minimum.reduce(hi - lo))
+    big = float(np.maximum.reduce(np.abs(edges[::p0]), axis=None))
     resolution = 2.0 ** -50 * big + 1e-300
-    ids = np.arange(nrows)
-    v, e = _panels(g, edges[:-1].ravel(), edges[1:].ravel(), np.tile(ids, p0))
-    pa, pb = np.empty((4 * p0, nrows)), np.empty((4 * p0, nrows))
-    pv, pk = np.empty(pa.shape, dtype=complex), np.full(pa.shape, -np.inf)
-    pa[:p0], pb[:p0] = edges[:-1], edges[1:]
-    pv[:p0], pk[:p0] = v.reshape(p0, nrows), e.reshape(p0, nrows)
+    ids = columns = np.arange(nrows)
+    v, e = _panels(g, edges[:-1].ravel(), edges[1:].ravel(), ids[None].repeat(p0, 0).ravel())
+    v, e = v.reshape(p0, nrows), e.reshape(p0, nrows)
+    pf = np.empty((3, 4 * p0, nrows))
+    pf[0, :p0], pf[1, :p0], pf[2, :p0], pf[2, p0:] = edges[:-1], edges[1:], e, -np.inf
+    pv = np.empty((4 * p0, nrows), dtype=complex)
+    pv[:p0] = v
     # Running sums add each row's panels in order, whatever the row count
     # (a one-row ``sum`` would add them pairwise).
-    total, total_err = np.add.accumulate(pv[:p0])[-1], np.add.accumulate(pk[:p0])[-1]
-    pushed = np.zeros(nrows, dtype=int)  # rounds in which the row could not split
+    total, total_err = np.add.accumulate(v)[-1], np.add.accumulate(e)[-1]
+    # Rounds in which each row could not split; None until one could not.
+    pushed = None
     history = np.empty((_NOISE_ROUNDS + 1, nrows))
     value, error = np.empty(nrows, dtype=complex), np.empty(nrows)
     converged = np.zeros(nrows, dtype=bool)
     stale = True
     for rounds in itertools.count():
         conv = total_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-        done = conv | (rounds - pushed >= cfg.max_subdivisions)
+        if pushed is not None:
+            done = conv | (rounds - pushed >= cfg.max_subdivisions)
+        elif rounds >= cfg.max_subdivisions:
+            done = np.ones(conv.shape, dtype=bool)
+        else:
+            done = conv
         # Noise floor: when fifty further rounds have not reduced the error
         # estimate, the integrand is rough at round-off level (typically an
         # inner quadrature feeding this one) and refinement cannot help.
         history[rounds % (_NOISE_ROUNDS + 1)] = total_err
         if rounds >= _NOISE_ROUNDS:
-            done |= total_err > 0.98 * history[(rounds + 1) % (_NOISE_ROUNDS + 1)]
-        if np.count_nonzero(done):
+            done = done | (total_err > 0.98 * history[(rounds + 1) % (_NOISE_ROUNDS + 1)])
+        finished = np.count_nonzero(done)
+        if finished:
             out = ids[done]
             value[out], error[out], converged[out] = total[done], total_err[done], conv[done]
-            keep = ~done
-            if not np.count_nonzero(keep):
+            if finished == ids.size:
                 return value, error, converged
-            ids, total, total_err, pushed = ids[keep], total[keep], total_err[keep], pushed[keep]
+            keep = ~done
+            ids, total, total_err = ids[keep], total[keep], total_err[keep]
+            if pushed is not None:
+                pushed = pushed[keep]
             # compress returns C-contiguous copies, as the flat views need.
-            history, pa, pb, pv, pk = (x.compress(keep, axis=1) for x in (history, pa, pb, pv, pk))
+            history, pv = history.compress(keep, axis=1), pv.compress(keep, axis=1)
+            pf = pf.compress(keep, axis=2)
             stale = True
         u = p0 + 2 * rounds
-        if u + 2 > pk.shape[0]:
-            pa, pb, pv = (np.concatenate((x, np.empty_like(x))) for x in (pa, pb, pv))
-            pk = np.concatenate((pk, np.full_like(pk, -np.inf)))
+        if u + 2 > pv.shape[0]:
+            pv = np.concatenate((pv, np.empty_like(pv)))
+            grown = pf.shape[1]
+            pf = np.concatenate((pf, np.empty_like(pf)), axis=1)
+            pf[2, grown:] = -np.inf
             stale = True
         if stale:
             # Flat views for gathering one panel per row.
-            fa, fb, fv, fk = (x.reshape(-1) for x in (pa, pb, pv, pk))
-            n, r = ids.size, np.arange(ids.size)
+            flat = pf.reshape(3, -1)
+            fa, fb, fk, pk, fv = flat[0], flat[1], flat[2], pf[2], pv.reshape(-1)
+            # Running rows sit in the first n table columns.
+            n = ids.size
+            r = columns[:n]
             ids2 = np.concatenate((ids, ids))
             stale = False
 
@@ -287,7 +331,9 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
         a, b, v_old, e_old = fa[sel], fb[sel], fv[sel], fk[sel]
         fk[sel] = -np.inf
         mid = 0.5 * (a + b)
-        left, right = np.concatenate((a, mid)), np.concatenate((mid, b))
+        # The new panels' edges: left halves (a, mid), right halves (mid, b).
+        amb = np.concatenate((a, mid, b))
+        left, right = amb[:2 * n], amb[n:]
         narrow = span / p0 * 0.5 ** rounds <= resolution
         stuck = (mid <= a) | (mid >= b) if narrow else None
         if not (narrow and np.count_nonzero(stuck)):
@@ -297,6 +343,8 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
             # A panel at floating-point resolution cannot be split: it moves
             # to the back of its row's queue with priority 0, next to a free
             # slot, and leaves the row's total and error unchanged.
+            if pushed is None:
+                pushed = np.zeros(n, dtype=int)
             pushed += stuck
             v = np.concatenate((v_old, np.zeros(n, dtype=complex)))
             e = np.concatenate((e_old, np.zeros(n)))
@@ -305,7 +353,7 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
                 s2 = np.concatenate((s, s + n))
                 v[s2], e[s2] = _panels(g, left[s2], right[s2], ids2[s2])
             k = np.where(np.concatenate((stuck, stuck)), np.repeat([0.0, -np.inf], n), e)
-            right[:n] = np.where(stuck, b, mid)
+            right = np.concatenate((np.where(stuck, b, mid), b))
         total += v[:n] + v[n:] - v_old
         total_err += e[:n] + e[n:] - e_old
         new = slice(u * n, (u + 2) * n)
@@ -372,6 +420,13 @@ def _solve(f: Callable, nrows: int, cfg: QuadratureConfig, lo, hi,
         w = halfwidth[rows] if w_rows else halfwidth
         return np.asarray(f(c + w * u, rows), dtype=complex) * (w * (1.0 + u * u))
 
+    def g_unit(theta, rows):
+        # The shared unit substitution x = tan(theta): c + w * u is 0.0 + u
+        # and w * (1.0 + u * u) is 1.0 + u * u, bit for bit (adding 0.0
+        # turns -0.0 into 0.0 in both).
+        u = np.tan(theta)
+        return np.asarray(f(0.0 + u, rows), dtype=complex) * (1.0 + u * u)
+
     # theta with x = center + halfwidth * tan(theta); arctan(+-inf) is +-pi/2.
     # A segment more than about 1e16 halfwidths from the centre maps to a
     # theta interval of zero width, where no node can resolve it.
@@ -380,7 +435,9 @@ def _solve(f: Callable, nrows: int, cfg: QuadratureConfig, lo, hi,
     if np.any((theta_lo >= theta_hi) & np.less(lo, hi)):
         raise DomainError("segment too far from its center for the substitution; "
                           "center it on the segment")
-    value, err, converged = _adaptive(g, nrows, theta_lo, theta_hi, cfg)
+    unit = (not (c_rows or w_rows) and center == 0.0 and halfwidth == 1.0
+            and math.copysign(1.0, center) > 0.0)
+    value, err, converged = _adaptive(g_unit if unit else g, nrows, theta_lo, theta_hi, cfg)
     diverged = np.zeros(nrows, dtype=bool)
     if not converged.all():
         # A near-zero non-converged estimate cannot hide a divergence, so

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from nvk.errors import DomainError
-from nvk.kernels import kernel_1d, ladder_weight, ladder_z_sum
+from nvk.kernels import kernel_1d, ladder_kernel_full, ladder_weight, ladder_z_sum
 from nvk.ladder import (
     ladder_closed_form,
     rung_prefactors,
@@ -14,7 +14,7 @@ from nvk.ladder import (
     verify_main_theorem,
     verify_step,
 )
-from nvk.measures import Atomic, PushforwardLadder
+from nvk.measures import Atomic, Product, PushforwardLadder, integrate, lebesgue
 from nvk.quadrature import QuadratureConfig
 from nvk.representation import RepresentationData, evaluate
 from nvk.sampling import (
@@ -96,6 +96,34 @@ def test_full_reduction_three_variables(cfg_nested):
     lhs, rhs = verify_full_reduction(3, (1.0, 1.0), (1j, 2j, 3j), 1.0, cfg_nested)
     assert abs(rhs - PI ** 2 / 3 * kernel_1d(2j, 1.0)) < 1e-15
     assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_full_reduction_integrates_the_public_kernel(n, cfg):
+    # The verifier checks its inputs once and integrates the kernel's core;
+    # the value is the public kernel's integral bit for bit.
+    b, z, t1 = (0.8, 1.3)[:n - 1], (0.1 + 1j, -0.2 + 0.8j, 0.3 + 1.2j)[:n], 0.15
+    lhs, _ = verify_full_reduction(n, b, z, t1, cfg)
+    r = integrate(Product((lebesgue(),) * (n - 1)),
+                  lambda *rest: ladder_kernel_full(z, (t1,) + rest, b), cfg)
+    assert lhs == r.value
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 1e-310])
+def test_verifiers_reject_bad_coefficients_before_integrating(bad, cfg, monkeypatch):
+    from nvk import quadrature
+
+    def no_panels(*args):
+        raise AssertionError("integrated before checking b")
+
+    monkeypatch.setattr(quadrature, "_panels", no_panels)
+    z = (0.1 + 1j, -0.2 + 0.8j, 0.3 + 1.2j)
+    with pytest.raises(DomainError):
+        verify_step(3, 0, (1.0, bad), z, (0.1, 0.2), cfg)
+    with pytest.raises(DomainError):
+        verify_final_step(3, (bad, 1.0), z, 0.1, cfg)
+    with pytest.raises(DomainError):
+        verify_full_reduction(3, (1.0, bad), z, 0.1, cfg)
 
 
 def test_full_reduction_large_n_rejected(cfg):

@@ -294,6 +294,50 @@ def test_panel_sums_do_not_depend_on_the_block(size):
         assert v1[0] == v[p] and e1[0] == e[p]
 
 
+def test_panel_block_common_and_general_paths_agree():
+    # A block with a zero-width panel (no mean to subtract) and a panel of
+    # a constant integrand (resasc == 0) takes the general path; each of
+    # its ordinary panels alone takes the common one.  Both must give every
+    # panel the same bits.
+    from nvk.quadrature import _panel_block
+
+    rng = np.random.default_rng(0)
+    a = rng.uniform(-3.0, 2.0, 12)
+    b = a + rng.uniform(0.05, 2.0, 12)
+    b[1] = a[1]
+    scale = 10.0 ** rng.uniform(-3.0, 2.0, 12)
+    scale[2] = 0.0
+    # A large mean and a small variation, so that the last bit of the mean
+    # reaches the estimates, which exceed their 1e-15 floor.
+    g = lambda x, rows: scale[rows] * (3.0 + np.exp(0.3j * x) / (x - 0.5 - 2j))
+    rows = np.arange(a.size)
+    v, e = _panel_block(g, a, b, rows)
+    assert v[1] == 0.0 and e[1] == 0.0 and v[2] == 0.0 and e[2] == 0.0
+    assert (e[3:] > 1e-15 * np.abs(v[3:])).all()
+    for p in range(a.size):
+        v1, e1 = _panel_block(g, a[p:p + 1], b[p:p + 1], rows[p:p + 1])
+        assert v1[0] == v[p] and e1[0] == e[p]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-math.inf, math.inf),
+    (np.array([0.0, -math.inf, -math.inf, 2.0]), np.array([math.inf, 0.0, math.inf, math.inf])),
+])
+def test_unit_substitution_matches_per_row_arrays(lo, hi):
+    # Scalar center 0 and halfwidth 1 take the shared unit substitution;
+    # per-row zeros and ones take the general one, with the same bits.  Row
+    # 3 decays like 1/|x| and goes through the divergence scan.
+    c = np.array([0.3, -1.0, 2.0, 0.0])
+    f = lambda x, rows: (np.where(rows == 3, 1.0 / (1.0 + np.abs(x)), 0.0)
+                         + 1.0 / (1.0 + (x - c[rows]) ** 2) / (x - 1j))
+    unit = integrate_rows(f, c.size, center=0.0, halfwidth=1.0, lo=lo, hi=hi)
+    rows = integrate_rows(f, c.size, center=np.zeros(c.size), halfwidth=np.ones(c.size),
+                          lo=lo, hi=hi)
+    for name in ("value", "error_estimate", "converged", "diverged"):
+        assert getattr(unit, name).tobytes() == getattr(rows, name).tobytes()
+    assert unit.converged[:3].all() and unit.diverged[3]
+
+
 def test_rows_on_own_segments_match_one_at_a_time():
     lo = np.array([-math.inf, -math.inf, 0.0, -1.0, 2.0, -math.inf])
     hi = np.array([math.inf, 0.5, math.inf, 3.0, 2.5, -4.0])
