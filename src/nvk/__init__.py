@@ -82,7 +82,6 @@ from .transform import (
     ladder_normalization,
     ladder_to_coefficients,
     transform,
-    transform_general,
 )
 
 __version__ = "0.1.0"

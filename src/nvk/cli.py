@@ -57,7 +57,7 @@ from .sampling import (
     draw_upper_point,
     rng_for,
 )
-from .transform import transform_general
+from .transform import transform
 
 __all__ = ["main"]
 
@@ -173,7 +173,7 @@ def cmd_transform(args) -> int:
         ks = [float(x) for x in args.k.split(",")]
     except ValueError:
         raise DomainError(f"--k: malformed coefficient list {args.k!r}") from None
-    out = transform_general(data, ks)
+    out = transform(data, ks)
     text = dump_descriptor(data_to_json(out), args.out)
     if args.out is None:
         print(text, end="")

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import require_upper_half
-from .measures import Box, Measure, integrate, integrate_many, is_zero_measure, mass
+from .measures import Box, Measure, integrate, integrate_many, mass
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult
 from .residues import RationalFunction
 
@@ -285,8 +285,6 @@ def check_cubic_condition(coeff_det: float, delta: float, beta: float,
     points = [require_upper_half(z) for z in (default_z_grid(2) if z_samples is None else z_samples)]
     if not points:
         raise DomainError("the cubic condition needs at least one sample point")
-    if is_zero_measure(mu1):
-        return True
     w = np.array([-delta * z1 + beta * z2.conjugate() for z1, z2 in points])
     m = w.size
 
@@ -354,8 +352,6 @@ def derive_traits(mu1: Measure, cfg: QuadratureConfig = DEFAULT_CONFIG,
     """
     if mu1.dimension != 1:
         raise DomainError("traits are derived for one-dimensional measures")
-    if is_zero_measure(mu1):
-        return MeasureTraits(True, True, True, True)
 
     def decided(r: QuadratureResult) -> Optional[bool]:
         """Finite (True), infinite (False), or None when undecided."""

@@ -35,7 +35,7 @@ from .kernels import _check_ladder, _ladder_core, kernel_1d, require_upper_half
 from .measures import Atomic, Product, PushforwardLadder, integrate, is_zero_measure, lebesgue
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .representation import RepresentationData, evaluate
-from .transform import ladder_normalization, ladder_to_coefficients, transform, transform_general
+from .transform import ZERO_COEFFICIENT_TOL, ladder_normalization, ladder_to_coefficients, transform
 
 __all__ = [
     "LadderReport",
@@ -225,19 +225,19 @@ def verify_main_theorem(data: RepresentationData, k: Sequence[float],
     function q(k1 z1 + ... + kn zn).
 
     The reference is the one-variable evaluation at the combined point; the
-    closed-form path reduces the transformed measure exactly (atomic base),
-    and the quadrature path evaluates the transformed data by nested
-    integration.  Coefficients with zeros route through the general
-    transform, where only the quadrature path applies.
+    quadrature path evaluates ``transform(data, k)`` by nested integration.
+    The closed-form path reduces the transformed measure exactly (atomic
+    base); it needs a ladder pushforward, so it runs only when every
+    coefficient is positive.
     """
     if data.n != 1:
         raise DomainError("main-theorem verification starts from one-variable data")
-    if not (is_zero_measure(data.mu) or isinstance(data.mu, Atomic)):
+    if not isinstance(data.mu, Atomic):
         raise DomainError("verification requires an atomic base measure")
 
     ks = np.asarray(k, dtype=float)
-    strict = bool(np.all(ks > 1e-15))
-    tilde = transform(data, ks) if strict else transform_general(data, ks)
+    strict = bool(np.all(ks > ZERO_COEFFICIENT_TOL))
+    tilde = transform(data, ks)
 
     max_closed = 0.0
     max_quad = 0.0

@@ -7,9 +7,10 @@ coefficients are (k1 b, ..., kn b), and the measure is the ladder
 pushforward of mu with coefficients b_j = k_n / k_j and normalisation
 beta_n = det(M_n).
 
-Zero coefficients are handled by the general route: the axes with k = 0
-receive Lebesgue factors, the remaining axes carry the transform of the
-reduced (strictly positive) combination.
+``transform`` takes every k in the simplex.  Axes with k = 0 get zero
+linear coefficients and Lebesgue factors: a single surviving axis carries
+mu itself in a ``Product``, and two or more carry the ladder pushforward of
+the renormalised positive coefficients inside a ``LebesguePad``.
 """
 
 from __future__ import annotations
@@ -31,15 +32,14 @@ __all__ = [
     "ladder_matrix",
     "ladder_normalization",
     "transform",
-    "transform_general",
 ]
 
-# Coefficients at or below this magnitude are treated as exact zeros and
-# routed through the general (Lebesgue padding) construction.
+# Coefficients at or below this magnitude are treated as exact zeros: their
+# axes are padded with Lebesgue factors.
 ZERO_COEFFICIENT_TOL = 1e-15
 
 
-def validate_convex_coefficients(k: Sequence[float], strict: bool = False) -> np.ndarray:
+def validate_convex_coefficients(k: Sequence[float]) -> np.ndarray:
     ks = np.asarray(k, dtype=float)
     if ks.ndim != 1 or ks.size < 2:
         raise DomainError("need at least two convex coefficients")
@@ -49,16 +49,14 @@ def validate_convex_coefficients(k: Sequence[float], strict: bool = False) -> np
         raise DomainError("convex coefficients must be nonnegative")
     if abs(ks.sum() - 1.0) > 1e-12:
         raise DomainError("convex coefficients must sum to 1")
-    if strict and np.any(ks <= ZERO_COEFFICIENT_TOL):
-        raise DomainError(
-            "coefficients with zeros require the general transform (transform_general)"
-        )
     return ks
 
 
 def coefficients_to_ladder(k: Sequence[float]) -> np.ndarray:
     """b_j = k_n / k_j for j = 1..n-1; requires strictly positive k."""
-    ks = validate_convex_coefficients(k, strict=True)
+    ks = validate_convex_coefficients(k)
+    if np.any(ks <= ZERO_COEFFICIENT_TOL):
+        raise DomainError("ladder coefficients need strictly positive convex coefficients")
     return ks[-1] / ks[:-1]
 
 
@@ -101,48 +99,33 @@ def ladder_normalization(b: Sequence[float]) -> float:
 
 
 def transform(data: RepresentationData, k: Sequence[float]) -> RepresentationData:
-    """n-variable data of z |-> q(k1 z1 + ... + kn zn), all k strictly positive."""
-    ks = validate_convex_coefficients(k, strict=True)
-    if data.n != 1:
-        raise DomainError("transform starts from one-variable data")
-    n = len(ks)
-    b_tilde = tuple(float(kl * data.b[0]) for kl in ks)
-    if is_zero_measure(data.mu):
-        mu_tilde = zero_measure(n)
-    else:
-        bs = coefficients_to_ladder(ks)
-        mu_tilde = PushforwardLadder(data.mu, tuple(bs), ladder_normalization(bs))
-    return RepresentationData(data.a, b_tilde, mu_tilde)
+    """n-variable data of z |-> q(k1 z1 + ... + kn zn) for k in the simplex.
 
-
-def transform_general(data: RepresentationData, k: Sequence[float]) -> RepresentationData:
-    """Like ``transform`` but allowing zero coefficients.
-
-    Axes with k = 0 are padded with Lebesgue factors; the strictly positive
-    sub-combination is transformed on the remaining axes.  A single surviving
-    axis carries the original measure itself.
+    Strictly positive k give the ladder pushforward of mu.  Axes with k = 0
+    are padded with Lebesgue factors; a single surviving axis carries mu
+    itself, and two or more carry the transform of the renormalised
+    positive sub-combination.
     """
     ks = validate_convex_coefficients(k)
     if data.n != 1:
         raise DomainError("transform starts from one-variable data")
     n = len(ks)
     zero = ks <= ZERO_COEFFICIENT_TOL
-    support = [i for i in range(n) if not zero[i]]
-    if not support:
-        raise DomainError("at least one coefficient must be positive")
-    if len(support) == n:
-        return transform(data, ks)
-
-    b_tilde = tuple(float(kl * data.b[0]) if not z else 0.0 for kl, z in zip(ks, zero))
+    support = np.flatnonzero(~zero)
+    b_tilde = tuple(0.0 if z else float(kl * data.b[0]) for kl, z in zip(ks, zero))
 
     if is_zero_measure(data.mu):
-        return RepresentationData(data.a, b_tilde, zero_measure(n))
-
-    if len(support) == 1:
+        mu_tilde = zero_measure(n)
+    elif support.size == 1:
         factors = [lebesgue() for _ in range(n)]
         factors[support[0]] = data.mu
-        return RepresentationData(data.a, b_tilde, Product(tuple(factors)))
-
-    sub = transform(data, ks[support] / ks[support].sum())
-    mu_hat = LebesguePad(sub.mu, tuple(support), n)
-    return RepresentationData(data.a, b_tilde, mu_hat)
+        mu_tilde = Product(tuple(factors))
+    else:
+        # k is renormalised only when an axis drops out, so that a strictly
+        # positive k reaches the ladder exactly as given.
+        positive = ks[support]
+        bs = coefficients_to_ladder(positive if support.size == n else positive / positive.sum())
+        mu_tilde = PushforwardLadder(data.mu, tuple(bs), ladder_normalization(bs))
+        if support.size < n:
+            mu_tilde = LebesguePad(mu_tilde, tuple(support.tolist()), n)
+    return RepresentationData(data.a, b_tilde, mu_tilde)

@@ -54,7 +54,6 @@ from nvk.transform import (
     ladder_normalization,
     ladder_to_coefficients,
     transform,
-    transform_general,
 )
 
 PI = math.pi
@@ -274,8 +273,8 @@ def test_criterion_9_zero_coefficient_corollary():
         data = RepresentationData(0.0, (0.0,), pd0)
 
         # k = (1,0) and (0,1) reproduce the product measures.
-        out10 = transform_general(data, (1.0, 0.0))
-        out01 = transform_general(data, (0.0, 1.0))
+        out10 = transform(data, (1.0, 0.0))
+        out01 = transform(data, (0.0, 1.0))
         assert out10.mu == Product((pd0, lebesgue()))
         assert out01.mu == Product((lebesgue(), pd0))
         boxes = [Box(((-1, 1), (0, 2))), Box(((-0.5, 0.5), (-3, -1)))]
@@ -289,7 +288,7 @@ def test_criterion_9_zero_coefficient_corollary():
             assert abs(evaluate(out01, z, CFG) - (-1.0 / z[1])) <= 1e-9
 
         # One zero among three: matches the reduced two-variable combination.
-        out = transform_general(data, (0.5, 0.0, 0.5))
+        out = transform(data, (0.5, 0.0, 0.5))
         worst = 0.0
         for _ in range(20):
             z = draw_upper_point(rng, 3)

@@ -160,8 +160,7 @@ def test_derive_traits(pi_delta0, cfg):
     tr = derive_traits(lebesgue(), cfg, coefficients=(1, 1, 1, 2))
     assert (tr.is_zero, tr.is_finite, tr.satisfies_1var_growth) == (False, False, True)
     assert tr.satisfies_cubic_condition is True
-    tr = derive_traits(zero_measure(1), cfg)
-    assert tr.is_zero and tr.satisfies_cubic_condition is True
+    assert derive_traits(zero_measure(1), cfg) == MeasureTraits(True, True, True, True)
 
 
 def test_cubic_condition(pi_delta0, cfg):

@@ -71,6 +71,10 @@ def test_mass_atomic_exact_closed_boxes():
     r = mass(mu, Box(((0.0, 3.0), (1.0, 3.0))))
     assert r.error_estimate == 0.0
     assert r.value == 3.0  # boundary atoms count as inside
+    # An atom in the overlap of two boxes counts once.
+    r = mass(mu, [Box(((-1.0, 1.0), (0.0, 2.0))), Box(((0.0, 4.0), (1.0, 4.0)))])
+    assert r.error_estimate == 0.0
+    assert r.value == 3.0
 
 
 def test_mass_positivity_and_additivity(pi_delta0, cfg):
@@ -293,6 +297,28 @@ def test_integrate_many_all_members_diverge(cfg):
         integrate_many(lebesgue(), lambda t, k: 1.0 + 0j, -1, cfg)
 
 
+def test_nest_settles_once_every_member_diverged(cfg, monkeypatch):
+    # With b = d = 0 the image ignores t2, so the inner Lebesgue level
+    # diverges for every row of the first outer round.  The outer level then
+    # gets zeros without another solve and settles.
+    import nvk.measures as measures
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return integrate_rows(*args, **kwargs)
+
+    integrate_rows = measures.integrate_rows
+    monkeypatch.setattr(measures, "integrate_rows", counted)
+    mu = Pushforward2D(_CAUCHY, 1, 0, 1, 0)
+    many = integrate_many(mu, lambda u, v, k: 1.0 / ((1.0 + u * u) * (1.0 + v * v)) + 0j, 3, cfg)
+    assert len(calls) == 2
+    for r in many:
+        assert math.isnan(r.value.real)
+        assert (r.error_estimate, r.converged, r.diverged) == (math.inf, False, True)
+
+
 # Values of the parent implementation (five hand-written recursions), pinned
 # so that compiling every measure to one plan run by one walker keeps them.
 _Z4 = (0.3 + 0.8j, -0.2 + 1.1j, 0.5 + 0.6j, 0.1 + 0.9j)
@@ -379,11 +405,11 @@ def test_lebesgue_pad_density_matches_reduction(cfg_nested):
     # The padded axis runs as the innermost plan level, at the tolerance of
     # its depth; q(0.4 z1 + 0.6 z3) is the one-variable reference.
     from nvk.representation import RepresentationData, evaluate
-    from nvk.transform import transform_general
+    from nvk.transform import transform
 
     data = RepresentationData(0.0, (0.0,), _CAUCHY)
     z = (0.4 + 1.1j, -0.8 + 0.9j, 0.3 + 1.4j)
-    padded = transform_general(data, (0.4, 0.0, 0.6))
+    padded = transform(data, (0.4, 0.0, 0.6))
     assert isinstance(padded.mu, LebesguePad)
     got = evaluate(padded, z, cfg_nested)
     want = evaluate(data, (0.4 * z[0] + 0.6 * z[2],))

@@ -17,7 +17,6 @@ from nvk.transform import (
     ladder_normalization,
     ladder_to_coefficients,
     transform,
-    transform_general,
     validate_convex_coefficients,
 )
 
@@ -85,7 +84,7 @@ def test_transform_structure(pi_delta0):
     assert out.mu.b == (1.0,) and out.mu.scale == 2.0
 
     affine = RepresentationData(1.5, (2.0,), zero_measure(1))
-    out = transform_general(affine, (0.25, 0.75))
+    out = transform(affine, (0.25, 0.75))
     assert out.a == 1.5 and out.b == (0.5, 1.5)
     assert is_zero_measure(out.mu)
 
@@ -110,13 +109,13 @@ def test_transform_pointwise_equality(pi_delta0, cfg):
 
 def test_transform_general_product_padding(pi_delta0):
     data = RepresentationData(0.25, (1.0,), pi_delta0)
-    out = transform_general(data, (1.0, 0.0))
+    out = transform(data, (1.0, 0.0))
     assert out.b == (1.0, 0.0)
     assert isinstance(out.mu, Product)
     assert out.mu.factors[0] is pi_delta0
     assert out.mu.factors[1].dimension == 1 and out.mu.factors[1].density is None
 
-    out = transform_general(data, (0.0, 1.0))
+    out = transform(data, (0.0, 1.0))
     assert out.b == (0.0, 1.0)
     assert isinstance(out.mu, Product)
     assert out.mu.factors[1] is pi_delta0
@@ -124,7 +123,7 @@ def test_transform_general_product_padding(pi_delta0):
 
 def test_transform_general_mixed_axes(pi_delta0):
     data = RepresentationData(0.0, (0.0,), pi_delta0)
-    out = transform_general(data, (0.5, 0.0, 0.5))
+    out = transform(data, (0.5, 0.0, 0.5))
     assert isinstance(out.mu, LebesguePad)
     assert out.mu.axes == (0, 2) and out.mu.dim == 3
     inner = out.mu.inner
@@ -136,7 +135,7 @@ def test_transform_general_two_zero_axes(pi_delta0):
     from nvk.quadrature import QuadratureConfig
 
     data = RepresentationData(0.0, (0.0,), pi_delta0)
-    out = transform_general(data, (0.5, 0.0, 0.0, 0.5))
+    out = transform(data, (0.5, 0.0, 0.0, 0.5))
     assert isinstance(out.mu, LebesguePad)
     assert out.mu.axes == (0, 3) and out.mu.dim == 4
     z = (0.4 + 1.1j, -0.8 + 0.9j, 0.3 + 1.4j, 1.0 + 0.7j)
@@ -145,20 +144,14 @@ def test_transform_general_two_zero_axes(pi_delta0):
     assert abs(got - want) <= 1e-6 * abs(want)
 
 
-def test_transform_general_agrees_with_strict(pi_delta0):
-    data = RepresentationData(0.0, (0.0,), pi_delta0)
-    k = (0.4, 0.6)
-    assert transform_general(data, k) == transform(data, k)
-
-
 def test_errors(pi_delta0):
     data = RepresentationData(0.0, (0.0,), pi_delta0)
-    with pytest.raises(DomainError, match="transform_general"):
+    with pytest.raises(DomainError, match="strictly positive"):
         coefficients_to_ladder((1.0, 0.0))
     with pytest.raises(DomainError):
         transform(data, (0.5, 0.4))  # does not sum to 1
     with pytest.raises(DomainError):
-        transform_general(data, (0.0, 0.0))
+        transform(data, (0.0, 0.0))
     with pytest.raises(DomainError):
         coefficients_to_ladder((1.2, -0.2))
 
@@ -171,9 +164,8 @@ _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 def test_non_finite_coefficients_rejected(ks, data):
     i = data.draw(st.integers(0, len(ks) - 1))
     ks[i] = data.draw(_NON_FINITE)
-    for strict in (True, False):
-        with pytest.raises(DomainError):
-            validate_convex_coefficients(ks, strict=strict)
+    with pytest.raises(DomainError):
+        validate_convex_coefficients(ks)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 1e-320, 0.0, -1.0],
