@@ -413,9 +413,6 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else 2
     try:
         return args.func(args)
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (GrowthConditionError, QuadratureFailure, IntegrandError, InconsistencyError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

@@ -15,8 +15,9 @@ where the measure object is one of
     {"type": "lebesgue_pad", "inner": measure, "axes": [...], "dimension": n}
 
 Density expressions use a deliberately tiny grammar over t1..tn: numbers,
-+ - * / ^, parentheses and exp(...).  Anything richer belongs in library
-embedding, not in descriptor files.
++ - * / ^, unary minus, parentheses and exp(...).  Python's ``ast`` parses
+the text with ^ spelled **, and only these nodes compile; anything richer
+belongs in library embedding, not in descriptor files.
 
 Complex literals in flags and reports use the form "a+bi" with a mandatory
 sign between the parts, e.g. "0+1i" or "-1.5-2e-3i".
@@ -24,6 +25,7 @@ sign between the parts, e.g. "0+1i" or "-1.5-2e-3i".
 
 from __future__ import annotations
 
+import ast
 import json
 import operator
 import re
@@ -93,103 +95,71 @@ def format_complex(z: complex) -> str:
 
 # --- density expression grammar -------------------------------------------
 #
-#   expr    := term (('+' | '-') term)*
-#   term    := unary (('*' | '/') unary)*
-#   unary   := '-' unary | power
-#   power   := atom ('^' unary)?           (right associative)
-#   atom    := number | variable | 'exp' '(' expr ')' | '(' expr ')'
+# A density is an arithmetic expression over t1..tn: numbers, variables,
+# + - * /, ^ for the power, unary minus, parentheses and exp(...).  With ^
+# spelled ** this is a subset of Python's expressions with Python's
+# precedence (^ binds tighter than unary minus and associates to the right),
+# so ``ast`` parses the text and a whitelist of nodes compiles the tree.
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+)|(t\d+)|(exp)|([()+\-*/^]))")
-
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise DomainError(f"density expression: bad token at column {pos + 1}")
-        tokens.append((m.lastindex, m.group(m.lastindex), pos))
-        pos = m.end()
-    return tokens
+# The first character outside the grammar's alphabet; ** is not in the
+# grammar either (and Python's tokenizer would drop a # comment unseen).
+_BAD_CHAR_RE = re.compile(r"[^\w\s.+\-*/^()]|\*\*")
+_NUMBER_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+")
+_VARIABLE_RE = re.compile(r"t\d+")
+_EXP_CALL_RE = re.compile(r"exp *\(")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
 def parse_density(text: str, dimension: int) -> Callable:
     """Compile a density expression over t1..t<dimension> to a callable."""
-    tokens = _tokenize(text)
-    idx = [0]
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise DomainError(f"density expression: bad token at column {bad.start() + 1}")
+    # One space per whitespace character and no indent, so that a column of
+    # ``src`` maps back to ``text``: shift by the indent, less one per ^.
+    body = re.sub(r"\s", " ", text).lstrip()
+    lead, src = len(text) - len(body), body.replace("^", "**")
 
-    def peek():
-        return tokens[idx[0]] if idx[0] < len(tokens) else (None, None, len(text))
+    def error(what: str, offset: int) -> DomainError:
+        column = lead + offset - src[:offset].count("**") + 1
+        return DomainError(f"density expression: {what} at column {column}")
 
-    def advance():
-        tok = peek()
-        idx[0] += 1
-        return tok
+    def reject(node, what: str = "unexpected token"):
+        # col_offset counts UTF-8 bytes.
+        raise error(what, len(src.encode()[:node.col_offset].decode()))
 
-    def expect(value: str):
-        kind, val, pos = advance()
-        if val != value:
-            raise DomainError(f"density expression: expected {value!r} at column {pos + 1}")
-
-    def parse_binary(operand, ops: dict):
-        """operand (op operand)*, left associative."""
-        node = operand()
-        while peek()[1] in ops:
-            op = ops[advance()[1]]
-            node = (lambda a, b, f: lambda *t: f(a(*t), b(*t)))(node, operand(), op)
-        return node
-
-    def parse_expr():
-        return parse_binary(parse_term, {"+": operator.add, "-": operator.sub})
-
-    def parse_term():
-        return parse_binary(parse_unary, {"*": operator.mul, "/": operator.truediv})
-
-    def parse_unary():
-        if peek()[1] == "-":
-            advance()
-            inner = parse_unary()
+    def compile_node(node) -> Callable:
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            a, b, f = compile_node(node.left), compile_node(node.right), _BINARY[type(node.op)]
+            return lambda *t: f(a(*t), b(*t))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            inner = compile_node(node.operand)
             return lambda *t: -inner(*t)
-        return parse_power()
-
-    def parse_power():
-        base = parse_atom()
-        if peek()[1] == "^":
-            advance()
-            exponent = parse_unary()
-            return lambda *t: base(*t) ** exponent(*t)
-        return base
-
-    def parse_atom():
-        kind, val, pos = advance()
-        if kind == 1:  # number
-            const = float(val)
+        # The node's own text: Python folds fullwidth letters into ASCII
+        # names, reads 1_0 or 0x10 as numbers and calls (exp)(t1); the
+        # grammar does none of these.
+        seg = ast.get_source_segment(src, node)
+        if isinstance(node, ast.Constant) and _NUMBER_RE.fullmatch(seg):
+            const = float(seg)
             return lambda *t: const
-        if kind == 2:  # variable
-            axis = int(val[1:]) - 1
+        if isinstance(node, ast.Name) and _VARIABLE_RE.fullmatch(seg):
+            axis = int(seg[1:]) - 1
             if not 0 <= axis < dimension:
-                raise DomainError(
-                    f"density expression: variable {val} out of range at column {pos + 1}")
+                reject(node, f"variable {seg} out of range")
             return lambda *t: t[axis]
-        if kind == 3:  # exp(
-            expect("(")
-            inner = parse_expr()
-            expect(")")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and _EXP_CALL_RE.match(seg) and len(node.args) == 1):
+            inner = compile_node(node.args[0])
             return lambda *t: np.exp(inner(*t))
-        if val == "(":
-            inner = parse_expr()
-            expect(")")
-            return inner
-        raise DomainError(f"density expression: unexpected token at column {pos + 1}")
+        reject(node)
 
-    node = parse_expr()
-    if idx[0] != len(tokens):
-        _, _, pos = peek()
-        raise DomainError(f"density expression: trailing input at column {pos + 1}")
-    return node
+    try:
+        tree = ast.parse(src, mode="eval")
+    except SyntaxError as e:
+        # Python gives no position for some errors at the end (``1 +``).
+        raise error(e.msg, min(e.offset - 1, len(src)) if e.offset else len(src)) from None
+    return compile_node(tree.body)
 
 
 def measure_to_json(mu: Measure) -> dict:

@@ -97,9 +97,8 @@ def verify_step(m: int, d: int, b: Sequence[float], z: Sequence[complex],
     Requires m >= 3; the final rung (m = 2) has its own closed form.
     """
     zs = require_upper_half(z)
-    n = len(zs)
-    if m < 3 or m + d != n:
-        raise DomainError("middle rungs need m >= 3 and m + d = len(z)")
+    if m < 3:
+        raise DomainError("middle rungs need m >= 3")
     if len(t) != m - 1:
         raise DomainError("t must fix the first m - 1 coordinates")
     _check_ladder(zs, b, m, d)
@@ -118,10 +117,6 @@ def verify_final_step(n: int, b: Sequence[float], z: Sequence[complex],
     """The last rung: integrate the (2, n-2) kernel over t2 and compare with
     pi * (prod_{j=2}^{n-1} b_j / beta_n) * K_1(sum k_l z_l, t1)."""
     zs = require_upper_half(z)
-    if len(zs) != n or n < 2:
-        raise DomainError("need n >= 2 coordinates")
-    if len(b) != n - 1:
-        raise DomainError("need n - 1 ladder coefficients")
     _check_ladder(zs, b, 2, n - 2)
 
     kernel = _ladder_core(zs, b, 2, n - 2)
@@ -141,8 +136,6 @@ def verify_full_reduction(n: int, b: Sequence[float], z: Sequence[complex],
     if n not in (2, 3):
         raise DomainError("full quadrature is limited to n in {2, 3}; "
                           "verify rung by rung for larger n")
-    if len(zs) != n or len(b) != n - 1:
-        raise DomainError("inconsistent dimensions")
     _check_ladder(zs, b, n, 0)
     kernel = _ladder_core(zs, b, n, 0)
 
@@ -228,7 +221,8 @@ def verify_main_theorem(data: RepresentationData, k: Sequence[float],
     quadrature path evaluates ``transform(data, k)`` by nested integration.
     The closed-form path reduces the transformed measure exactly (atomic
     base); it needs a ladder pushforward, so it runs only when every
-    coefficient is positive.
+    coefficient is positive.  A zero coefficient with ``quadrature=False``
+    leaves no path to run and raises ``DomainError``.
     """
     if data.n != 1:
         raise DomainError("main-theorem verification starts from one-variable data")
@@ -237,6 +231,8 @@ def verify_main_theorem(data: RepresentationData, k: Sequence[float],
 
     ks = np.asarray(k, dtype=float)
     strict = bool(np.all(ks > ZERO_COEFFICIENT_TOL))
+    if not (strict or quadrature):
+        raise DomainError("a zero coefficient leaves only the quadrature path, which is off")
     tilde = transform(data, ks)
 
     max_closed = 0.0

@@ -545,21 +545,13 @@ def _solve(run: _Run, i: int, g: Callable, k: np.ndarray, table, center, halfwid
            lo=-math.inf, hi=math.inf) -> np.ndarray:
     """Integrals of ``g(x, rows)`` over [lo, hi] in one batched solve at the
     tolerances of level i; row r has entry ``k[r]`` of the (member, weight)
-    table.  Rows of diverged members are not solved and read 0, so the
-    levels above them settle at once."""
+    table.  Rows of diverged members read 0, so the levels above them
+    settle at once."""
     budget = run.budget
     members = table[0][k]
-    if budget.diverged.any() and budget.diverged[members].any():
-        live = np.flatnonzero(~budget.diverged[members])
-        out = np.zeros(k.size, dtype=complex)
-        if live.size:
-            out[live] = _solve(run, i, lambda x, rows: g(x, live[rows]), k[live], table,
-                               *(v[live] if np.ndim(v) else v
-                                 for v in (center, halfwidth, lo, hi)))
-        return out
     r = integrate_rows(g, k.size, run.cfgs[i], center=center, halfwidth=halfwidth, lo=lo, hi=hi)
     budget.absorb(r, members, table[1][k])
-    if r.diverged.any():
+    if budget.diverged.any():
         return np.where(budget.diverged[members], 0.0, r.value)
     return r.value
 

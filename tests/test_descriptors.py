@@ -2,10 +2,12 @@
 
 import json
 import math
+import operator
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvk.descriptors import (
     data_from_json,
@@ -59,15 +61,106 @@ def test_density_grammar():
 
 
 @pytest.mark.parametrize("expr,match", [
-    ("1 +", "unexpected token"),
+    ("1 +", "invalid syntax at column 4"),
     ("t3", "out of range"),
     ("1 $ 2", "bad token"),
-    ("(1", "expected"),
-    ("1 2", "trailing input"),
+    ("(1", "never closed at column 1"),
+    ("1 2", "invalid syntax at column 3"),
+    ("1 + t1 # note", "bad token at column 8"),
+    ("2**3", "bad token at column 2"),
+    ("1_0", "unexpected token"),
+    ("0x10", "unexpected token"),
+    ("1j", "unexpected token"),
+    ("True", "unexpected token"),
+    ("+t1", "unexpected token at column 1"),
+    ("exp(t1, t2)", "bad token"),
+    ("t1.real", "unexpected token"),
+    ("(1, 2)", "bad token"),
+    ("01", "leading zeros"),
 ])
 def test_density_grammar_errors(expr, match):
     with pytest.raises(DomainError, match=match):
         parse_density(expr, 2)
+
+
+# Expression trees over the grammar: ("num", text), ("var", axis), ("neg", x),
+# ("exp", x) and (op, x, y) for op in + - * / ^.
+_NUMBERS = st.from_regex(r"(0|[1-9][0-9]{0,2})(\.[0-9]{0,3})?([eE][+-]?[0-9]{1,2})?|\.[0-9]{1,3}",
+                         fullmatch=True)
+_TREES = st.recursive(
+    st.one_of(_NUMBERS.map(lambda s: ("num", s)), st.sampled_from([("var", 0), ("var", 1)])),
+    lambda sub: st.one_of(st.tuples(st.sampled_from("+-*/^"), sub, sub),
+                          st.tuples(st.sampled_from(["neg", "exp"]), sub)),
+    max_leaves=12)
+# How tightly each node binds; a node sits in parentheses where its place
+# needs a tighter one (the base of ^ needs an atom, its exponent a unary).
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "num": 5, "var": 5, "exp": 5}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+        "^": operator.pow}
+
+
+@st.composite
+def _expressions(draw):
+    """A tree and its text, with random spaces, tabs and redundant parentheses."""
+    def space():
+        return draw(st.sampled_from(["", "", " ", "  ", "\t"]))
+
+    def render(node, least):
+        kind = node[0]
+        if kind == "num":
+            text = node[1]
+        elif kind == "var":
+            text = f"t{node[1] + 1}"
+        elif kind == "neg":
+            text = "-" + space() + render(node[1], 3)
+        elif kind == "exp":
+            text = "exp" + space() + "(" + space() + render(node[1], 0) + space() + ")"
+        elif kind == "^":
+            text = render(node[1], 5) + space() + "^" + space() + render(node[2], 3)
+        else:
+            text = (render(node[1], _BINDING[kind]) + space() + kind + space()
+                    + render(node[2], _BINDING[kind] + 1))
+        if _BINDING[kind] < least or draw(st.integers(0, 5)) == 0:
+            text = "(" + space() + text + space() + ")"
+        return text
+
+    tree = draw(_TREES)
+    return tree, space() + render(tree, 0) + space()
+
+
+def _direct(node, t):
+    kind = node[0]
+    if kind == "num":
+        return float(node[1])
+    if kind == "var":
+        return t[node[1]]
+    if kind == "neg":
+        return -_direct(node[1], t)
+    if kind == "exp":
+        return np.exp(_direct(node[1], t))
+    return _OPS[kind](_direct(node[1], t), _direct(node[2], t))
+
+
+def _bits(f, t):
+    """The exact outcome of f(*t): the exception type, or the type, dtype
+    and bytes of the value."""
+    try:
+        with np.errstate(all="ignore"):
+            v = f(*t)
+    except ArithmeticError as e:  # Python floats raise on 1/0 and overflow
+        return type(e)
+    return type(v), np.asarray(v).dtype, np.asarray(v).tobytes()
+
+
+@given(_expressions())
+@settings(max_examples=200, deadline=None)
+def test_density_matches_direct_evaluation(case):
+    tree, text = case
+    f = parse_density(text, 2)
+    arrays = (np.array([-2.5, -1.0, -0.0, 0.3, 1.0, 7.0]),
+              np.array([0.5, -3.0, 2.0, 0.0, -0.7, 1.5]))
+    for t in (arrays, (0.7, -1.3)):
+        assert _bits(f, t) == _bits(lambda *u: _direct(tree, u), t), text
 
 
 def test_measure_roundtrips(pi_delta0):

@@ -124,6 +124,17 @@ def test_verifiers_reject_bad_coefficients_before_integrating(bad, cfg, monkeypa
         verify_final_step(3, (bad, 1.0), z, 0.1, cfg)
     with pytest.raises(DomainError):
         verify_full_reduction(3, (1.0, bad), z, 0.1, cfg)
+    # A wrong len(z), a wrong len(b) and n = 1 are caught by the same checks.
+    for call in (lambda: verify_step(3, 0, (1.0, 1.0), z[:2], (0.1, 0.2), cfg),
+                 lambda: verify_step(3, 0, (1.0,), z, (0.1, 0.2), cfg),
+                 lambda: verify_final_step(3, (1.0, 1.0), z[:2], 0.1, cfg),
+                 lambda: verify_final_step(3, (1.0,), z, 0.1, cfg),
+                 lambda: verify_final_step(1, (), z[:1], 0.1, cfg),
+                 lambda: verify_full_reduction(3, (1.0, 1.0), z[:2], 0.1, cfg),
+                 lambda: verify_full_reduction(3, (1.0,), z, 0.1, cfg),
+                 lambda: verify_full_reduction(1, (), z[:1], 0.1, cfg)):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_full_reduction_large_n_rejected(cfg):
@@ -187,6 +198,14 @@ def test_main_theorem_closed_path_scales_to_five_variables(cfg):
     zs = [draw_upper_point(rng, 5) for _ in range(5)]
     rep = verify_main_theorem(data, k, zs, cfg, quadrature=False)
     assert rep.max_closed_form_error <= 1e-12
+
+
+def test_main_theorem_needs_a_path_to_run(pi_delta0):
+    # A zero coefficient rules out the closed form; with the quadrature path
+    # off as well, nothing would be compared, so no report comes back.
+    data = RepresentationData(0.0, (0.0,), pi_delta0)
+    with pytest.raises(DomainError, match="quadrature path"):
+        verify_main_theorem(data, (0.5, 0.0, 0.5), [(1j, 1j, 1j)], quadrature=False)
 
 
 def test_main_theorem_zero_coefficient_routes_through_general(pi_delta0, cfg_nested):

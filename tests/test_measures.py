@@ -51,6 +51,14 @@ def test_product_atom_lebesgue(pi_delta0, cfg):
     assert abs(r.value - PI * PI) < 1e-9
 
 
+def test_product_of_atoms_constant_test_function(cfg):
+    # A test function that ignores its arguments returns a scalar, which the
+    # atom level broadcasts over its rows: the value is the total mass.
+    mu = Product((Atomic((((0.0,), 1.0), ((1.0,), 3.0))), Atomic.single(2.0, 5.0)))
+    r = integrate(mu, lambda t1, t2: 1.0, cfg)
+    assert r.value == 8.0 and r.converged
+
+
 def test_mass_product_box(pi_delta0, cfg):
     r = mass(Product((pi_delta0, lebesgue())), Box(((-1, 1), (0, 2))), cfg)
     assert abs(r.value - 2 * PI) < 1e-8
