@@ -14,7 +14,6 @@ from .conditions import (
     MeasureTraits,
     check_cubic_condition,
     check_growth,
-    check_nevanlinna_2var,
     check_nevanlinna_nvar,
     classify_pushforward2d,
     default_z_grid,
@@ -32,14 +31,12 @@ from .errors import (
 )
 from .kernels import (
     kernel_1d,
-    kernel_nd,
     kernel_nd_rational,
     kernel_nd_sum,
     ladder_kernel,
     ladder_kernel_full,
 )
 from .ladder import (
-    LadderReport,
     MainTheoremReport,
     ladder_closed_form,
     rung_prefactors,

@@ -36,14 +36,7 @@ from .descriptors import (
     parse_complex,
     validate_descriptor,
 )
-from .errors import (
-    DomainError,
-    GrowthConditionError,
-    InconsistencyError,
-    IntegrandError,
-    NvkError,
-    QuadratureFailure,
-)
+from .errors import DomainError, NvkError
 from .kernels import kernel_nd_rational, kernel_nd_sum
 from .ladder import verify_final_step, verify_full_reduction, verify_main_theorem, verify_step
 from .measures import Atomic, Pushforward2D, lebesgue, zero_measure
@@ -413,12 +406,12 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else 2
     try:
         return args.func(args)
-    except (GrowthConditionError, QuadratureFailure, IntegrandError, InconsistencyError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
-    except NvkError as e:
+    except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except NvkError as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

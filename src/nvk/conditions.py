@@ -22,13 +22,14 @@ of 25 points per variable pair with Im in [0.1, 10] and Re in [-10, 10];
 this is the strongest desk-scale surrogate for the universally quantified
 statement.  A value counts as zero when |value| <= max(1e-8, 1e-6 * S)
 where S integrates the modulus of the integrand (cancellation-dominated
-integrals need a relative yardstick).  A grid is one batched solve
-(``nevanlinna_grid``): the values at all points and their scales are the
-members of one ``measures.integrate_many`` call at one config, with the
-points' poles (z1, conj z2) as the layout hint, so every row's t2 lines
-sit on its own poles.  The one-point checkers are the one-point
-case.  The sign vectors of the n-variable sum, and the values and moduli
-of the cubic condition, are batched the same way.
+integrals need a relative yardstick).  ``nevanlinna_grid`` is the one
+entry point for the two-variable condition; a single point is a one-point
+grid.  A grid is one batched solve: the values at all points and their
+scales are the members of one ``measures.integrate_many`` call at one
+config, with the points' poles (z1, conj z2) as the layout hint, so every
+row's t2 lines sit on its own poles.  The cubic condition's values and
+moduli come from the same helper, and the sign vectors of the n-variable
+sum are batched the same way.
 
 The classifier for measures of the planar pushforward family decides from
 the affine coefficients and declared traits of the base measure which of
@@ -48,7 +49,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionMismatchError, DomainError
 from .kernels import require_upper_half
 from .measures import Box, Measure, integrate, integrate_many, mass
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult
@@ -59,10 +60,8 @@ __all__ = [
     "MeasureTraits",
     "Classification",
     "check_growth",
-    "check_nevanlinna_2var",
     "check_nevanlinna_nvar",
     "nevanlinna_grid",
-    "nevanlinna_modulus_scale",
     "default_z_grid",
     "nevanlinna_zero_tolerance",
     "check_cubic_condition",
@@ -135,54 +134,46 @@ def check_growth(mu: Measure, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Quadrat
     return integrate(mu, f, cfg)
 
 
-def _grid_columns(zs: Sequence[Sequence[complex]]) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinate arrays (z1, z2) of two-variable sample points, each
-    checked by ``require_upper_half``."""
-    pts = [require_upper_half(z) for z in zs]
-    return np.array([z[0] for z in pts], dtype=complex), np.array([z[1] for z in pts], dtype=complex)
+def _with_moduli(mu: Measure, f, m: int, cfg: QuadratureConfig, poles=None,
+                 ) -> tuple[list[QuadratureResult], list[QuadratureResult]]:
+    """The integrals of ``f(*t, k)`` for k = 0, ..., m-1 and of their moduli
+    ``|f(*t, k)|``: members 0..m-1 and m..2m-1 of one ``integrate_many``
+    call at ``cfg``.  ``poles``, an (m, dimension) array, is member k's
+    layout hint for both of its integrals."""
+    def g(*args):
+        *t, k = args
+        v = f(*t, k % m)
+        return np.where(k < m, v, np.abs(v))
+
+    out = integrate_many(mu, g, 2 * m, cfg, poles=None if poles is None else np.tile(poles, (2, 1)))
+    return out[:m], out[m:]
 
 
 def nevanlinna_grid(mu: Measure, zs: Sequence[Sequence[complex]],
                     cfg: QuadratureConfig = DEFAULT_CONFIG,
                     ) -> tuple[list[QuadratureResult], list[float]]:
-    """The two-variable Nevanlinna integral at every point of ``zs`` and the
-    modulus scales of the points before the first one whose integral
-    diverged (a "for all z" check stops there).
+    """int dmu / ((t1 - z1)^2 (t2 - conj(z2))^2) at every point z of ``zs``,
+    and the modulus scales (the integrals of the integrand's modulus) of the
+    points before the first one whose integral diverged (a "for all z"
+    check stops there).  A single point is a one-point grid.
 
     Values and scales are the members of one ``integrate_many`` call at
-    ``cfg``, so the grid costs one batched solve.
+    ``cfg`` whose layout follows the poles (z1, conj z2), so the grid costs
+    one batched solve.
     """
-    z1, z2 = _grid_columns(zs)
-    values, moduli = _nevanlinna_integrals(mu, z1, z2.conj(), cfg, (False, True))
-    upto = next((i for i, v in enumerate(values) if v.diverged), len(values))
-    return values, [abs(r.value) for r in moduli[:upto]]
-
-
-def _nevanlinna_integrals(mu: Measure, z1: np.ndarray, z2c: np.ndarray,
-                          cfg: QuadratureConfig, moduli: tuple[bool, ...],
-                          ) -> list[list[QuadratureResult]]:
-    """One set of integrals per entry of ``moduli``, each over every point:
-    of 1/((t1 - z1)^2 (t2 - conj z2)^2), or of its modulus where the entry
-    is True.  All sets are the members of one ``integrate_many`` call at
-    ``cfg`` whose layout follows the poles (z1, conj z2)."""
-    m = z1.size
-    absolute = np.repeat(moduli, m)
-    point = np.arange(absolute.size) % m
+    pts = [require_upper_half(z) for z in zs]
+    if mu.dimension != 2 or any(len(z) != 2 for z in pts):
+        raise DimensionMismatchError("the two-variable Nevanlinna integral needs a "
+                                     "two-dimensional measure and two-coordinate points")
+    z1 = np.array([z[0] for z in pts], dtype=complex)
+    z2c = np.array([z[1] for z in pts], dtype=complex).conj()
 
     def f(t1, t2, k):
-        p = point[k]
-        v = 1.0 / ((t1 - z1[p]) ** 2 * (t2 - z2c[p]) ** 2)
-        return np.where(absolute[k], np.abs(v), v)
+        return 1.0 / ((t1 - z1[k]) ** 2 * (t2 - z2c[k]) ** 2)
 
-    out = integrate_many(mu, f, absolute.size, cfg, poles=np.column_stack((z1, z2c))[point])
-    return [out[j * m:(j + 1) * m] for j in range(len(moduli))]
-
-
-def check_nevanlinna_2var(mu: Measure, z: Sequence[complex],
-                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """int dmu / ((t1 - z1)^2 (t2 - conj(z2))^2) at one sample point z."""
-    z1, z2 = _grid_columns([z])
-    return _nevanlinna_integrals(mu, z1, z2.conj(), cfg, (False,))[0][0]
+    values, moduli = _with_moduli(mu, f, len(pts), cfg, np.column_stack((z1, z2c)))
+    upto = next((i for i, v in enumerate(values) if v.diverged), len(values))
+    return values, [abs(r.value) for r in moduli[:upto]]
 
 
 def _mixed_sign_vectors(n: int):
@@ -219,15 +210,6 @@ def check_nevanlinna_nvar(mu: Measure, z: Sequence[complex],
     return QuadratureResult(sum((r.value for r in terms), 0j),
                             sum(r.error_estimate for r in terms),
                             all(r.converged for r in terms), False)
-
-
-def nevanlinna_modulus_scale(mu: Measure, z: Sequence[complex],
-                             cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """int |integrand| dmu for the two-variable Nevanlinna integral; the
-    reference scale for deciding that a cancellation-dominated value is
-    numerically zero."""
-    z1, z2 = _grid_columns([z])
-    return abs(_nevanlinna_integrals(mu, z1, z2.conj(), cfg, (True,))[0][0].value)
 
 
 def nevanlinna_zero_tolerance(scale: float) -> float:
@@ -286,15 +268,8 @@ def check_cubic_condition(coeff_det: float, delta: float, beta: float,
     if not points:
         raise DomainError("the cubic condition needs at least one sample point")
     w = np.array([-delta * z1 + beta * z2.conjugate() for z1, z2 in points])
-    m = w.size
-
-    # Members m..2m-1 integrate the moduli of members 0..m-1.
-    def f(t1, k):
-        u = coeff_det * t1 + w[k % m]
-        return np.where(k < m, 1.0 / u ** 3, 1.0 / np.abs(u) ** 3 + 0.0j)
-
-    out = integrate_many(mu1, f, 2 * m, cfg)
-    values, scales = out[:m], out[m:]
+    values, scales = _with_moduli(mu1, lambda t1, k: 1.0 / (coeff_det * t1 + w[k]) ** 3,
+                                  w.size, cfg)
     if any(r.diverged for r in values):
         return False
     return all(abs(r.value) <= nevanlinna_zero_tolerance(abs(s.value))

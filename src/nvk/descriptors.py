@@ -154,12 +154,25 @@ def parse_density(text: str, dimension: int) -> Callable:
             return lambda *t: np.exp(inner(*t))
         reject(node)
 
+    too_deep = "density expression: too long or too deeply nested"
     try:
-        tree = ast.parse(src, mode="eval")
+        fn = compile_node(ast.parse(src, mode="eval").body)
     except SyntaxError as e:
         # Python gives no position for some errors at the end (``1 +``).
         raise error(e.msg, min(e.offset - 1, len(src)) if e.offset else len(src)) from None
-    return compile_node(tree.body)
+    except (RecursionError, MemoryError):
+        # Python's parser signals a nesting past its own stack as MemoryError.
+        raise DomainError(too_deep) from None
+
+    def density(*t):
+        # The compiled closures recurse once per node, so a caller deep in
+        # the stack can run out of it where the parse did not.
+        try:
+            return fn(*t)
+        except RecursionError:
+            raise DomainError(too_deep) from None
+
+    return density
 
 
 def measure_to_json(mu: Measure) -> dict:

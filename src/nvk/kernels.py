@@ -2,7 +2,8 @@
 
 Two algebraically equivalent forms of the n-variable kernel K_n are kept as
 separate code paths so they can be cross-checked numerically; the rational
-single-fraction form is the default (one division, better rounding).
+single-fraction form is the one ``evaluate`` uses (one division, better
+rounding).
 
 The ladder kernels arise when K_n is composed with the affine map
 
@@ -41,7 +42,6 @@ __all__ = [
     "kernel_1d",
     "kernel_nd_sum",
     "kernel_nd_rational",
-    "kernel_nd",
     "ladder_kernel_full",
     "ladder_kernel",
     "require_ladder_coefficients",
@@ -152,8 +152,6 @@ def kernel_nd_rational(z: Sequence[complex], t: Sequence):
     p1 /= p2
     return p1 if shape else complex(p1)
 
-
-kernel_nd = kernel_nd_rational
 
 
 def require_ladder_coefficients(b: Sequence[float]) -> None:

@@ -38,29 +38,14 @@ from .representation import RepresentationData, evaluate
 from .transform import ZERO_COEFFICIENT_TOL, ladder_normalization, ladder_to_coefficients, transform
 
 __all__ = [
-    "LadderReport",
     "MainTheoremReport",
     "verify_step",
     "verify_final_step",
     "verify_full_reduction",
-    "rung_report",
     "rung_prefactors",
     "ladder_closed_form",
     "verify_main_theorem",
 ]
-
-
-@dataclass(frozen=True)
-class LadderReport:
-    m: int
-    d: int
-    sample_count: int
-    max_rel_error: float
-    samples: tuple[tuple[complex, complex], ...]
-
-    def __post_init__(self):
-        if self.max_rel_error < 0:
-            raise DomainError("max_rel_error must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -144,32 +129,6 @@ def verify_full_reduction(n: int, b: Sequence[float], z: Sequence[complex],
     lhs = _require_converged(r, "the full ladder reduction")
     s, beta = _combined_point(b, zs)
     return lhs, pi ** (n - 1) / beta * kernel_1d(s, t1)
-
-
-def rung_report(m: int, d: int, sample_count: int = 20, seed: int = 0,
-                cfg: QuadratureConfig = DEFAULT_CONFIG) -> LadderReport:
-    """Verify one ladder rung on random draws and collect the outcomes.
-
-    Middle rungs (m >= 3) integrate out the last variable; m = 2 runs the
-    final rung against the one-variable kernel.
-    """
-    from .sampling import draw_ladder_coefficients, draw_upper_point, rng_for
-
-    n = m + d
-    worst = 0.0
-    pairs = []
-    for i in range(sample_count):
-        rng = rng_for(seed, i)
-        b = draw_ladder_coefficients(rng, n)
-        z = draw_upper_point(rng, n)
-        if m >= 3:
-            t = tuple(rng.uniform(-2, 2, m - 1))
-            lhs, rhs = verify_step(m, d, b, z, t, cfg)
-        else:
-            lhs, rhs = verify_final_step(n, b, z, float(rng.uniform(-2, 2)), cfg)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-        pairs.append((lhs, rhs))
-    return LadderReport(m, d, sample_count, worst, tuple(pairs))
 
 
 def rung_prefactors(b: Sequence[float]) -> tuple[float, float]:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, GrowthConditionError
-from .kernels import kernel_1d, kernel_nd, require_upper_half
+from .kernels import kernel_1d, kernel_nd_rational, require_upper_half
 from .measures import Measure, integrate
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -67,7 +67,7 @@ def evaluate(data: RepresentationData, z: Sequence[complex],
     if n == 1:
         kernel = lambda t: kernel_1d(zs, t)
     else:
-        kernel = lambda *ts: kernel_nd(zs, ts)
+        kernel = lambda *ts: kernel_nd_rational(zs, ts)
 
     r = integrate(data.mu, kernel, cfg)
     if r.diverged:

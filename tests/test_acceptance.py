@@ -16,13 +16,12 @@ import numpy as np
 from nvk.cli import CLASSIFICATION_FIXTURES, fixture_base_measure, main
 from nvk.conditions import (
     check_growth,
-    check_nevanlinna_2var,
     classify_pushforward2d,
     default_z_grid,
     derive_traits,
     growth_inner_rational,
+    nevanlinna_grid,
     nevanlinna_inner_rational,
-    nevanlinna_modulus_scale,
 )
 from nvk.kernels import kernel_nd_rational, kernel_nd_sum
 from nvk.ladder import verify_final_step, verify_full_reduction, verify_main_theorem, verify_step
@@ -195,13 +194,9 @@ def test_criterion_6_classification_table():
             growth_ok = growth.converged and not growth.diverged
             nevan_ok = growth_ok
             if growth_ok:
-                scale_cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
-                for z in default_z_grid(2, 25):
-                    v = check_nevanlinna_2var(planar, z, CFG_NESTED)
-                    s = nevanlinna_modulus_scale(planar, z, scale_cfg)
-                    if abs(v.value) > max(1e-8, 1e-8 * s):
-                        nevan_ok = False
-                        break
+                values, scales = nevanlinna_grid(planar, default_z_grid(2, 25), CFG_NESTED)
+                nevan_ok = len(scales) == len(values) and all(
+                    abs(v.value) <= max(1e-8, 1e-8 * s) for v, s in zip(values, scales))
             assert (growth_ok and nevan_ok) == expected_rep, name
 
 

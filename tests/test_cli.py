@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import nvk
+from nvk import cli, errors
 from nvk import conditions as cond
 from nvk.cli import CLASSIFICATION_FIXTURES, classification_evidence, fixture_base_measure, main
 from nvk.measures import Pushforward2D
@@ -70,6 +71,30 @@ def test_eval_numerical_failure_exit_code(tmp_path):
     path.write_text(json.dumps(doc))
     rc, _ = run_main(["eval", str(path), "--z", "0+1i,0+1i"])
     assert rc == 3
+
+
+def test_eval_too_long_density_exit_code(tmp_path):
+    doc = {"schema": "nvk-1", "a": 0.0, "b": [0.0],
+           "measure": {"type": "lebesgue", "dimension": 1, "density": "+".join(["t1"] * 1000)}}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    rc, _ = run_main(["eval", str(path), "--z", "0+1i"])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.DomainError, 2), (errors.DimensionMismatchError, 2),
+    (errors.GrowthConditionError, 3), (errors.QuadratureFailure, 3),
+    (errors.IntegrandError, 3), (errors.InconsistencyError, 3),
+])
+def test_errors_map_to_exit_codes_by_class(inverse_descriptor, monkeypatch, capsys, error, code):
+    def fail(*args, **kwargs):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr(cli, "evaluate", fail)
+    assert main(["eval", inverse_descriptor, "--z", "0+1i"]) == code
+    prefix = "error" if code == 2 else "numerical failure"
+    assert capsys.readouterr().err == f"{prefix}: raised on purpose\n"
 
 
 def test_transform_matches_golden(inverse_descriptor, tmp_path):
@@ -269,11 +294,11 @@ def _evidence_per_point(mu1, coeffs, grid_count, cfg):
     max_mod = scale = 0.0
     if growth_ok:
         for z in cond.default_z_grid(2, grid_count):
-            v = cond.check_nevanlinna_2var(planar, z, cfg)
+            (v,), scales = cond.nevanlinna_grid(planar, [z], cfg)
             if v.diverged:
                 nevan_ok = False
                 break
-            s = cond.nevanlinna_modulus_scale(planar, z, cfg)
+            (s,) = scales
             scale, max_mod = max(scale, s), max(max_mod, abs(v.value))
             if abs(v.value) > cond.nevanlinna_zero_tolerance(s):
                 nevan_ok = False

@@ -12,7 +12,6 @@ from nvk.conditions import (
     MeasureTraits,
     check_cubic_condition,
     check_growth,
-    check_nevanlinna_2var,
     check_nevanlinna_nvar,
     classify_pushforward2d,
     default_z_grid,
@@ -22,7 +21,6 @@ from nvk.conditions import (
     nevanlinna_inner_rational,
     nevanlinna_grid,
     nevanlinna_inner_value,
-    nevanlinna_modulus_scale,
     nevanlinna_zero_tolerance,
 )
 from nvk.errors import DomainError
@@ -35,7 +33,7 @@ from nvk.measures import (
     lebesgue,
     zero_measure,
 )
-from nvk.quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult
+from nvk.quadrature import DEFAULT_CONFIG, QuadratureResult
 from nvk.residues import line_integral
 from nvk.sampling import rng_for
 from nvk.transform import transform
@@ -65,10 +63,9 @@ def test_growth_divergent_density(cfg):
 
 
 def test_nevanlinna_2var_antidiagonal_vanishes(pi_delta0, cfg):
-    mu = Pushforward2D(pi_delta0, 1, 1, 1, -1)
-    for z in default_z_grid(2, 5):
-        v = check_nevanlinna_2var(mu, z, cfg)
-        s = nevanlinna_modulus_scale(mu, z, QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9))
+    values, scales = nevanlinna_grid(Pushforward2D(pi_delta0, 1, 1, 1, -1), default_z_grid(2, 5), cfg)
+    assert len(scales) == 5
+    for v, s in zip(values, scales):
         assert abs(v.value) <= nevanlinna_zero_tolerance(s)
 
 
@@ -76,10 +73,10 @@ def test_nevanlinna_2var_diagonal_closed_form(pi_delta0, cfg):
     # beta*delta = 1 > 0 and zero determinant: the inner integral is
     # 4 pi i beta delta / (-delta z1 + beta conj(z2))^3 at the atom.
     mu = Pushforward2D(pi_delta0, 0, 1, 0, 1)
-    v = check_nevanlinna_2var(mu, (1j, 1j), cfg)
+    (v,), _ = nevanlinna_grid(mu, [(1j, 1j)], cfg)
     assert abs(v.value - PI ** 2 / 2) < 1e-9
     z1, z2 = GENERIC_Z2
-    v = check_nevanlinna_2var(mu, (z1, z2), cfg)
+    (v,), _ = nevanlinna_grid(mu, [(z1, z2)], cfg)
     want = PI * 4j * PI / (-z1 + z2.conjugate()) ** 3
     assert abs(v.value - want) < 1e-8 * abs(want)
 
@@ -87,7 +84,7 @@ def test_nevanlinna_2var_diagonal_closed_form(pi_delta0, cfg):
 def test_nevanlinna_single_atom_cannot_cancel(cfg):
     mu = Atomic.single(1.0, 0.0, 0.0)
     z1, z2 = 1j, 2j
-    v = check_nevanlinna_2var(mu, (z1, z2), cfg)
+    (v,), _ = nevanlinna_grid(mu, [(z1, z2)], cfg)
     want = 1.0 / (z1 ** 2 * z2.conjugate() ** 2)
     assert abs(v.value - want) < 1e-12
     assert abs(v.value) > 1e-3
@@ -104,7 +101,7 @@ def test_nevanlinna_forms_agree_in_nullity(pi_delta0, cfg):
     ]
     for mu, should_vanish in fixtures:
         v_sum = abs(check_nevanlinna_nvar(mu, GENERIC_Z2, cfg).value)
-        v_sq = abs(check_nevanlinna_2var(mu, GENERIC_Z2, cfg).value)
+        v_sq = abs(nevanlinna_grid(mu, [GENERIC_Z2], cfg)[0][0].value)
         if should_vanish:
             assert v_sum < 1e-8 and v_sq < 1e-8
         else:
@@ -297,8 +294,7 @@ def test_nevanlinna_grid_matches_per_point(kind, pi_delta0, cfg_nested):
     values, scales = nevanlinna_grid(mu, grid, cfg_nested)
     assert len(values) == len(scales) == len(grid)
     for z, v, s in zip(grid, values, scales):
-        assert v == check_nevanlinna_2var(mu, z, cfg_nested)
-        assert s == nevanlinna_modulus_scale(mu, z, cfg_nested)
+        assert nevanlinna_grid(mu, [z], cfg_nested) == ([v], [s])
 
 
 def test_nevanlinna_grid_is_one_call_at_one_config(pi_delta0, cfg_nested, monkeypatch):
@@ -403,8 +399,9 @@ def test_nevanlinna_grid_rejects_non_finite_points(pi_delta0, cfg, bad):
 
 @pytest.mark.parametrize("bad", _BAD_COORDINATES)
 def test_check_nevanlinna_2var_rejects_non_finite_points(bad):
+    # The two-variable check at one point, a one-point grid: first coordinate.
     with pytest.raises(DomainError):
-        check_nevanlinna_2var(Atomic((((0.0, 0.0), 1.0),)), (bad, 1j))
+        nevanlinna_grid(Atomic((((0.0, 0.0), 1.0),)), [(bad, 1j)])
 
 
 @pytest.mark.parametrize("bad", _BAD_COORDINATES)
@@ -415,8 +412,9 @@ def test_check_nevanlinna_nvar_rejects_non_finite_points(bad):
 
 @pytest.mark.parametrize("bad", _BAD_COORDINATES)
 def test_nevanlinna_modulus_scale_rejects_non_finite_points(bad):
+    # The modulus scale at one point, from a one-point grid: second coordinate.
     with pytest.raises(DomainError):
-        nevanlinna_modulus_scale(Atomic((((0.0, 0.0), 1.0),)), (1j, bad))
+        nevanlinna_grid(Atomic((((0.0, 0.0), 1.0),)), [(1j, bad)])
 
 
 @pytest.mark.parametrize("samples", [[(complex(math.nan, 1.0), 1j)], [(1j, complex(0.0, math.inf))],
@@ -462,7 +460,7 @@ def test_grid_corner_takes_few_rounds(cfg, monkeypatch):
     monkeypatch.setattr(quadrature, "_panels", counted)
     corner = default_z_grid(2, 25)[0]
     assert corner == (-10 + 0.1j, -10 + 0.1j)
-    r = check_nevanlinna_2var(Pushforward2D(Atomic.single(PI, 0.0), 1, 1, -1, -1), corner, cfg)
+    (r,), _ = nevanlinna_grid(Pushforward2D(Atomic.single(PI, 0.0), 1, 1, -1, -1), [corner], cfg)
     assert r.converged and abs(r.value) <= 1e-12
     assert calls[0] <= 20
 
@@ -489,7 +487,7 @@ def test_cubic_condition_is_one_call_with_unchanged_members(mu1, cfg, monkeypatc
     for k, (z1, z2) in enumerate(grid):
         w = -delta * z1 + beta * z2.conjugate()
         value = many(mu1, lambda t, kk: 1.0 / (det * t + w) ** 3, 1, cfg)[0]
-        modulus = many(mu1, lambda t, kk: 1.0 / np.abs(det * t + w) ** 3 + 0.0j, 1, cfg)[0]
+        modulus = many(mu1, lambda t, kk: np.abs(1.0 / (det * t + w) ** 3) + 0.0j, 1, cfg)[0]
         assert out[k] == value and out[len(grid) + k] == modulus
 
 

@@ -1,9 +1,11 @@
 """JSON descriptors, the density grammar and complex literals."""
 
+import inspect
 import json
 import math
 import operator
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -23,13 +25,14 @@ from nvk.descriptors import (
 from nvk.errors import DimensionMismatchError, DomainError
 from nvk.measures import (
     Atomic,
+    LebesgueDensity,
     LebesguePad,
     Product,
     Pushforward2D,
     PushforwardLadder,
     lebesgue,
 )
-from nvk.representation import RepresentationData
+from nvk.representation import RepresentationData, evaluate
 
 PI = math.pi
 
@@ -161,6 +164,36 @@ def test_density_matches_direct_evaluation(case):
               np.array([0.5, -3.0, 2.0, 0.0, -0.7, 1.5]))
     for t in (arrays, (0.7, -1.3)):
         assert _bits(f, t) == _bits(lambda *u: _direct(tree, u), t), text
+
+
+@pytest.mark.parametrize("text", ["+".join(["t1"] * 1000), "-" * 1000 + "t1", "^".join(["1"] * 3000)],
+                         ids=["sum", "minus", "power"])
+def test_density_too_deep_to_parse(text):
+    with pytest.raises(DomainError, match="too long or too deeply nested"):
+        parse_density(text, 1)
+
+
+def test_density_too_deep_to_evaluate():
+    # The density parses, and evaluates with the stack it has here; called
+    # deep inside ``evaluate`` with 200 frames to spare, it runs out.
+    f = parse_density("+".join(["1/(1+t1^2)"] * 300), 1)
+    data = RepresentationData(0.0, (0.0,), LebesgueDensity(1, density=f))
+    assert abs(evaluate(data, (1j,)) - 150j) <= 1e-10 * 150
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        with pytest.raises(DomainError, match="too long or too deeply nested"):
+            evaluate(data, (1j,))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_long_density_sum_keeps_its_bits():
+    t = np.array([-2.5, -0.0, 0.3, 7.0])
+    want = t
+    for _ in range(899):
+        want = want + t
+    assert _bits(parse_density("+".join(["t1"] * 900), 1), (t,)) == _bits(lambda u: want, (t,))
 
 
 def test_measure_roundtrips(pi_delta0):

@@ -9,6 +9,7 @@ from nvk.conditions import (
     check_cubic_condition,
     check_nevanlinna_nvar,
     derive_traits,
+    nevanlinna_grid,
     nevanlinna_inner_value,
 )
 from nvk.errors import DomainError
@@ -49,6 +50,12 @@ _REJECTED = {
         "one-variable data"),
     "nevanlinna_nvar_dimension": (lambda: check_nevanlinna_nvar(lebesgue(2), (1j, 1j, 1j)),
                                   "dimension must match"),
+    "nevanlinna_grid_dimension": (lambda: nevanlinna_grid(lebesgue(3), [(1j, 1j)]),
+                                  "two-dimensional measure"),
+    "nevanlinna_grid_one_coordinate": (lambda: nevanlinna_grid(lebesgue(2), [(1j, 1j), (1j,)]),
+                                       "two-coordinate points"),
+    "nevanlinna_grid_three_coordinates": (lambda: nevanlinna_grid(lebesgue(2), [(1j, 1j, 1j)]),
+                                          "two-coordinate points"),
     "cubic_condition_dimension": (lambda: check_cubic_condition(1.0, 1.0, 1.0, lebesgue(2)),
                                   "one-dimensional"),
     "derive_traits_dimension": (lambda: derive_traits(lebesgue(2)), "one-dimensional"),

@@ -153,12 +153,12 @@ def test_rung_prefactors_telescope():
 
 def test_ladder_closed_form_matches_quadrature(pi_delta0, cfg):
     from nvk.measures import integrate
-    from nvk.kernels import kernel_nd
+    from nvk.kernels import kernel_nd_rational
 
     mu = PushforwardLadder(pi_delta0, (1.0,), 2.0)
     z = (0.3 + 1.1j, -0.6 + 0.7j)
     closed = ladder_closed_form(z, mu)
-    quad = integrate(mu, lambda *ts: kernel_nd(z, ts), cfg)
+    quad = integrate(mu, lambda *ts: kernel_nd_rational(z, ts), cfg)
     assert abs(closed - quad.value) <= 1e-8 * abs(closed)
 
 
@@ -217,15 +217,16 @@ def test_main_theorem_zero_coefficient_routes_through_general(pi_delta0, cfg_nes
     assert rep.max_quadrature_error <= 1e-7
 
 
-def test_rung_report_collects_samples(cfg):
-    from nvk.ladder import rung_report
+def test_ladder_suite_rows_cover_every_rung():
+    # Each sample of the n = 4 ladder suite checks the rungs (4,0), (3,1)
+    # and the final (2,2) on its own random draw.
+    from nvk.cli import SUITE_PASS_TOL, suite_rows
 
-    rep = rung_report(3, 1, sample_count=5, seed=3, cfg=cfg)
-    assert (rep.m, rep.d, rep.sample_count) == (3, 1, 5)
-    assert len(rep.samples) == 5
-    assert rep.max_rel_error <= 1e-7
-    rep = rung_report(2, 2, sample_count=5, seed=4, cfg=cfg)
-    assert rep.max_rel_error <= 1e-7
+    for index in range(4):
+        rows = suite_rows("ladder", 4, 3, index, None)
+        assert [row["inputs"].split(";")[0] for row in rows] == \
+            ["rung=(4,0)", "rung=(3,1)", "rung=final"]
+        assert max(row["rel_error"] for row in rows) <= SUITE_PASS_TOL["ladder"]
 
 
 def test_verify_step_preconditions(cfg):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nvk.cli import CLASSIFICATION_FIXTURES, fixture_base_measure
-from nvk.conditions import check_growth, check_nevanlinna_2var, default_z_grid
+from nvk.conditions import check_growth, default_z_grid, nevanlinna_grid
 from nvk.errors import DimensionMismatchError, DomainError
-from nvk.kernels import kernel_1d, kernel_nd
+from nvk.kernels import kernel_1d, kernel_nd_rational
 from nvk.ladder import ladder_closed_form
 from nvk.measures import (
     Atomic,
@@ -207,7 +207,7 @@ def test_fixture_convergence_flags(fixture, cfg_nested):
     name, coeffs, kind, _, _ = fixture
     mu = Pushforward2D(fixture_base_measure(kind), *coeffs)
     g = check_growth(mu, cfg_nested)
-    nev = [check_nevanlinna_2var(mu, z, cfg_nested) for z in default_z_grid(2, 3)]
+    nev, _ = nevanlinna_grid(mu, default_z_grid(2, 3), cfg_nested)
     flags = ((g.converged, g.diverged), tuple((r.converged, r.diverged) for r in nev))
     assert flags == _FIXTURE_FLAGS.get(name, ((True, False), ((True, False),) * 3))
 
@@ -365,7 +365,7 @@ def test_values_pinned_across_the_plan_rewrite(name, cfg_nested):
     if f is None:
         f = lambda *ts: _member_integrand(*ts, 0)
     elif isinstance(f, int):
-        f = lambda *ts, n=f: kernel_nd(_Z4[:n], ts)
+        f = lambda *ts, n=f: kernel_nd_rational(_Z4[:n], ts)
     r = integrate(mu, f, cfg_nested)
     assert r.converged and not r.diverged
     assert abs(r.value - want) <= 1e-13 * abs(want)
@@ -388,7 +388,7 @@ def test_error_estimate_carries_atom_weights_and_scale(weights, scale):
     # unweighted 3e-11 while the error grew to 4e-7 and more.
     z = _Z4[:3]
     mu = PushforwardLadder(Atomic((((0.7,), weights[0]), ((-2.0,), weights[1]))), (0.8, 1.3), scale)
-    r = integrate(mu, lambda *ts: kernel_nd(z, ts))
+    r = integrate(mu, lambda *ts: kernel_nd_rational(z, ts))
     assert r.converged
     assert abs(r.value - ladder_closed_form(z, mu)) <= r.error_estimate
 
@@ -403,7 +403,7 @@ def test_pushforward2d_far_rows_match_reduction(base, cfg_nested):
     b = k[1] / k[0]
     w = k[0] * z[0] + k[1] * z[1]
     mu1 = Atomic((((-6.0,), 1.0), ((9.0,), 2.5))) if base == "far_atoms" else _CAUCHY
-    r = integrate(Pushforward2D(mu1, 1.0, -b, 1.0, 1.0), lambda u, v: kernel_nd(z, (u, v)),
+    r = integrate(Pushforward2D(mu1, 1.0, -b, 1.0, 1.0), lambda u, v: kernel_nd_rational(z, (u, v)),
                   cfg_nested)
     want = PI / (1.0 + b) * integrate(mu1, lambda t: kernel_1d(w, t)).value
     assert r.converged and abs(r.value - want) <= 1e-7 * abs(want)

@@ -257,6 +257,26 @@ def test_rows_at_floating_point_resolution_match_one_at_a_time():
         assert value[i] == pytest.approx(v1[0], rel=1e-13) and err[i] == pytest.approx(e1[0], rel=1e-13)
 
 
+def test_rows_stuck_at_floating_point_resolution_beside_a_row_that_splits():
+    # Row 0, [1, 1 + 40 ulp], is steep across its whole span, so its panels
+    # narrow to one ulp and cannot be split (the floating-point-resolution
+    # branch of _adaptive), while row 1, [0, 1], keeps splitting beside it.
+    # Neither can meet rel_tol = 1e-17; both end finite, and each equals
+    # its own solve bit for bit.
+    cfg = QuadratureConfig(rel_tol=1e-17, abs_tol=1e-300)
+    lo, hi = np.array([1.0, 0.0]), np.array([1.0 + 40 * math.ulp(1.0), 1.0])
+
+    def f(x, rows):
+        return np.where(x >= 1.0, np.exp(np.minimum(1e15 * (x - 1.0), 50.0)), np.cos(x))
+
+    r = integrate_rows(f, 2, cfg, lo=lo, hi=hi)
+    assert not r.converged.any() and not r.diverged.any()
+    assert np.isfinite(r.value).all() and np.isfinite(r.error_estimate).all()
+    for i in range(2):
+        one = integrate_rows(lambda x, rows: f(x, rows + i), 1, cfg, lo=lo[i], hi=hi[i])
+        assert (one.value[0], one.error_estimate[0]) == (r.value[i], r.error_estimate[i])
+
+
 def test_rows_beyond_one_panel_block_match_one_at_a_time():
     # 70 rows start with 560 panels, more than two blocks of panels; blocks
     # cut across rows, which must stay independent.
