@@ -144,8 +144,7 @@ def cmd_eval(args) -> int:
     cfg = _config(args.tol)
     results = []
     for spec in args.z:
-        parts = [p for p in spec.split(",") if p.strip()]
-        zs = tuple(parse_complex(p) for p in parts)
+        zs = tuple(parse_complex(p) for p in spec.split(","))
         if len(zs) != data.n:
             raise DomainError(
                 f"point has {len(zs)} coordinates, descriptor has {data.n} variables")

@@ -65,9 +65,11 @@ weights of the atoms the row sits on.
 A family of test functions shares those solves: ``integrate_many(mu, f, m)``
 computes int f(t, k) dmu for the members k = 0, ..., m-1, and ``f`` receives
 the integer array of member indices as an extra last argument.  The members
-are the outermost rows of every nest level; each row carries an index into
-a (member, weight) table, which an atomic level expands.  Each member keeps
-its own error estimate, ``converged`` and ``diverged``: one whose inner
+are the outermost rows of every nest level.  Each row carries its own
+member and its weight, the factor above: an atomic level repeats a row's
+member once per atom and multiplies its weight by the atom weights, and a
+line level passes both on to the rows of its nodes.  Each member keeps its
+own error estimate, ``converged`` and ``diverged``: one whose inner
 integral diverges reports (nan, inf, False, True), its rows leave the later
 solves, and the other members go on.  The work stops early only when every
 member has diverged.  ``integrate`` is the one-member case.  All members
@@ -94,7 +96,6 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
-    RowResults,
     integrate_rows,
 )
 
@@ -329,13 +330,13 @@ def indicator(region: Region) -> Callable:
     boxes = [region] if isinstance(region, Box) else list(region)
 
     def chi(*args):
-        inside = None
+        # The empty union is nowhere, the empty product everywhere.
+        inside = False
         for box in boxes:
-            this = None
+            this = True
             for (lo, hi), x in zip(box.bounds, args):
-                cond = (np.asarray(x) >= lo) & (np.asarray(x) <= hi)
-                this = cond if this is None else (this & cond)
-            inside = this if inside is None else (inside | this)
+                this = this & (np.asarray(x) >= lo) & (np.asarray(x) <= hi)
+            inside = inside | this
         return np.asarray(inside, dtype=float)
 
     return chi
@@ -396,12 +397,12 @@ class _Plan:
     density_dim: int = 0
     scale: float = 1.0
 
-    def evaluate(self, call: Callable, vals: list, k: np.ndarray, rows, table) -> np.ndarray:
-        """The integrand at the level variables ``vals`` of rows ``k[rows]``.
+    def evaluate(self, f: Callable, vals: list, members: np.ndarray) -> np.ndarray:
+        """The integrand ``f(*args, members)`` at the level variables ``vals``.
 
         ``A`` is applied form by form: a matrix product over a stacked copy
         of the variables ran slower here than these few array operations."""
-        out = np.asarray(call([_form(row, vals) for row in self.A], k, rows, table), dtype=complex)
+        out = np.asarray(f(*[_form(row, vals) for row in self.A], members), dtype=complex)
         if self.density is not None:
             out = out * np.asarray(self.density(*vals[:self.density_dim]))
         return out
@@ -506,53 +507,36 @@ def _compile(mu: Measure) -> _Plan:
 
 
 @dataclass
-class _ErrorBudget:
-    """Error totals and flags per member of one ``integrate_many`` call."""
-
-    total: np.ndarray
-    converged: np.ndarray
-    diverged: np.ndarray
-
-    @classmethod
-    def for_members(cls, m: int) -> "_ErrorBudget":
-        return cls(np.zeros(m), np.ones(m, dtype=bool), np.zeros(m, dtype=bool))
-
-    def absorb(self, r: RowResults, members: np.ndarray, weights: np.ndarray):
-        """Fold in one solve whose row i belongs to member ``members[i]`` and
-        enters its integral with weight ``weights[i]``."""
-        if r.diverged.any():
-            self.diverged[members[r.diverged]] = True
-        self.total += np.bincount(members, weights=r.error_estimate * weights,
-                                  minlength=self.total.size)
-        self.converged[members[~r.converged]] = False
-
-
-@dataclass(frozen=True)
 class _Run:
     """What the levels of one ``integrate_many`` call share: ``cfgs[i]`` is
     level i's config, ``cfg.tighter(0.1**i)`` (``cfg`` itself at level 0),
     formed once per call; ``poles`` holds one row of test-function poles per
-    member."""
+    member; ``total``, ``converged`` and ``diverged`` hold each member's
+    error total and flags, which every solve updates in place."""
 
     plan: _Plan
-    call: Callable
+    f: Callable
     cfgs: tuple[QuadratureConfig, ...]
-    budget: _ErrorBudget
-    poles: Optional[np.ndarray] = None
+    poles: Optional[np.ndarray]
+    total: np.ndarray
+    converged: np.ndarray
+    diverged: np.ndarray
 
 
-def _solve(run: _Run, i: int, g: Callable, k: np.ndarray, table, center, halfwidth,
-           lo=-math.inf, hi=math.inf) -> np.ndarray:
+def _solve(run: _Run, i: int, g: Callable, member: np.ndarray, weight: np.ndarray, center,
+           halfwidth, lo=-math.inf, hi=math.inf) -> np.ndarray:
     """Integrals of ``g(x, rows)`` over [lo, hi] in one batched solve at the
-    tolerances of level i; row r has entry ``k[r]`` of the (member, weight)
-    table.  Rows of diverged members read 0, so the levels above them
-    settle at once."""
-    budget = run.budget
-    members = table[0][k]
-    r = integrate_rows(g, k.size, run.cfgs[i], center=center, halfwidth=halfwidth, lo=lo, hi=hi)
-    budget.absorb(r, members, table[1][k])
-    if budget.diverged.any():
-        return np.where(budget.diverged[members], 0.0, r.value)
+    tolerances of level i.  Row r belongs to ``member[r]`` and its error
+    estimate enters that member's total times ``weight[r]``.  Rows of
+    diverged members read 0, so the levels above them settle at once."""
+    r = integrate_rows(g, member.size, run.cfgs[i], center=center, halfwidth=halfwidth,
+                       lo=lo, hi=hi)
+    if r.diverged.any():
+        run.diverged[member[r.diverged]] = True
+    run.total += np.bincount(member, weights=r.error_estimate * weight, minlength=run.total.size)
+    run.converged[member[~r.converged]] = False
+    if run.diverged.any():
+        return np.where(run.diverged[member], 0.0, r.value)
     return r.value
 
 
@@ -574,31 +558,29 @@ def _layout(level: _Line, vals: list, poles: Optional[np.ndarray]):
     return 0.5 * (c1 + c2), np.maximum(w1, w2), lines
 
 
-def _walk(run: _Run, i: int, vals: list, k: np.ndarray, table) -> np.ndarray:
+def _walk(run: _Run, i: int, vals: list, member: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Integrals over the levels i, i+1, ... of ``run.plan``, one per row.
 
-    Row r has the outer level variables ``vals[j][r]`` and entry ``k[r]`` of
-    ``table``, a pair of arrays (member, weight): the row's member and the
-    weight its value carries into the member's integral (the measure's scale
-    times the weights of the atoms it sits on), which its error estimates
-    carry too.  Level i runs at ``cfg.tighter(0.1**i)``, level 0 at ``cfg``.
+    Row r has the outer level variables ``vals[j][r]``, belongs to
+    ``member[r]`` and carries ``weight[r]``, the factor its value and its
+    error estimates enter the member's integral with (the measure's scale
+    times the weights of the atoms it sits on).  Level i runs at
+    ``cfg.tighter(0.1**i)``, level 0 at ``cfg``.
     """
     plan = run.plan
     level, last = plan.levels[i], i + 1 == len(plan.levels)
     if isinstance(level, _Atoms):
         # One row per (row, atom) pair, rows outermost.
         na = level.weights.size
+        m = member.size
         if not na:
-            return np.zeros(k.size, dtype=complex)
-        sub = [v.repeat(na) for v in vals] + [np.tile(x, k.size) for x in level.points.T]
-        kk = (k[:, None] * na + np.arange(na)).ravel()
-        tt = (table[0].repeat(na), (table[1][:, None] * level.weights).ravel())
-        inner = (plan.evaluate(run.call, sub, kk, slice(None), tt) if last
-                 else _walk(run, i + 1, sub, kk, tt))
-        if inner.shape != kk.shape:
-            inner = np.broadcast_to(inner, kk.shape)
-        inner = inner.reshape(k.size, na)
-        total = np.zeros(k.size, dtype=complex)
+            return np.zeros(m, dtype=complex)
+        sub = [v.repeat(na) for v in vals] + [np.tile(x, m) for x in level.points.T]
+        sub_member = member.repeat(na)
+        inner = (plan.evaluate(run.f, sub, sub_member) if last else
+                 _walk(run, i + 1, sub, sub_member, (weight[:, None] * level.weights).ravel()))
+        inner = np.broadcast_to(inner, (m * na,)).reshape(m, na)
+        total = np.zeros(m, dtype=complex)
         for a, w in enumerate(level.weights):
             total += w * inner[:, a]
         return total
@@ -609,25 +591,25 @@ def _walk(run: _Run, i: int, vals: list, k: np.ndarray, table) -> np.ndarray:
         # x is a (15, P) block of nodes and rows has one row per panel: the
         # outer variables are gathered per panel and broadcast over nodes.
         if last:
-            v = plan.evaluate(run.call, [t[rows] for t in vals] + [x], k, rows, table)
+            v = plan.evaluate(run.f, [t[rows] for t in vals] + [x], member[rows])
         else:
             # The next level's rows are the nodes, panel by panel.
             nodes = x.shape[0]
             v = _walk(run, i + 1, [t[rows].repeat(nodes) for t in vals] + [x.T.ravel()],
-                      k[rows].repeat(nodes), table).reshape(-1, nodes).T
+                      member[rows].repeat(nodes), weight[rows].repeat(nodes)).reshape(-1, nodes).T
         return v * np.asarray(dens(x)) if dens is not None else v
 
-    near, width, lines = _layout(level, vals, None if run.poles is None else run.poles[table[0][k]])
+    near, width, lines = _layout(level, vals, None if run.poles is None else run.poles[member])
     if lines is None:
-        return _solve(run, i, g, k, table, near, width)
+        return _solve(run, i, g, member, weight, near, width)
     (c1, w1), (c2, w2) = lines
     far = np.flatnonzero(0.5 * np.abs(c1 - c2) > width)
     if not far.size:
-        return _solve(run, i, g, k, table, near, width)
+        return _solve(run, i, g, member, weight, near, width)
     # A far row becomes two half-line rows split at the midpoint, each
     # centred on its own line; their values and error estimates add up to
     # the row's.
-    m = k.size
+    m = member.size
     near, c1, c2 = (np.broadcast_to(c, (m,)) for c in (near, c1, c2))
     w1, w2 = (np.broadcast_to(w, (m,))[far] for w in (w1, w2))
     mid = 0.5 * (c1[far] + c2[far])
@@ -641,7 +623,8 @@ def _walk(run: _Run, i: int, vals: list, k: np.ndarray, table) -> np.ndarray:
     halfwidth[:m] = width
     halfwidth[far] = np.where(c1_low, w1, w2)
     halfwidth[m:] = np.where(c1_low, w2, w1)
-    v = _solve(run, i, lambda x, rows: g(x, src[rows]), k[src], table, center, halfwidth, lo, hi)
+    v = _solve(run, i, lambda x, rows: g(x, src[rows]), member[src], weight[src], center,
+               halfwidth, lo, hi)
     out = v[:m].copy()
     out[far] += v[m:]
     return out
@@ -656,7 +639,8 @@ def integrate_many(mu: Measure, f: Callable, m: int, cfg: QuadratureConfig = DEF
     array; the arguments broadcast against each other (the innermost
     variable may arrive as a (15, P) array and the others as (P,) arrays,
     see the module docstring).  The members are the outermost rows of every
-    batched solve, all at the one config ``cfg``; each keeps its own error
+    batched solve, all at the one config ``cfg``; every row carries its
+    member and weight down the levels.  Each member keeps its own error
     estimate and flags, and one whose integral diverges reports ``(nan,
     inf, False, True)`` without disturbing the others.
 
@@ -670,7 +654,23 @@ def integrate_many(mu: Measure, f: Callable, m: int, cfg: QuadratureConfig = DEF
         raise DomainError("need a nonnegative member count")
     if m == 0:
         return []
-    return _integrate(mu, lambda args, k, rows, table: f(*args, table[0][k[rows]]), m, cfg, poles)
+    if not isinstance(cfg, QuadratureConfig):
+        raise DomainError("cfg must be one QuadratureConfig")
+    poles = _member_poles(poles, m, mu.dimension)
+    total, converged, diverged = np.zeros(m), np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
+    members = np.arange(m)
+    if isinstance(mu, Atomic):
+        values = np.zeros(m, dtype=complex)
+        for loc, w in mu.atoms:
+            values += w * np.asarray(f(*loc, members), dtype=complex)
+    else:
+        plan = mu._plan
+        cfgs = tuple(cfg.tighter(0.1 ** i) if i else cfg for i in range(len(plan.levels)))
+        run = _Run(plan, f, cfgs, poles, total, converged, diverged)
+        values = plan.scale * _walk(run, 0, [], members, plan.scale + np.zeros(m))
+    return [QuadratureResult(complex("nan"), math.inf, False, True) if diverged[j]
+            else QuadratureResult(complex(values[j]), float(total[j]), bool(converged[j]), False)
+            for j in range(m)]
 
 
 def integrate(mu: Measure, f: Callable,
@@ -682,7 +682,7 @@ def integrate(mu: Measure, f: Callable,
     other, as in ``integrate_many``.
     Divergence is reported through the result, not raised.
     """
-    return _integrate(mu, lambda args, k, rows, table: f(*args), 1, cfg, None)[0]
+    return integrate_many(mu, lambda *args: f(*args[:-1]), 1, cfg)[0]
 
 
 def _member_poles(poles, m: int, dimension: int) -> Optional[np.ndarray]:
@@ -694,32 +694,6 @@ def _member_poles(poles, m: int, dimension: int) -> Optional[np.ndarray]:
     if not (np.isfinite(p).all() and (p.imag != 0).all()):
         raise DomainError("poles must be finite and off the real line")
     return p
-
-
-def _integrate(mu: Measure, call: Callable, m: int, cfg: QuadratureConfig,
-               poles) -> list[QuadratureResult]:
-    """The ``m`` member integrals of ``integrate_many``, where ``call(args,
-    k, rows, table)`` evaluates the test function at the coordinates
-    ``args`` for rows with entries ``k[rows]`` of the (member, weight)
-    table."""
-    if not isinstance(cfg, QuadratureConfig):
-        raise DomainError("cfg must be one QuadratureConfig")
-    poles = _member_poles(poles, m, mu.dimension)
-    budget = _ErrorBudget.for_members(m)
-    members = np.arange(m)
-    if isinstance(mu, Atomic):
-        values = np.zeros(m, dtype=complex)
-        for loc, w in mu.atoms:
-            values += w * np.asarray(call(loc, members, slice(None), (members,)), dtype=complex)
-    else:
-        plan = mu._plan
-        cfgs = tuple(cfg.tighter(0.1 ** i) if i else cfg for i in range(len(plan.levels)))
-        run = _Run(plan, call, cfgs, budget, poles)
-        values = plan.scale * _walk(run, 0, [], members, (members, plan.scale + np.zeros(m)))
-    return [QuadratureResult(complex("nan"), math.inf, False, True) if budget.diverged[j]
-            else QuadratureResult(complex(values[j]), float(budget.total[j]),
-                                  bool(budget.converged[j]), False)
-            for j in range(m)]
 
 
 def mass(mu: Measure, region: Region,

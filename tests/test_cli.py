@@ -64,6 +64,16 @@ def test_eval_linear_descriptor(tmp_path):
     assert json.loads(out)["results"][0]["value"] == "0+2i"
 
 
+@pytest.mark.parametrize("z", ["0+1i,,0+1i", "0+1i,0+1i,", ",0+1i,0+1i", "0+1i, ,0+1i"])
+def test_eval_rejects_an_empty_coordinate(tmp_path, capsys, z):
+    doc = {"schema": "nvk-1", "a": 0.0, "b": [1.0, 1.0],
+           "measure": {"type": "atomic", "dimension": 2, "atoms": []}}
+    path = tmp_path / "lin.json"
+    path.write_text(json.dumps(doc))
+    assert run_main(["eval", str(path), "--z", z]) == (2, "")
+    assert "malformed complex literal" in capsys.readouterr().err
+
+
 def test_eval_numerical_failure_exit_code(tmp_path):
     doc = {"schema": "nvk-1", "a": 0.0, "b": [0.0, 0.0],
            "measure": {"type": "lebesgue", "dimension": 2, "density": "1+t1^2"}}

@@ -167,6 +167,12 @@ def test_cubic_condition(pi_delta0, cfg):
                                  [(1j, 1j), (0.5 + 2j, -1 + 1j)], cfg)
     with pytest.raises(DomainError):
         check_cubic_condition(0.0, 2.0, 1.0, pi_delta0, cfg=cfg)
+    # Against t1^4 dt1 the cubic integral grows linearly and diverges; at
+    # z = (i, i) its denominator is (t1 - 2i + conj(i))^3.  (Against t1^2
+    # its odd tails cancel and it reads undecided instead.)
+    quartic = LebesgueDensity(1, lambda t1: t1 ** 4)
+    assert integrate(quartic, lambda t1: 1.0 / (t1 - 3j) ** 3, cfg).diverged
+    assert not check_cubic_condition(1.0, 2.0, 1.0, quartic, [(1j, 1j)], cfg)
 
 
 def test_growth_inner_closed_forms_match_oracle():
@@ -179,10 +185,13 @@ def test_growth_inner_closed_forms_match_oracle():
         got = line_integral(growth_inner_rational(al, be, ga, de, t1))
         want = growth_inner_value(al, be, ga, de, t1)
         assert abs(got - want) <= 1e-10 * abs(want)
-    # beta = 0 branch
-    got = line_integral(growth_inner_rational(0.7, 0.0, -0.3, 1.4, 0.9))
-    want = growth_inner_value(0.7, 0.0, -0.3, 1.4, 0.9)
-    assert abs(got - want) <= 1e-12 * abs(want)
+    # beta = 0 and delta = 0 branches
+    for al, be, ga, de in ((0.7, 0.0, -0.3, 1.4), (0.7, -1.3, -0.3, 0.0)):
+        got = line_integral(growth_inner_rational(al, be, ga, de, 0.9))
+        want = growth_inner_value(al, be, ga, de, 0.9)
+        assert abs(got - want) <= 1e-12 * abs(want)
+    # beta = delta = 0: the integrand is constant in the second variable.
+    assert growth_inner_value(0.7, 0.0, -0.3, 0.0, 0.9) == math.inf
 
 
 def test_nevanlinna_inner_closed_forms_match_oracle():

@@ -1,5 +1,6 @@
 """Ladder rung identities and the end-to-end transform verification."""
 
+import cmath
 import math
 
 import pytest
@@ -14,7 +15,7 @@ from nvk.ladder import (
     verify_main_theorem,
     verify_step,
 )
-from nvk.measures import Atomic, Product, PushforwardLadder, integrate, lebesgue
+from nvk.measures import Atomic, Product, PushforwardLadder, integrate, lebesgue, zero_measure
 from nvk.quadrature import QuadratureConfig
 from nvk.representation import RepresentationData, evaluate
 from nvk.sampling import (
@@ -198,6 +199,17 @@ def test_main_theorem_closed_path_scales_to_five_variables(cfg):
     zs = [draw_upper_point(rng, 5) for _ in range(5)]
     rep = verify_main_theorem(data, k, zs, cfg, quadrature=False)
     assert rep.max_closed_form_error <= 1e-12
+
+
+def test_main_theorem_closed_path_on_zero_measure_data(cfg):
+    # The transformed measure is zero, so the closed form is the linear part.
+    data = RepresentationData(0.3, (1.5,), zero_measure(1))
+    rng = rng_for(28)
+    zs = [draw_upper_point(rng, 3) for _ in range(5)]
+    rep = verify_main_theorem(data, (0.5, 0.25, 0.25), zs, cfg, quadrature=False)
+    assert rep.max_closed_form_error <= 1e-15
+    # max() would pass over a NaN, so check each closed value is finite.
+    assert all(cmath.isfinite(closed) for _, closed, _ in rep.samples)
 
 
 def test_main_theorem_needs_a_path_to_run(pi_delta0):

@@ -41,3 +41,35 @@ def test_reports_the_statements_a_call_never_ran(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out.splitlines()
     assert out[0].split() == ["mod.py", "1", "of", "5", "statements", "never", "run"]
     assert out[1].split() == ["8", "return", "1"]
+
+
+def test_the_hook_survives_a_nested_tracer_and_a_test_that_unsets_it(tmp_path, monkeypatch):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "probe_mod.py").write_text(_SOURCE)
+    monkeypatch.syspath_prepend(str(package))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.delitem(sys.modules, "probe_mod", raising=False)
+    path = str(package / "probe_mod.py")
+    return_1 = (path, 8)
+
+    # A nested tracer hands the hook back to the outer one when it exits.
+    with line_coverage.LineTracer(str(package)) as outer:
+        with line_coverage.LineTracer(str(package)) as inner:
+            import probe_mod
+        probe_mod.f(1)
+    assert return_1 in outer.lines and return_1 not in inner.lines
+
+    # A test that unsets the hook does not hide the next test's lines.
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_probe_rearm.py").write_text(
+        "import sys\n\nimport probe_mod\n\n\n"
+        "def test_a_unsets_the_hook():\n    sys.settrace(None)\n\n\n"
+        "def test_b_runs_return_1():\n    assert probe_mod.f(1) == 1\n")
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+    monkeypatch.delitem(sys.modules, "test_probe_rearm", raising=False)
+    with line_coverage.LineTracer(str(package)) as tracer:
+        status = line_coverage.run_tests(tmp_path, [str(tests), "-q"], tracer)
+    assert status == 0
+    assert return_1 in tracer.lines

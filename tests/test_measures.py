@@ -85,6 +85,12 @@ def test_mass_atomic_exact_closed_boxes():
     assert r.value == 3.0
 
 
+@pytest.mark.parametrize("mu", [Atomic.single(PI, 0.0), lebesgue(), lebesgue(2)])
+def test_mass_of_the_empty_union_is_exactly_zero(mu):
+    r = mass(mu, [])
+    assert (r.value, r.error_estimate, r.converged, r.diverged) == (0.0, 0.0, True, False)
+
+
 def test_mass_positivity_and_additivity(pi_delta0, cfg):
     mu = Pushforward2D(pi_delta0, 1, 1, 1, -1)
     left = Box(((-1, 0), (-1, 1)))

@@ -17,6 +17,10 @@ never did.  Docstrings do not count.  Code that runs only in a subprocess
 (``python -m nvk.cli`` from a test, ``verify --jobs``) is not traced and
 reads as never run.
 
+CPython drops a trace hook when the stack runs out inside it, so the hook
+is set again before each test; a test that exhausts the stack loses only
+its own remaining lines.
+
 The script writes nothing into ROOT: no bytecode, no pytest cache, and
 hypothesis keeps its example database in a temporary directory.  Tracing
 about doubles the run time.
@@ -30,6 +34,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 
 def statements(source: str) -> dict[int, range]:
@@ -67,11 +73,24 @@ class LineTracer:
         return self._local if frame.f_code.co_filename.startswith(self.prefix) else None
 
     def __enter__(self):
+        self._previous = sys.gettrace()
         sys.settrace(self._global)
         return self
 
     def __exit__(self, *exc):
-        sys.settrace(None)
+        sys.settrace(self._previous)
+
+
+class Rearm:
+    """A pytest plugin that sets ``tracer``'s hook again before each test,
+    in case an earlier test's call unset it."""
+
+    def __init__(self, tracer: LineTracer):
+        self.tracer = tracer
+
+    @pytest.hookimpl(tryfirst=True)
+    def pytest_runtest_setup(self, item):
+        sys.settrace(self.tracer._global)
 
 
 def report(package: Path, lines: set[tuple[str, int]]) -> int:
@@ -105,13 +124,12 @@ def run_bench(root: Path, seed: int, ops: int) -> None:
                     pass
 
 
-def run_tests(root: Path, args: list[str]) -> int:
-    import pytest
-
+def run_tests(root: Path, args: list[str], tracer: LineTracer) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = workdir
         return pytest.main(["-p", "no:cacheprovider",
-                            *(args or [str(root / "tests"), "-q", "-m", "not slow"])])
+                            *(args or [str(root / "tests"), "-q", "-m", "not slow"])],
+                           plugins=[Rearm(tracer)])
 
 
 def main(argv=None) -> int:
@@ -131,7 +149,7 @@ def main(argv=None) -> int:
             run_bench(root, *args.bench)
             status = 0
         else:
-            status = run_tests(root, args.pytest_args)
+            status = run_tests(root, args.pytest_args, tracer)
     report(package, tracer.lines)
     return int(status)
 
