@@ -24,12 +24,15 @@ statement.  A value counts as zero when |value| <= max(1e-8, 1e-6 * S)
 where S integrates the modulus of the integrand (cancellation-dominated
 integrals need a relative yardstick).  ``nevanlinna_grid`` is the one
 entry point for the two-variable condition; a single point is a one-point
-grid.  A grid is one batched solve: the values at all points and their
-scales are the members of one ``measures.integrate_many`` call at one
-config, with the points' poles (z1, conj z2) as the layout hint, so every
-row's t2 lines sit on its own poles.  The cubic condition's values and
-moduli come from the same helper, and the sign vectors of the n-variable
-sum are batched the same way.
+grid.  A grid is one batched solve: the values at all points are the
+members of one ``measures.integrate_many`` call at one config, with the
+points' poles (z1, conj z2) as the layout hint, so every row's t2 lines
+sit on its own poles.  Each scale S is its value's ``modulus``: the
+integral of |f| that the quadrature carries over the value rows' own
+panels, so no second solve is needed.  The cubic condition reads its
+scales the same way, and the sign vectors of the n-variable sum are
+batched likewise.  The default grid's points are checked once, when the
+grid is built.
 
 The classifier for measures of the planar pushforward family decides from
 the affine coefficients and declared traits of the base measure which of
@@ -134,21 +137,6 @@ def check_growth(mu: Measure, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Quadrat
     return integrate(mu, f, cfg)
 
 
-def _with_moduli(mu: Measure, f, m: int, cfg: QuadratureConfig, poles=None,
-                 ) -> tuple[list[QuadratureResult], list[QuadratureResult]]:
-    """The integrals of ``f(*t, k)`` for k = 0, ..., m-1 and of their moduli
-    ``|f(*t, k)|``: members 0..m-1 and m..2m-1 of one ``integrate_many``
-    call at ``cfg``.  ``poles``, an (m, dimension) array, is member k's
-    layout hint for both of its integrals."""
-    def g(*args):
-        *t, k = args
-        v = f(*t, k % m)
-        return np.where(k < m, v, np.abs(v))
-
-    out = integrate_many(mu, g, 2 * m, cfg, poles=None if poles is None else np.tile(poles, (2, 1)))
-    return out[:m], out[m:]
-
-
 def nevanlinna_grid(mu: Measure, zs: Sequence[Sequence[complex]],
                     cfg: QuadratureConfig = DEFAULT_CONFIG,
                     ) -> tuple[list[QuadratureResult], list[float]]:
@@ -157,9 +145,10 @@ def nevanlinna_grid(mu: Measure, zs: Sequence[Sequence[complex]],
     points before the first one whose integral diverged (a "for all z"
     check stops there).  A single point is a one-point grid.
 
-    Values and scales are the members of one ``integrate_many`` call at
-    ``cfg`` whose layout follows the poles (z1, conj z2), so the grid costs
-    one batched solve.
+    The values are the members of one ``integrate_many`` call at ``cfg``
+    whose layout follows the poles (z1, conj z2), so the grid costs one
+    batched solve; each scale is its value's ``modulus``, integrated over
+    the value's own panels.
     """
     pts = [require_upper_half(z) for z in zs]
     if mu.dimension != 2 or any(len(z) != 2 for z in pts):
@@ -171,9 +160,9 @@ def nevanlinna_grid(mu: Measure, zs: Sequence[Sequence[complex]],
     def f(t1, t2, k):
         return 1.0 / ((t1 - z1[k]) ** 2 * (t2 - z2c[k]) ** 2)
 
-    values, moduli = _with_moduli(mu, f, len(pts), cfg, np.column_stack((z1, z2c)))
+    values = integrate_many(mu, f, len(pts), cfg, poles=np.column_stack((z1, z2c)))
     upto = next((i for i, v in enumerate(values) if v.diverged), len(values))
-    return values, [abs(r.value) for r in moduli[:upto]]
+    return values, [r.modulus for r in values[:upto]]
 
 
 def _mixed_sign_vectors(n: int):
@@ -240,8 +229,11 @@ def _halton(d: int, count: int) -> list[list[float]]:
 
 @functools.lru_cache(maxsize=32)
 def _z_grid(n: int, count: int) -> tuple[tuple[complex, ...], ...]:
+    # Kept as checked points, so the checkers that take them need not
+    # check them again.
     return tuple(
-        tuple((-10.0 + 20.0 * row[2 * j]) + 1j * (0.1 + 9.9 * row[2 * j + 1]) for j in range(n))
+        require_upper_half(tuple((-10.0 + 20.0 * row[2 * j]) + 1j * (0.1 + 9.9 * row[2 * j + 1])
+                                 for j in range(n)))
         for row in _halton(2 * n, count))
 
 
@@ -257,9 +249,13 @@ def default_z_grid(n: int = 2, count: int = 25) -> list[tuple[complex, ...]]:
 def check_cubic_condition(coeff_det: float, delta: float, beta: float,
                           mu1: Measure,
                           z_samples: Optional[Sequence[Sequence[complex]]] = None,
-                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> bool:
+                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> Optional[bool]:
     """Whether int dmu1 / (coeff_det * t1 - delta z1 + beta conj(z2))^3
-    vanishes over the sample grid; ``coeff_det`` is alpha*delta - beta*gamma."""
+    vanishes over the sample grid; ``coeff_det`` is alpha*delta - beta*gamma.
+
+    False when one integral diverges or is decided nonzero (converged and
+    above its zero tolerance); otherwise None when one neither converged
+    nor diverged, since an undecided value cannot be read as zero."""
     if coeff_det == 0:
         raise DomainError("the cubic condition needs alpha*delta - beta*gamma != 0")
     if mu1.dimension != 1:
@@ -268,12 +264,11 @@ def check_cubic_condition(coeff_det: float, delta: float, beta: float,
     if not points:
         raise DomainError("the cubic condition needs at least one sample point")
     w = np.array([-delta * z1 + beta * z2.conjugate() for z1, z2 in points])
-    values, scales = _with_moduli(mu1, lambda t1, k: 1.0 / (coeff_det * t1 + w[k]) ** 3,
-                                  w.size, cfg)
-    if any(r.diverged for r in values):
+    values = integrate_many(mu1, lambda t1, k: 1.0 / (coeff_det * t1 + w[k]) ** 3, w.size, cfg)
+    if any(r.diverged or (r.converged and abs(r.value) > nevanlinna_zero_tolerance(r.modulus))
+           for r in values):
         return False
-    return all(abs(r.value) <= nevanlinna_zero_tolerance(abs(s.value))
-               for r, s in zip(values, scales))
+    return True if all(r.converged for r in values) else None
 
 
 def classify_pushforward2d(alpha: float, beta: float, gamma: float, delta: float,

@@ -62,6 +62,22 @@ Error estimates are weighted like the values they belong to: a row's
 estimate enters its member's total times the measure's scale and the
 weights of the atoms the row sits on.
 
+Every member also carries its modulus, the integral of |f| over the nodes
+that its value used (``QuadratureResult.modulus``).  The innermost line
+level takes it from the quadrature, which sums |f| over each panel; a line
+level above passes its rows' moduli, times |density|, to its own solve as
+the companion of their values; an atomic level and the half-line rows of
+a far row add moduli as they add values.  The moduli are passengers: no
+value, estimate or flag depends on them.  They are as good as the value's
+panels resolve |f|: where |f| has a slower tail than f, as on a ladder
+whose inner integrals cancel, they can fall short by a few parts in 1e4.
+
+A line level whose variable enters no argument and no density, the
+innermost t2 of a planar pushforward with beta = delta = 0, has an
+integrand constant along the line.  Its rows are decided from one node
+each, without a solve: exactly 0 where the constant is 0, diverged
+elsewhere.
+
 A family of test functions shares those solves: ``integrate_many(mu, f, m)``
 computes int f(t, k) dmu for the members k = 0, ..., m-1, and ``f`` receives
 the integer array of member indices as an extra last argument.  The members
@@ -90,12 +106,13 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, IntegrandError
 from .kernels import ladder_weight, require_ladder_coefficients
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
+    RowResults,
     integrate_rows,
 )
 
@@ -397,6 +414,16 @@ class _Plan:
     density_dim: int = 0
     scale: float = 1.0
 
+    @functools.cached_property
+    def constant_innermost(self) -> bool:
+        """Whether the innermost level is a line whose variable enters no
+        argument and no density, so the integrand is constant along it."""
+        level = self.levels[-1]
+        if not isinstance(level, _Line) or level.density is not None or level.split is not None:
+            return False
+        var = sum(v.points.shape[1] if isinstance(v, _Atoms) else 1 for v in self.levels) - 1
+        return var >= self.density_dim and all(j != var for form in self.A for j, _ in form)
+
     def evaluate(self, f: Callable, vals: list, members: np.ndarray) -> np.ndarray:
         """The integrand ``f(*args, members)`` at the level variables ``vals``.
 
@@ -524,20 +551,41 @@ class _Run:
 
 
 def _solve(run: _Run, i: int, g: Callable, member: np.ndarray, weight: np.ndarray, center,
-           halfwidth, lo=-math.inf, hi=math.inf) -> np.ndarray:
+           halfwidth, lo=-math.inf, hi=math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of ``g(x, rows)`` over [lo, hi] in one batched solve at the
-    tolerances of level i.  Row r belongs to ``member[r]`` and its error
-    estimate enters that member's total times ``weight[r]``.  Rows of
-    diverged members read 0, so the levels above them settle at once."""
+    tolerances of level i, and their moduli.  Row r belongs to ``member[r]``
+    and its error estimate enters that member's total times ``weight[r]``.
+    Rows of diverged members read 0, so the levels above them settle at
+    once."""
     r = integrate_rows(g, member.size, run.cfgs[i], center=center, halfwidth=halfwidth,
                        lo=lo, hi=hi)
+    return _settle(run, member, weight, r)
+
+
+def _settle(run: _Run, member: np.ndarray, weight: np.ndarray, r: RowResults):
+    """Enter the rows' estimates and flags into their members' and return
+    the rows' (values, moduli), 0 for the rows of diverged members."""
     if r.diverged.any():
         run.diverged[member[r.diverged]] = True
     run.total += np.bincount(member, weights=r.error_estimate * weight, minlength=run.total.size)
     run.converged[member[~r.converged]] = False
     if run.diverged.any():
-        return np.where(run.diverged[member], 0.0, r.value)
-    return r.value
+        gone = run.diverged[member]
+        return np.where(gone, 0.0, r.value), np.where(gone, 0.0, r.modulus)
+    return r.value, r.modulus
+
+
+def _constant_rows(g: Callable, nrows: int) -> RowResults:
+    """The integrals over the whole line of an integrand that is constant
+    along it, ``g(x, rows)`` at one node per row: exactly 0 and converged
+    where the constant is 0, diverged elsewhere."""
+    c = np.broadcast_to(np.asarray(g(np.zeros((1, nrows)), np.arange(nrows)), dtype=complex),
+                        (1, nrows))[0]
+    if not np.isfinite(c).all():
+        raise IntegrandError("integrand not finite")
+    zero = c == 0
+    size = np.where(zero, 0.0, math.inf)
+    return RowResults(np.zeros(nrows, dtype=complex), size, zero, ~zero, size)
 
 
 def _layout(level: _Line, vals: list, poles: Optional[np.ndarray]):
@@ -558,8 +606,10 @@ def _layout(level: _Line, vals: list, poles: Optional[np.ndarray]):
     return 0.5 * (c1 + c2), np.maximum(w1, w2), lines
 
 
-def _walk(run: _Run, i: int, vals: list, member: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Integrals over the levels i, i+1, ... of ``run.plan``, one per row.
+def _walk(run: _Run, i: int, vals: list, member: np.ndarray,
+          weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals over the levels i, i+1, ... of ``run.plan``, one per row,
+    and their moduli, the integrals of |f| over the same nodes.
 
     Row r has the outer level variables ``vals[j][r]``, belongs to
     ``member[r]`` and carries ``weight[r]``, the factor its value and its
@@ -574,16 +624,21 @@ def _walk(run: _Run, i: int, vals: list, member: np.ndarray, weight: np.ndarray)
         na = level.weights.size
         m = member.size
         if not na:
-            return np.zeros(m, dtype=complex)
+            return np.zeros(m, dtype=complex), np.zeros(m)
         sub = [v.repeat(na) for v in vals] + [np.tile(x, m) for x in level.points.T]
         sub_member = member.repeat(na)
-        inner = (plan.evaluate(run.f, sub, sub_member) if last else
-                 _walk(run, i + 1, sub, sub_member, (weight[:, None] * level.weights).ravel()))
-        inner = np.broadcast_to(inner, (m * na,)).reshape(m, na)
-        total = np.zeros(m, dtype=complex)
+        if last:
+            inner = np.broadcast_to(plan.evaluate(run.f, sub, sub_member), (m * na,))
+            inner_mod = np.abs(inner)
+        else:
+            inner, inner_mod = _walk(run, i + 1, sub, sub_member,
+                                     (weight[:, None] * level.weights).ravel())
+        inner, inner_mod = inner.reshape(m, na), inner_mod.reshape(m, na)
+        total, total_mod = np.zeros(m, dtype=complex), np.zeros(m)
         for a, w in enumerate(level.weights):
             total += w * inner[:, a]
-        return total
+            total_mod += w * inner_mod[:, a]
+        return total, total_mod
 
     dens = level.density
 
@@ -592,13 +647,20 @@ def _walk(run: _Run, i: int, vals: list, member: np.ndarray, weight: np.ndarray)
         # outer variables are gathered per panel and broadcast over nodes.
         if last:
             v = plan.evaluate(run.f, [t[rows] for t in vals] + [x], member[rows])
-        else:
-            # The next level's rows are the nodes, panel by panel.
-            nodes = x.shape[0]
-            v = _walk(run, i + 1, [t[rows].repeat(nodes) for t in vals] + [x.T.ravel()],
-                      member[rows].repeat(nodes), weight[rows].repeat(nodes)).reshape(-1, nodes).T
-        return v * np.asarray(dens(x)) if dens is not None else v
+            return v * np.asarray(dens(x)) if dens is not None else v
+        # The next level's rows are the nodes, panel by panel; their moduli
+        # ride along as the companion of their values.
+        nodes = x.shape[0]
+        v, mod = _walk(run, i + 1, [t[rows].repeat(nodes) for t in vals] + [x.T.ravel()],
+                       member[rows].repeat(nodes), weight[rows].repeat(nodes))
+        v, mod = v.reshape(-1, nodes).T, mod.reshape(-1, nodes).T
+        if dens is None:
+            return v, mod
+        d = np.asarray(dens(x))
+        return v * d, mod * np.abs(d)
 
+    if last and plan.constant_innermost:
+        return _settle(run, member, weight, _constant_rows(g, member.size))
     near, width, lines = _layout(level, vals, None if run.poles is None else run.poles[member])
     if lines is None:
         return _solve(run, i, g, member, weight, near, width)
@@ -623,11 +685,12 @@ def _walk(run: _Run, i: int, vals: list, member: np.ndarray, weight: np.ndarray)
     halfwidth[:m] = width
     halfwidth[far] = np.where(c1_low, w1, w2)
     halfwidth[m:] = np.where(c1_low, w2, w1)
-    v = _solve(run, i, lambda x, rows: g(x, src[rows]), member[src], weight[src], center,
-               halfwidth, lo, hi)
-    out = v[:m].copy()
+    v, mod = _solve(run, i, lambda x, rows: g(x, src[rows]), member[src], weight[src], center,
+                    halfwidth, lo, hi)
+    out, out_mod = v[:m].copy(), mod[:m].copy()
     out[far] += v[m:]
-    return out
+    out_mod[far] += mod[m:]
+    return out, out_mod
 
 
 def integrate_many(mu: Measure, f: Callable, m: int, cfg: QuadratureConfig = DEFAULT_CONFIG, *,
@@ -642,7 +705,9 @@ def integrate_many(mu: Measure, f: Callable, m: int, cfg: QuadratureConfig = DEF
     batched solve, all at the one config ``cfg``; every row carries its
     member and weight down the levels.  Each member keeps its own error
     estimate and flags, and one whose integral diverges reports ``(nan,
-    inf, False, True)`` without disturbing the others.
+    inf, False, True)`` without disturbing the others.  Each result's
+    ``modulus`` is the integral of |f| over the nodes its value used (see
+    the module docstring).
 
     ``poles``, an (m, dimension) array, names the pole of member k's test
     function nearest the real line in each argument: the two t2 lines of a
@@ -660,16 +725,20 @@ def integrate_many(mu: Measure, f: Callable, m: int, cfg: QuadratureConfig = DEF
     total, converged, diverged = np.zeros(m), np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
     members = np.arange(m)
     if isinstance(mu, Atomic):
-        values = np.zeros(m, dtype=complex)
+        values, moduli = np.zeros(m, dtype=complex), np.zeros(m)
         for loc, w in mu.atoms:
-            values += w * np.asarray(f(*loc, members), dtype=complex)
+            v = np.asarray(f(*loc, members), dtype=complex)
+            values += w * v
+            moduli += w * np.abs(v)
     else:
         plan = mu._plan
         cfgs = tuple(cfg.tighter(0.1 ** i) if i else cfg for i in range(len(plan.levels)))
         run = _Run(plan, f, cfgs, poles, total, converged, diverged)
-        values = plan.scale * _walk(run, 0, [], members, plan.scale + np.zeros(m))
-    return [QuadratureResult(complex("nan"), math.inf, False, True) if diverged[j]
-            else QuadratureResult(complex(values[j]), float(total[j]), bool(converged[j]), False)
+        values, moduli = _walk(run, 0, [], members, plan.scale + np.zeros(m))
+        values, moduli = plan.scale * values, plan.scale * moduli
+    return [QuadratureResult(complex("nan"), math.inf, False, True, math.inf) if diverged[j]
+            else QuadratureResult(complex(values[j]), float(total[j]), bool(converged[j]), False,
+                                  float(moduli[j]))
             for j in range(m)]
 
 

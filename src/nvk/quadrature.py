@@ -30,6 +30,13 @@ integral thus evaluates all of its nodes with a few large batched inner
 solves per round.  A single integral of a function of one variable is
 ``measures.integrate(lebesgue(), f)``.
 
+Every row also returns its modulus, the integral of |f| over its own
+panels, as QUADPACK's ``resabs`` does for each panel.  An integrand may
+hand over a companion channel with its values, (value, companion); the
+panels then integrate the companion with the Kronrod weights in place of
+|value|.  The channel is a passenger: splitting, convergence, the error
+estimates and the divergence scan read the values alone.
+
 Two steps take a common-case path beside the general one, chosen from the
 input alone: a block whose panels all have positive width and a nonzero
 variation skips the masks of the panel estimate, and a solve with the
@@ -98,10 +105,15 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """One integral: its value, error estimate and flags, and ``modulus``,
+    the integral of |f| over the value's own panels (nan where it was not
+    computed, inf where the integral diverged)."""
+
     value: complex
     error_estimate: float
     converged: bool
     diverged: bool
+    modulus: float = math.nan
 
     def __post_init__(self):
         if self.converged and self.diverged:
@@ -116,6 +128,7 @@ class RowResults:
     error_estimate: np.ndarray
     converged: np.ndarray
     diverged: np.ndarray
+    modulus: np.ndarray
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -178,22 +191,27 @@ _STEPS = np.arange(_P0 + 1.0)[:, None]
 def _panels(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     """Gauss-Kronrod panels [a[p], b[p]] of rows ``rows[p]``, evaluated in
     calls of ``g`` on blocks of at most ``_PANEL_BLOCK`` panels; returns
-    (integrals, error estimates)."""
+    (integrals, error estimates, moduli)."""
     if a.size <= _PANEL_BLOCK:
         return _panel_block(g, a, b, rows)
     parts = [_panel_block(g, a[s:s + _PANEL_BLOCK], b[s:s + _PANEL_BLOCK],
                           rows[s:s + _PANEL_BLOCK])
              for s in range(0, a.size, _PANEL_BLOCK)]
-    return (np.concatenate([v for v, _ in parts]),
-            np.concatenate([e for _, e in parts]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _panel_block(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
-    """The panels of ``_panels`` in one call of ``g``."""
+    """The panels of ``_panels`` in one call of ``g``.  A panel's modulus is
+    the Kronrod rule applied to |value|, QUADPACK's ``resabs``, or to the
+    companion when ``g`` returns a (value, companion) pair."""
     d = b - a
     h = 0.5 * d
     x = 0.5 * (a + b) + h * _XK_COL
-    y = np.asarray(g(x, rows), dtype=complex)
+    y = g(x, rows)
+    companion = None
+    if type(y) is tuple:
+        y, companion = y
+    y = np.asarray(y, dtype=complex)
     if y.shape != x.shape:
         y = np.broadcast_to(y, x.shape)
     # The sums below run panel by panel, on a panel-major copy.
@@ -222,7 +240,12 @@ def _panel_block(g: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
         rough = resasc > 0.0
         ratio = 200.0 * diff / np.where(rough, resasc, 1.0)
         err = np.where(rough, resasc * np.minimum(1.0, ratio ** 1.5), diff)
-    return ik, np.maximum(err, 1e-15 * resabs)
+    if companion is not None:
+        if np.shape(companion) != x.shape:
+            companion = np.broadcast_to(companion, x.shape)
+        companion = np.ascontiguousarray(companion.T, dtype=float)
+        return ik, np.maximum(err, 1e-15 * resabs), h * _node_sums(companion, _WK)
+    return ik, np.maximum(err, 1e-15 * resabs), resabs
 
 
 def _node_sums(y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -241,17 +264,19 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
 
     ``g(x, rows)`` evaluates the (15, P) nodes ``x`` of P panels, panel p
     in row ``rows[p]``, as in ``integrate_rows``.  Returns the arrays
-    (value, error, converged).
+    (value, error, converged, modulus).
 
     Panels live in tables with one slot per (insertion step, row): each round
     fills two new slots of every row still running, so slot order is
     insertion order in every row.  The float table ``pf`` holds, for every
-    slot, the panel's left and right edge and its priority, its error
+    slot, the panel's left and right edge, its priority, its error
     estimate (0 for a panel at floating-point resolution, -inf for a free
-    slot), so that one compress and one growth serve all three; ``pv``
-    holds the panels' values.  The first maximum of a row's priorities is
-    the panel a heap keyed on (error, insertion order) would pop.  No array
-    test of the subdivision cap runs while every row could split so far.
+    slot or a panel already split), and its modulus, so that one compress
+    and one growth serve all four; ``pv`` holds the panels' values.  The
+    moduli ride along: they only add up to each row's modulus total.  The
+    first maximum of a row's priorities is the panel a heap keyed on
+    (error, insertion order) would pop.  No array test of the subdivision
+    cap runs while every row could split so far.
     """
     p0 = _P0
     # Equispaced edges of every row, by np.linspace's arithmetic (without
@@ -267,19 +292,21 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
     big = float(np.maximum.reduce(np.abs(edges[::p0]), axis=None))
     resolution = 2.0 ** -50 * big + 1e-300
     ids = columns = np.arange(nrows)
-    v, e = _panels(g, edges[:-1].ravel(), edges[1:].ravel(), ids[None].repeat(p0, 0).ravel())
-    v, e = v.reshape(p0, nrows), e.reshape(p0, nrows)
-    pf = np.empty((3, 4 * p0, nrows))
+    v, e, mo = _panels(g, edges[:-1].ravel(), edges[1:].ravel(), ids[None].repeat(p0, 0).ravel())
+    v, e, mo = v.reshape(p0, nrows), e.reshape(p0, nrows), mo.reshape(p0, nrows)
+    pf = np.empty((4, 4 * p0, nrows))
     pf[0, :p0], pf[1, :p0], pf[2, :p0], pf[2, p0:] = edges[:-1], edges[1:], e, -np.inf
+    pf[3, :p0] = mo
     pv = np.empty((4 * p0, nrows), dtype=complex)
     pv[:p0] = v
     # Running sums add each row's panels in order, whatever the row count
     # (a one-row ``sum`` would add them pairwise).
     total, total_err = np.add.accumulate(v)[-1], np.add.accumulate(e)[-1]
+    total_mod = np.add.accumulate(mo)[-1]
     # Rounds in which each row could not split; None until one could not.
     pushed = None
     history = np.empty((_NOISE_ROUNDS + 1, nrows))
-    value, error = np.empty(nrows, dtype=complex), np.empty(nrows)
+    value, error, modulus = np.empty(nrows, dtype=complex), np.empty(nrows), np.empty(nrows)
     converged = np.zeros(nrows, dtype=bool)
     stale = True
     for rounds in itertools.count():
@@ -300,10 +327,12 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
         if finished:
             out = ids[done]
             value[out], error[out], converged[out] = total[done], total_err[done], conv[done]
+            modulus[out] = total_mod[done]
             if finished == ids.size:
-                return value, error, converged
+                return value, error, converged, modulus
             keep = ~done
             ids, total, total_err = ids[keep], total[keep], total_err[keep]
+            total_mod = total_mod[keep]
             if pushed is not None:
                 pushed = pushed[keep]
             # compress returns C-contiguous copies, as the flat views need.
@@ -319,8 +348,8 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
             stale = True
         if stale:
             # Flat views for gathering one panel per row.
-            flat = pf.reshape(3, -1)
-            fa, fb, fk, pk, fv = flat[0], flat[1], flat[2], pf[2], pv.reshape(-1)
+            flat = pf.reshape(4, -1)
+            fa, fb, fk, fm, pk, fv = flat[0], flat[1], flat[2], flat[3], pf[2], pv.reshape(-1)
             # Running rows sit in the first n table columns.
             n = ids.size
             r = columns[:n]
@@ -328,7 +357,7 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
             stale = False
 
         sel = pk.argmax(axis=0) * n + r
-        a, b, v_old, e_old = fa[sel], fb[sel], fv[sel], fk[sel]
+        a, b, v_old, e_old, m_old = fa[sel], fb[sel], fv[sel], fk[sel], fm[sel]
         fk[sel] = -np.inf
         mid = 0.5 * (a + b)
         # The new panels' edges: left halves (a, mid), right halves (mid, b).
@@ -337,7 +366,7 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
         narrow = span / p0 * 0.5 ** rounds <= resolution
         stuck = (mid <= a) | (mid >= b) if narrow else None
         if not (narrow and np.count_nonzero(stuck)):
-            v, e = _panels(g, left, right, ids2)
+            v, e, mo = _panels(g, left, right, ids2)
             k = e
         else:
             # A panel at floating-point resolution cannot be split: it moves
@@ -348,16 +377,18 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
             pushed += stuck
             v = np.concatenate((v_old, np.zeros(n, dtype=complex)))
             e = np.concatenate((e_old, np.zeros(n)))
+            mo = np.concatenate((m_old, np.zeros(n)))
             s = np.flatnonzero(~stuck)
             if s.size:
                 s2 = np.concatenate((s, s + n))
-                v[s2], e[s2] = _panels(g, left[s2], right[s2], ids2[s2])
+                v[s2], e[s2], mo[s2] = _panels(g, left[s2], right[s2], ids2[s2])
             k = np.where(np.concatenate((stuck, stuck)), np.repeat([0.0, -np.inf], n), e)
             right = np.concatenate((np.where(stuck, b, mid), b))
         total += v[:n] + v[n:] - v_old
         total_err += e[:n] + e[n:] - e_old
+        total_mod += mo[:n] + mo[n:] - m_old
         new = slice(u * n, (u + 2) * n)
-        fa[new], fb[new], fv[new], fk[new] = left, right, v, k
+        fa[new], fb[new], fv[new], fk[new], fm[new] = left, right, v, k, mo
 
 
 # The divergence scan of a row with an infinite end runs around the row's
@@ -389,7 +420,7 @@ def _diverging(f: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     a = np.clip(c + _SCAN_LO, lo[:, None], hi[:, None])
     b = np.clip(c + _SCAN_HI, lo[:, None], hi[:, None])
     keep = a < b  # a shell part off the segment holds no panel
-    v, _ = _panels(f, a[keep], b[keep], np.broadcast_to(rows[:, None], a.shape)[keep])
+    v, _, _ = _panels(f, a[keep], b[keep], np.broadcast_to(rows[:, None], a.shape)[keep])
     # 16 panels per shell, so a panel's flat index // 16 is its (row, shell).
     slot, size = np.flatnonzero(keep) // 16, rows.size * (_SHELLS + 1)
     shells = (np.bincount(slot, v.real, size)
@@ -418,14 +449,14 @@ def _solve(f: Callable, nrows: int, cfg: QuadratureConfig, lo, hi,
         u = np.tan(theta)
         c = center[rows] if c_rows else center
         w = halfwidth[rows] if w_rows else halfwidth
-        return np.asarray(f(c + w * u, rows), dtype=complex) * (w * (1.0 + u * u))
+        return _times(f(c + w * u, rows), w * (1.0 + u * u))
 
     def g_unit(theta, rows):
         # The shared unit substitution x = tan(theta): c + w * u is 0.0 + u
         # and w * (1.0 + u * u) is 1.0 + u * u, bit for bit (adding 0.0
         # turns -0.0 into 0.0 in both).
         u = np.tan(theta)
-        return np.asarray(f(0.0 + u, rows), dtype=complex) * (1.0 + u * u)
+        return _times(f(0.0 + u, rows), 1.0 + u * u)
 
     # theta with x = center + halfwidth * tan(theta); arctan(+-inf) is +-pi/2.
     # A segment more than about 1e16 halfwidths from the centre maps to a
@@ -437,7 +468,8 @@ def _solve(f: Callable, nrows: int, cfg: QuadratureConfig, lo, hi,
                           "center it on the segment")
     unit = (not (c_rows or w_rows) and center == 0.0 and halfwidth == 1.0
             and math.copysign(1.0, center) > 0.0)
-    value, err, converged = _adaptive(g_unit if unit else g, nrows, theta_lo, theta_hi, cfg)
+    value, err, converged, modulus = _adaptive(g_unit if unit else g, nrows, theta_lo, theta_hi,
+                                               cfg)
     diverged = np.zeros(nrows, dtype=bool)
     if not converged.all():
         # A near-zero non-converged estimate cannot hide a divergence, so
@@ -448,7 +480,16 @@ def _solve(f: Callable, nrows: int, cfg: QuadratureConfig, lo, hi,
             diverged[rows] = _diverging(f, rows, *(np.broadcast_to(v, nrows)[rows]
                                                    for v in (lo, hi)), cfg)
             err[diverged] = math.inf
-    return RowResults(value, err, converged, diverged)
+    return RowResults(value, err, converged, diverged, modulus)
+
+
+def _times(y, jacobian):
+    """The integrand's output ``y`` times the substitution's ``jacobian``;
+    a (value, companion) pair is scaled in both parts."""
+    if type(y) is tuple:
+        value, companion = y
+        return np.asarray(value, dtype=complex) * jacobian, companion * jacobian
+    return np.asarray(y, dtype=complex) * jacobian
 
 
 def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONFIG, *,
@@ -471,6 +512,15 @@ def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONF
     the noise floor, whatever the size of its total; the rows left
     unconverged with an infinite end are then scanned together for
     divergence (see the module docstring).
+
+    Each row's ``modulus`` is the integral of |f| over the row's own
+    panels.  ``f`` may instead return a pair (value, companion), the
+    companion real and nonnegative and broadcasting like the value; the
+    modulus then integrates the companion, for example an inner level's
+    moduli.  Either way the modulus is a passenger: the values alone drive
+    splitting, convergence, the error estimates and the divergence scan,
+    so a row's value, estimate and flags are the same bits with or without
+    a companion.
     """
     if not isinstance(cfg, QuadratureConfig):
         raise DomainError("cfg must be one QuadratureConfig")
@@ -488,5 +538,6 @@ def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONF
         parts.append(_solve(lambda x, rows, s=start: f(x, rows + s), part.stop - start, cfg,
                             *(v[part] if np.ndim(v) else v for v in (lo, hi, center, halfwidth))))
     return RowResults(*(np.concatenate([getattr(p, name) for p in parts])
-                        for name in ("value", "error_estimate", "converged", "diverged")))
+                        for name in ("value", "error_estimate", "converged", "diverged",
+                                     "modulus")))
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nvk.cli import CLASSIFICATION_FIXTURES, fixture_base_measure
 from nvk.conditions import check_growth, default_z_grid, nevanlinna_grid
-from nvk.errors import DimensionMismatchError, DomainError
+from nvk.errors import DimensionMismatchError, DomainError, IntegrandError
 from nvk.kernels import kernel_1d, kernel_nd_rational
 from nvk.ladder import ladder_closed_form
 from nvk.measures import (
@@ -26,7 +26,7 @@ from nvk.measures import (
     mass,
     zero_measure,
 )
-from nvk.quadrature import QuadratureConfig
+from nvk.quadrature import QuadratureConfig, QuadratureResult
 
 PI = math.pi
 
@@ -312,9 +312,11 @@ def test_integrate_many_all_members_diverge(cfg):
 
 
 def test_nest_settles_once_every_member_diverged(cfg, monkeypatch):
-    # With b = d = 0 the image ignores t2, so the inner Lebesgue level
-    # diverges for every row of the first outer round.  The outer level then
-    # gets zeros without another solve and settles.
+    # The test function ignores v = t1 + t2, the one argument that t2
+    # enters, so the inner Lebesgue level is solved and diverges for every
+    # row of the first outer round.  The outer level then gets zeros
+    # without another solve and settles.  (With b = d = 0, where t2 enters
+    # no argument, the inner level is decided without a solve.)
     import nvk.measures as measures
 
     calls = []
@@ -325,8 +327,8 @@ def test_nest_settles_once_every_member_diverged(cfg, monkeypatch):
 
     integrate_rows = measures.integrate_rows
     monkeypatch.setattr(measures, "integrate_rows", counted)
-    mu = Pushforward2D(_CAUCHY, 1, 0, 1, 0)
-    many = integrate_many(mu, lambda u, v, k: 1.0 / ((1.0 + u * u) * (1.0 + v * v)) + 0j, 3, cfg)
+    mu = Pushforward2D(_CAUCHY, 1, 0, 1, 1)
+    many = integrate_many(mu, lambda u, v, k: 1.0 / (1.0 + u * u) + 0 * v + 0j, 3, cfg)
     assert len(calls) == 2
     for r in many:
         assert math.isnan(r.value.real)
@@ -471,3 +473,72 @@ def test_poles_must_match_members_and_lie_off_the_line():
                 np.where(np.arange(6).reshape(3, 2) == 4, complex("nan"), good)):
         with pytest.raises(DomainError):
             integrate_many(mu, f, 3, poles=bad)
+
+
+_Z2 = (0.5 + 1.5j, -0.3 + 0.8j)
+
+
+def _nevanlinna_integrand(u, v):
+    return 1.0 / ((u - _Z2[0]) ** 2 * (v - np.conj(_Z2[1])) ** 2)
+
+
+@pytest.mark.parametrize("base", ["atomic", "cauchy"])
+@pytest.mark.parametrize("poles", [False, True], ids=["lines", "poles"])
+def test_modulus_matches_a_separate_modulus_solve(base, poles, cfg):
+    # The modulus of each member is the integral of |f| over the value's own
+    # panels; on the planar pushforward it agrees with a separately solved
+    # integrate(mu, |f|).  The Cauchy base has a line level above the
+    # innermost one, whose moduli reach it as the companion channel.
+    mu1 = Atomic((((0.2,), 1.0), ((-0.5,), 2.0))) if base == "atomic" else _CAUCHY
+    mu = Pushforward2D(mu1, 1, 1, 1, 2)
+    hint = [[_Z2[0], np.conj(_Z2[1])]] if poles else None
+    (r,) = integrate_many(mu, lambda u, v, k: _nevanlinna_integrand(u, v), 1, cfg, poles=hint)
+    want = integrate(mu, lambda u, v: np.abs(_nevanlinna_integrand(u, v)) + 0j, cfg)
+    assert r.converged and want.converged
+    assert abs(r.modulus - want.value.real) <= 1e-10 * want.value.real
+    assert r.value == integrate_many(mu, lambda u, v, k: _nevanlinna_integrand(u, v), 1, cfg,
+                                     poles=hint)[0].value
+
+
+def test_modulus_of_an_atomic_measure_is_the_weighted_sum(cfg):
+    mu = Atomic((((0.2, 0.1), 1.0), ((-0.5, 3.0), 2.0)))
+    r = integrate(mu, _nevanlinna_integrand, cfg)
+    want = sum(w * abs(_nevanlinna_integrand(*loc)) for loc, w in mu.atoms)
+    assert r.modulus == pytest.approx(want, rel=1e-15) and r.error_estimate == 0.0
+
+
+def test_modulus_adds_up_over_atoms_scale_and_split_rows(cfg_nested):
+    # A ladder's atoms, its scale and the half-line rows of a far atom all
+    # enter the modulus as they enter the value.
+    z = (0.3 + 0.8j, -0.2 + 1.1j, 0.5 + 0.6j)
+    f = lambda u, v, w: np.abs(1.0 / ((u - z[0]) * (v - z[1]) * (w - z[2]))) + 0j
+    base = Atomic((((50.0,), 1.0), ((-0.3,), 2.0)))
+    r = integrate(PushforwardLadder(base, (0.8, 1.3), 2.3), f, cfg_nested)
+    # For a nonnegative integrand the modulus integrates the value itself.
+    assert r.converged and abs(r.modulus - r.value.real) <= 1e-12 * r.value.real
+    parts = [integrate(PushforwardLadder(Atomic.single(w, *loc), (0.8, 1.3), 1.0), f, cfg_nested)
+             for loc, w in base.atoms]
+    assert r.modulus == pytest.approx(2.3 * sum(p.modulus for p in parts), rel=1e-14)
+
+
+def test_a_line_whose_variable_enters_no_argument_is_decided_without_a_solve(monkeypatch):
+    # With b = d = 0 the image ignores t2, so the integrand is constant
+    # along the t2 line: a member reads an exact 0 where that constant is 0
+    # and diverges elsewhere, with no quadrature at all.
+    import nvk.measures as measures
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a line along which the integrand is constant")
+
+    monkeypatch.setattr(measures, "integrate_rows", no_solve)
+    mu = Pushforward2D(Atomic((((0.2,), 1.0), ((-0.5,), 2.0))), 1, 0, 1, 0)
+    out = integrate_many(mu, lambda u, v, k: k * (u - 0.2) / (1.0 + v * v) + 0j, 2)
+    assert out[0] == QuadratureResult(0j, 0.0, True, False, 0.0)
+    assert (out[1].converged, out[1].diverged, out[1].error_estimate) == (False, True, math.inf)
+    # The constant is read off one node per row: a member whose constant is
+    # 0 on one atom only still diverges.
+    out = integrate_many(mu, lambda u, v, k: (u - 0.2) + 0 * v + 0j, 1)
+    assert out[0].diverged
+    # A constant that is not finite fails as it would in a solve.
+    with pytest.raises(IntegrandError):
+        integrate(mu, lambda u, v: np.full(np.broadcast(u, v).shape, math.inf) + 0j)

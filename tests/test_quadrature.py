@@ -250,11 +250,12 @@ def test_rows_at_floating_point_resolution_match_one_at_a_time():
 
     cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300)
     lo, hi = 1.0 - 1e-15, 1.0 + 1e-15
-    value, err, converged = _adaptive(g, 2, lo, hi, cfg)
+    value, err, converged, modulus = _adaptive(g, 2, lo, hi, cfg)
     assert not converged.any()
     for i in range(2):
-        v1, e1, c1 = _adaptive(lambda t, rows: g(t, np.full(t.shape, i)), 1, lo, hi, cfg)
+        v1, e1, c1, m1 = _adaptive(lambda t, rows: g(t, np.full(t.shape, i)), 1, lo, hi, cfg)
         assert value[i] == pytest.approx(v1[0], rel=1e-13) and err[i] == pytest.approx(e1[0], rel=1e-13)
+        assert modulus[i] == pytest.approx(m1[0], rel=1e-13)
 
 
 def test_rows_stuck_at_floating_point_resolution_beside_a_row_that_splits():
@@ -308,10 +309,10 @@ def test_panel_sums_do_not_depend_on_the_block(size):
     scale = 10.0 ** rng.integers(-6, 6, size)
     g = lambda x, rows: scale[rows] / (x - 0.3 - 0.05j) ** 2 + np.exp(1j * x * rows)
     rows = np.arange(size)
-    v, e = _panel_block(g, a, b, rows)
+    v, e, m = _panel_block(g, a, b, rows)
     for p in range(size):
-        v1, e1 = _panel_block(g, a[p:p + 1], b[p:p + 1], rows[p:p + 1])
-        assert v1[0] == v[p] and e1[0] == e[p]
+        v1, e1, m1 = _panel_block(g, a[p:p + 1], b[p:p + 1], rows[p:p + 1])
+        assert v1[0] == v[p] and e1[0] == e[p] and m1[0] == m[p]
 
 
 def test_panel_block_common_and_general_paths_agree():
@@ -331,12 +332,12 @@ def test_panel_block_common_and_general_paths_agree():
     # reaches the estimates, which exceed their 1e-15 floor.
     g = lambda x, rows: scale[rows] * (3.0 + np.exp(0.3j * x) / (x - 0.5 - 2j))
     rows = np.arange(a.size)
-    v, e = _panel_block(g, a, b, rows)
+    v, e, m = _panel_block(g, a, b, rows)
     assert v[1] == 0.0 and e[1] == 0.0 and v[2] == 0.0 and e[2] == 0.0
     assert (e[3:] > 1e-15 * np.abs(v[3:])).all()
     for p in range(a.size):
-        v1, e1 = _panel_block(g, a[p:p + 1], b[p:p + 1], rows[p:p + 1])
-        assert v1[0] == v[p] and e1[0] == e[p]
+        v1, e1, m1 = _panel_block(g, a[p:p + 1], b[p:p + 1], rows[p:p + 1])
+        assert v1[0] == v[p] and e1[0] == e[p] and m1[0] == m[p]
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -529,3 +530,38 @@ def test_rows_integrand_may_return_a_scalar_or_one_value_per_row():
     assert r.converged.all() and np.allclose(r.value, 2.0 * (hi - lo), rtol=1e-13)
     r = integrate_rows(lambda x, rows: c[rows], c.size, lo=lo, hi=hi)
     assert r.converged.all() and np.allclose(r.value, c * (hi - lo), rtol=1e-13)
+
+
+def test_modulus_integrates_the_modulus_of_each_row(cfg):
+    # With x = tan(theta), e^{ik theta}/(1+x^2) integrates to
+    # 2 sin(k pi/2)/k (pi at k = 0) while its modulus stays 1/(1+x^2), so
+    # each row's modulus is pi.
+    k = np.array([0.0, 1.0, 3.0])
+    r = integrate_rows(lambda x, rows: np.exp(1j * k[rows] * np.arctan(x)) / (1.0 + x * x), 3, cfg)
+    assert r.converged.all()
+    assert np.allclose(r.value, [np.pi, 2.0, -2.0 / 3.0], rtol=1e-9, atol=0)
+    assert np.allclose(r.modulus, np.pi, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-math.inf, math.inf), (np.array([0.0, -1.0, 2.0]), math.inf)])
+def test_companion_rides_along_without_changing_the_values(lo, hi):
+    # A (value, companion) integrand gives the value alone's bits in every
+    # field but the modulus, whatever the companion's size; the modulus
+    # integrates the companion.  Row 2 diverges and is scanned.
+    shift = np.array([0.0, 0.0, 1.0])
+
+    def f(x, rows):
+        return np.exp(2j * x) / (1.0 + (x - rows) ** 2) + shift[rows]
+
+    def paired(x, rows):
+        return f(x, rows), 1e30 * np.exp(-(x - rows) ** 2)
+
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
+    alone = integrate_rows(f, 3, cfg, lo=lo, hi=hi)
+    both = integrate_rows(paired, 3, cfg, lo=lo, hi=hi)
+    for name in ("value", "error_estimate", "converged", "diverged"):
+        assert np.array_equal(getattr(alone, name), getattr(both, name))
+    assert list(both.diverged) == [False, False, True]
+    gauss = integrate_rows(lambda x, rows: 1e30 * np.exp(-(x - rows) ** 2) + 0j, 3, cfg,
+                           lo=lo, hi=hi)
+    assert np.allclose(both.modulus[:2], gauss.value.real[:2], rtol=1e-9, atol=0)

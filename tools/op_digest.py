@@ -11,28 +11,49 @@ the name, the seed, the op count and the sha256 of the ``repr`` of the op
 results in order (an op that raises contributes its exception's type and
 message).  Two checkouts that print the same lines computed the same values,
 error estimates and flags, bit for bit.
+
+Classify gets a second line, ``classify-without-scale``, whose digest drops
+``evidence.nevanlinna_scale`` from each report: two trees whose scales
+differ in the last bits, and in nothing else, differ on the first classify
+line and agree on the second.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 
-def digest(workload, ops: int) -> str:
-    h = hashlib.sha256()
+def digest(workload, ops: int, views=(repr,)) -> list[str]:
+    """One sha256 per view of the first ``ops`` op results, each view a
+    function from a result to the text that is hashed."""
+    hs = [hashlib.sha256() for _ in views]
     for _ in range(ops):
         op = workload.next_op()
         try:
             value = op.call()
         except Exception as exc:  # a failing op is part of what is compared
             value = ("raised", type(exc).__name__, str(exc))
-        h.update(repr(value).encode())
-        h.update(b"\n")
-    return h.hexdigest()
+        for h, view in zip(hs, views):
+            h.update(view(value).encode())
+            h.update(b"\n")
+    return [h.hexdigest() for h in hs]
+
+
+def without_scale(value) -> str:
+    """A classify result, (exit code, stdout), with the report's
+    ``evidence.nevanlinna_scale`` dropped; any other result as ``repr``."""
+    try:
+        code, text = value
+        doc = json.loads(text)
+        doc["evidence"].pop("nevanlinna_scale")
+    except (TypeError, ValueError, KeyError):
+        return repr(value)
+    return repr((code, json.dumps(doc, sort_keys=True)))
 
 
 def main(argv=None) -> int:
@@ -49,7 +70,10 @@ def main(argv=None) -> int:
     for name in sorted(workloads.WORKLOADS):
         with tempfile.TemporaryDirectory() as workdir:
             w = workloads.WORKLOADS[name](args.seed, workdir)
-            print(f"{name} seed={args.seed} ops={args.ops} {digest(w, args.ops)}", flush=True)
+            names = [name] + ([f"{name}-without-scale"] if name == "classify" else [])
+            views = (repr, without_scale)[:len(names)]
+            for label, hexdigest in zip(names, digest(w, args.ops, views)):
+                print(f"{label} seed={args.seed} ops={args.ops} {hexdigest}", flush=True)
     return 0
 
 
