@@ -231,7 +231,7 @@ def suite_rows(suite: str, n: int, seed: int, index: int,
         lhs, rhs = verify_final_step(n, b, z, t1, cfg)
         rows.append(_row(index, f"rung=final;b={_fmt_vec(b)};z={_fmt_cvec(z)};t1={t1!r}",
                          lhs, rhs))
-        if n == 2:
+        if n == 3:  # at n = 2 the full reduction is the final rung again
             lhs, rhs = verify_full_reduction(n, b, z, t1, cfg)
             rows.append(_row(index, f"rung=full;b={_fmt_vec(b)};z={_fmt_cvec(z)};t1={t1!r}",
                              lhs, rhs))
@@ -268,9 +268,11 @@ def suite_rows(suite: str, n: int, seed: int, index: int,
 def classification_evidence(mu1, coeffs, grid_count: int, cfg: QuadratureConfig):
     """Classifier verdict for a planar pushforward, plus numerical evidence:
     the growth integral and the maximum Nevanlinna modulus over the z-grid,
-    whose points are solved together (``conditions.nevanlinna_grid``).
-    Declared traits outrank the numerics; a disagreement is reported in the
-    ``trait_conflict`` field."""
+    whose points are solved together (``conditions.nevanlinna_grid``).  The
+    growth integral is read by ``conditions.decided`` and the grid by
+    ``conditions.vanishes``, so an undecided integral leaves the evidence
+    unknown (None).  Declared traits outrank the numerics; a disagreement
+    between two decided sides is reported in the ``trait_conflict`` field."""
     if grid_count < 1:
         raise DomainError("the evidence z-grid needs at least one point")
     alpha, beta, gamma, delta = coeffs
@@ -280,22 +282,15 @@ def classification_evidence(mu1, coeffs, grid_count: int, cfg: QuadratureConfig)
     classification = cond.classify_pushforward2d(alpha, beta, gamma, delta, traits)
 
     growth = cond.check_growth(planar, cfg)
-    growth_ok = growth.converged and not growth.diverged
-
-    nevan_ok = growth_ok
-    max_mod = 0.0
-    scale = 0.0
+    numeric_rep = growth_ok = cond.decided(growth)
+    max_mod = scale = 0.0
     if growth_ok:
         values, scales = cond.nevanlinna_grid(planar, cond.default_z_grid(2, grid_count), cfg)
         # Scales stop at the first diverged point, like a per-point loop.
-        nevan_ok = len(scales) == len(values)
-        for v, s in zip(values, scales):
-            scale = max(scale, s)
-            max_mod = max(max_mod, abs(v.value))
-            if abs(v.value) > cond.nevanlinna_zero_tolerance(s):
-                nevan_ok = False
+        max_mod = max((abs(v.value) for v in values[:len(scales)]), default=0.0)
+        scale = max(scales, default=0.0)
+        numeric_rep = cond.vanishes(values)
 
-    numeric_rep = growth_ok and nevan_ok
     verdict = classification.representing
     evidence = {
         "growth_value": None if growth.diverged else abs(growth.value),
@@ -304,7 +299,7 @@ def classification_evidence(mu1, coeffs, grid_count: int, cfg: QuadratureConfig)
         "nevanlinna_scale": scale,
         "z_grid_points": grid_count,
         "evidence_representing": numeric_rep,
-        "trait_conflict": (None if verdict is None or verdict == numeric_rep
+        "trait_conflict": (None if None in (verdict, numeric_rep) or verdict == numeric_rep
                            else "declared traits disagree with numerical evidence"),
     }
     return classification, evidence

@@ -20,9 +20,15 @@ int dmu / ((t1 - z1)^2 (t2 - conj(z2))^2) = 0.
 A "for all z" condition is checked numerically on a fixed quasi-random grid
 of 25 points per variable pair with Im in [0.1, 10] and Re in [-10, 10];
 this is the strongest desk-scale surrogate for the universally quantified
-statement.  A value counts as zero when |value| <= max(1e-8, 1e-6 * S)
-where S integrates the modulus of the integrand (cancellation-dominated
-integrals need a relative yardstick).  ``nevanlinna_grid`` is the one
+statement.  One rule, ``vanishes``, reads a set of such integrals: a value
+counts as zero when |value| <= max(1e-8, 1e-6 * S) where S integrates the
+modulus of the integrand (cancellation-dominated integrals need a relative
+yardstick).  A diverged integral is nonzero; an unconverged one is zero or
+nonzero only when its error estimate keeps it on one side of that
+tolerance, and undecided otherwise.  ``decided`` reads a single integral
+as finite, infinite or undecided.  The cubic condition and the
+command-line evidence both read their integrals through these two, so an
+undecided integral is never read as decided.  ``nevanlinna_grid`` is the one
 entry point for the two-variable condition; a single point is a one-point
 grid.  A grid is one batched solve: the values at all points are the
 members of one ``measures.integrate_many`` call at one config, with the
@@ -67,6 +73,8 @@ __all__ = [
     "nevanlinna_grid",
     "default_z_grid",
     "nevanlinna_zero_tolerance",
+    "decided",
+    "vanishes",
     "check_cubic_condition",
     "classify_pushforward2d",
     "derive_traits",
@@ -205,6 +213,28 @@ def nevanlinna_zero_tolerance(scale: float) -> float:
     return max(1e-8, 1e-6 * scale)
 
 
+def decided(r: QuadratureResult) -> Optional[bool]:
+    """Finite (True), infinite (False), or None when the integral neither
+    converged nor diverged."""
+    return r.converged if (r.converged or r.diverged) else None
+
+
+def vanishes(results: Sequence[QuadratureResult]) -> Optional[bool]:
+    """Whether every integral of ``results`` is zero within the tolerance of
+    its modulus: False when one diverged or is nonzero, otherwise None when
+    one is undecided, otherwise True.
+
+    A converged value is zero exactly when it is within its tolerance.  An
+    unconverged one is zero when its error estimate keeps it within, nonzero
+    when the estimate keeps it beyond, and undecided otherwise."""
+    verdicts = set()
+    for r in results:
+        size, err = abs(r.value), 0.0 if r.converged else r.error_estimate
+        tol = nevanlinna_zero_tolerance(r.modulus)
+        verdicts.add(False if r.diverged or size - err > tol else size + err <= tol or None)
+    return False if False in verdicts else None if None in verdicts else True
+
+
 def _radical_inverse(i: int, base: int) -> float:
     """The digits of i in ``base`` mirrored behind the radix point."""
     x, scale = 0.0, 1.0 / base
@@ -253,9 +283,8 @@ def check_cubic_condition(coeff_det: float, delta: float, beta: float,
     """Whether int dmu1 / (coeff_det * t1 - delta z1 + beta conj(z2))^3
     vanishes over the sample grid; ``coeff_det`` is alpha*delta - beta*gamma.
 
-    False when one integral diverges or is decided nonzero (converged and
-    above its zero tolerance); otherwise None when one neither converged
-    nor diverged, since an undecided value cannot be read as zero."""
+    Read by ``vanishes``: False when one integral diverges or is nonzero,
+    None when one is undecided, since it cannot be read as zero."""
     if coeff_det == 0:
         raise DomainError("the cubic condition needs alpha*delta - beta*gamma != 0")
     if mu1.dimension != 1:
@@ -264,11 +293,8 @@ def check_cubic_condition(coeff_det: float, delta: float, beta: float,
     if not points:
         raise DomainError("the cubic condition needs at least one sample point")
     w = np.array([-delta * z1 + beta * z2.conjugate() for z1, z2 in points])
-    values = integrate_many(mu1, lambda t1, k: 1.0 / (coeff_det * t1 + w[k]) ** 3, w.size, cfg)
-    if any(r.diverged or (r.converged and abs(r.value) > nevanlinna_zero_tolerance(r.modulus))
-           for r in values):
-        return False
-    return True if all(r.converged for r in values) else None
+    return vanishes(integrate_many(mu1, lambda t1, k: 1.0 / (coeff_det * t1 + w[k]) ** 3,
+                                   w.size, cfg))
 
 
 def classify_pushforward2d(alpha: float, beta: float, gamma: float, delta: float,
@@ -322,10 +348,6 @@ def derive_traits(mu1: Measure, cfg: QuadratureConfig = DEFAULT_CONFIG,
     """
     if mu1.dimension != 1:
         raise DomainError("traits are derived for one-dimensional measures")
-
-    def decided(r: QuadratureResult) -> Optional[bool]:
-        """Finite (True), infinite (False), or None when undecided."""
-        return r.converged if (r.converged or r.diverged) else None
 
     total = mass(mu1, Box(((-math.inf, math.inf),)), cfg)
     finite = decided(total)

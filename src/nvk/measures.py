@@ -74,8 +74,9 @@ whose inner integrals cancel, they can fall short by a few parts in 1e4.
 
 A line level whose variable enters no argument and no density, the
 innermost t2 of a planar pushforward with beta = delta = 0, has an
-integrand constant along the line.  Its rows are decided from one node
-each, without a solve: exactly 0 where the constant is 0, diverged
+integrand constant along the line.  The plan marks such a line when it is
+compiled (no other variant builds one), and its rows are decided from one
+node each, without a solve: exactly 0 where the constant is 0, diverged
 elsewhere.
 
 A family of test functions shares those solves: ``integrate_many(mu, f, m)``
@@ -389,6 +390,9 @@ class _Line:
     argument j that vanishes on it and the coefficient q of this level's
     variable in that argument.  Given poles, the line moves to where
     argument j equals Re p_j and is |Im p_j| / |q| wide (``_layout``).
+
+    ``constant`` marks a line whose variable enters no argument and no
+    density, so the integrand is constant along it.
     """
 
     density: Optional[Callable] = None
@@ -396,6 +400,7 @@ class _Line:
     halfwidth: float = 1.0
     split: Optional[tuple[tuple[_Form, float], tuple[_Form, float]]] = None
     anchors: tuple[tuple[int, float], ...] = ()
+    constant: bool = False
 
 
 @dataclass(frozen=True)
@@ -413,16 +418,6 @@ class _Plan:
     density: Optional[Callable] = None
     density_dim: int = 0
     scale: float = 1.0
-
-    @functools.cached_property
-    def constant_innermost(self) -> bool:
-        """Whether the innermost level is a line whose variable enters no
-        argument and no density, so the integrand is constant along it."""
-        level = self.levels[-1]
-        if not isinstance(level, _Line) or level.density is not None or level.split is not None:
-            return False
-        var = sum(v.points.shape[1] if isinstance(v, _Atoms) else 1 for v in self.levels) - 1
-        return var >= self.density_dim and all(j != var for form in self.A for j, _ in form)
 
     def evaluate(self, f: Callable, vals: list, members: np.ndarray) -> np.ndarray:
         """The integrand ``f(*args, members)`` at the level variables ``vals``.
@@ -483,7 +478,8 @@ def _compile(mu: Measure) -> _Plan:
             t2 = _Line(None, ((0, 0.5 * (c1 + c2)),), width,
                        ((((0, c1),), width), (((0, c2),), width)), ((0, b), (1, d)))
         else:
-            t2 = _Line(None, tuple((0, c) for c, _ in lines if c), width)
+            # Without a line (beta = delta = 0) t2 enters no argument.
+            t2 = _Line(None, tuple((0, c) for c, _ in lines if c), width, constant=not lines)
         # An image coordinate that is identically 0 keeps one zero term, so
         # it still reaches the test function as an array.
         A = tuple(tuple((j, c) for j, c in enumerate(row) if c) or ((0, 0.0),)
@@ -659,38 +655,31 @@ def _walk(run: _Run, i: int, vals: list, member: np.ndarray,
         d = np.asarray(dens(x))
         return v * d, mod * np.abs(d)
 
-    if last and plan.constant_innermost:
+    if last and level.constant:
         return _settle(run, member, weight, _constant_rows(g, member.size))
     near, width, lines = _layout(level, vals, None if run.poles is None else run.poles[member])
-    if lines is None:
-        return _solve(run, i, g, member, weight, near, width)
-    (c1, w1), (c2, w2) = lines
-    far = np.flatnonzero(0.5 * np.abs(c1 - c2) > width)
-    if not far.size:
+    far = () if lines is None else np.flatnonzero(0.5 * np.abs(lines[0][0] - lines[1][0]) > width)
+    if not len(far):
         return _solve(run, i, g, member, weight, near, width)
     # A far row becomes two half-line rows split at the midpoint, each
-    # centred on its own line; their values and error estimates add up to
-    # the row's.
+    # centred on its own line: the row keeps its lower half, and its upper
+    # half joins the solve as a row of its own.  Their values and error
+    # estimates add up to the row's.
     m = member.size
-    near, c1, c2 = (np.broadcast_to(c, (m,)) for c in (near, c1, c2))
-    w1, w2 = (np.broadcast_to(w, (m,))[far] for w in (w1, w2))
-    mid = 0.5 * (c1[far] + c2[far])
+    (c1, w1), (c2, w2) = ((np.broadcast_to(c, (m,))[far], np.broadcast_to(w, (m,))[far])
+                          for c, w in lines)
+    low = c1 < c2
     src = np.concatenate((np.arange(m), far))
+    center = np.concatenate((np.broadcast_to(near, (m,)), np.where(low, c2, c1)))
+    halfwidth = np.concatenate((np.broadcast_to(width, (m,)), np.where(low, w2, w1)))
+    center[far], halfwidth[far] = np.where(low, c1, c2), np.where(low, w1, w2)
     lo, hi = np.full(src.size, -math.inf), np.full(src.size, math.inf)
-    hi[far] = lo[m:] = mid
-    c1_low = c1[far] < c2[far]
-    center = np.concatenate((near, np.where(c1_low, c2[far], c1[far])))
-    center[far] = np.where(c1_low, c1[far], c2[far])
-    halfwidth = np.empty(src.size)
-    halfwidth[:m] = width
-    halfwidth[far] = np.where(c1_low, w1, w2)
-    halfwidth[m:] = np.where(c1_low, w2, w1)
+    hi[far] = lo[m:] = 0.5 * (c1 + c2)
     v, mod = _solve(run, i, lambda x, rows: g(x, src[rows]), member[src], weight[src], center,
                     halfwidth, lo, hi)
-    out, out_mod = v[:m].copy(), mod[:m].copy()
-    out[far] += v[m:]
-    out_mod[far] += mod[m:]
-    return out, out_mod
+    v[far] += v[m:]
+    mod[far] += mod[m:]
+    return v[:m], mod[:m]
 
 
 def integrate_many(mu: Measure, f: Callable, m: int, cfg: QuadratureConfig = DEFAULT_CONFIG, *,

@@ -15,7 +15,7 @@ import nvk
 from nvk import cli, errors
 from nvk import conditions as cond
 from nvk.cli import CLASSIFICATION_FIXTURES, classification_evidence, fixture_base_measure, main
-from nvk.measures import Pushforward2D
+from nvk.measures import LebesgueDensity, Pushforward2D
 from nvk.quadrature import QuadratureConfig
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -437,3 +437,59 @@ def test_verify_kernels_ignores_n(tmp_path):
     rc, _ = run_main(["verify", "--suite", "kernels", "--n", "0", "--samples", "2",
                       "--out", str(tmp_path / "k.json")])
     assert rc == 0
+
+
+def test_eval_rejects_a_point_of_the_wrong_dimension(inverse_descriptor, capsys):
+    rc, out = run_main(["eval", inverse_descriptor, "--z", "0+1i,0+1i"])
+    assert rc == 2 and out == ""
+    assert "2 coordinates" in capsys.readouterr().err
+
+
+def test_classify_rejects_a_two_dimensional_base(tmp_path, capsys):
+    path = tmp_path / "mu2.json"
+    path.write_text(json.dumps({"schema": "nvk-1", "measure": {
+        "type": "atomic", "dimension": 2, "atoms": [[0.0, 0.0, 1.0]]}}))
+    rc, out = run_main(["classify", "--alpha", "1", "--beta", "1", "--gamma", "1",
+                        "--delta", "-1", "--mu", str(path)])
+    assert rc == 2 and out == ""
+    assert "one-dimensional" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 1.0, 0.0, 0.0), (1.0, 1.0, -1.0, -1.0)])
+def test_undecided_growth_leaves_the_evidence_unknown(coeffs):
+    # Against 1/(1+|t|)^1.2 the planar growth integral is finite, but its
+    # t^-1.2 tail neither converges nor diverges numerically (the cap keeps
+    # the nested case short): the evidence is unknown, not "not
+    # representing", and there is nothing to conflict with.
+    mu1 = LebesgueDensity(1, lambda t: (1.0 + abs(t)) ** -1.2)
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13, max_subdivisions=60)
+    classification, evidence = classification_evidence(mu1, coeffs, 3, cfg)
+    assert classification.representing is None
+    assert evidence["growth_converged"] is None
+    assert evidence["evidence_representing"] is None
+    assert evidence["trait_conflict"] is None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_main_suite_rows(n):
+    # Three points per sample: the closed form, and at n = 2 the quadrature
+    # too, each against the one-variable reference.
+    for index in range(2):
+        rows = cli.suite_rows("main", n, 12345, index, None)
+        paths = [row["inputs"].rsplit("=", 1)[1] for row in rows]
+        assert paths == (["closed", "quadrature"] if n == 2 else ["closed"]) * 3
+        assert max(row["rel_error"] for row in rows) <= cli.SUITE_PASS_TOL["main"]
+
+
+def test_ladder_suite_runs_the_full_reduction_at_three_variables(tmp_path):
+    # At n = 2 the full reduction would integrate the final rung's integral
+    # again, so only n = 3 reports it.
+    rungs = [row["inputs"].split(";")[0] for row in cli.suite_rows("ladder", 2, 12345, 0, None)]
+    assert rungs == ["rung=final"]
+    rows = cli.suite_rows("ladder", 3, 12345, 0, None)
+    assert [row["inputs"].split(";")[0] for row in rows] == ["rung=(3,0)", "rung=final", "rung=full"]
+    assert rows[-1]["rel_error"] <= cli.SUITE_PASS_TOL["ladder"]
+    path = tmp_path / "ladder2.json"
+    assert run_main(["verify", "--suite", "ladder", "--n", "2", "--samples", "2",
+                     "--out", str(path)])[0] == 0
+    assert "rung=full" not in path.read_text()

@@ -14,6 +14,7 @@ from nvk.conditions import (
     check_growth,
     check_nevanlinna_nvar,
     classify_pushforward2d,
+    decided,
     default_z_grid,
     derive_traits,
     growth_inner_rational,
@@ -22,6 +23,7 @@ from nvk.conditions import (
     nevanlinna_grid,
     nevanlinna_inner_value,
     nevanlinna_zero_tolerance,
+    vanishes,
 )
 from nvk.errors import DomainError
 from nvk.measures import (
@@ -30,6 +32,7 @@ from nvk.measures import (
     Product,
     Pushforward2D,
     integrate,
+    integrate_many,
     lebesgue,
     zero_measure,
 )
@@ -560,3 +563,43 @@ def test_default_grid_holds_checked_points():
 
     for n in (2, 3):
         assert all(require_upper_half(z) is z for z in default_z_grid(n, 25))
+
+
+def test_vanishes_leaves_the_cancelling_cubic_integrals_unknown():
+    # The cubic integrals against t1^2 dt1 above: estimates of about 16
+    # against tolerances of about 5e-5 keep every value undecided.
+    quadratic = LebesgueDensity(1, lambda t1: t1 ** 2)
+    w = np.array([-2.0 * z1 + z2.conjugate() for z1, z2 in [(1j, 1j), (0.5 + 2j, -1 + 1j)]])
+    results = integrate_many(quadratic, lambda t1, k: 1.0 / (t1 + w[k]) ** 3, w.size,
+                             QuadratureConfig(rel_tol=1e-8, abs_tol=1e-13))
+    assert [(r.converged, r.diverged) for r in results] == [(False, False)] * 2
+    assert all(abs(r.value) - r.error_estimate < nevanlinna_zero_tolerance(r.modulus)
+               < abs(r.value) + r.error_estimate for r in results)
+    assert vanishes(results) is None
+
+
+def test_vanishes_reads_an_unconverged_corner_through_its_estimate(cfg):
+    # The lebesgue fixture of case iii2b at the classify config: the grid's
+    # corner (-10+0.1i, -10+0.1i) does not converge, but its value and
+    # estimate stay well within its tolerance.
+    planar = Pushforward2D(lebesgue(), 1.0, 1.0, 1.0, 2.0)
+    values, _ = nevanlinna_grid(planar, default_z_grid(2, 25), cfg)
+    corner = values[0]
+    assert default_z_grid(2, 25)[0] == (-10 + 0.1j, -10 + 0.1j)
+    assert not corner.converged and not corner.diverged
+    assert abs(corner.value) + corner.error_estimate <= nevanlinna_zero_tolerance(corner.modulus)
+    assert all(v.converged for v in values[1:])
+    assert vanishes(values) is True
+
+
+def test_vanishes_false_wins_over_unknown():
+    unknown = QuadratureResult(1e-3 + 0j, 1e-2, False, False, 1.0)
+    zero = QuadratureResult(0j, 0.0, True, False, 1.0)
+    nonzero = QuadratureResult(1.0 + 0j, 1e-3, False, False, 1.0)
+    diverged = QuadratureResult(complex("nan"), math.inf, False, True, math.inf)
+    assert vanishes([zero]) is True and vanishes([]) is True
+    assert vanishes([zero, unknown]) is None
+    assert vanishes([unknown, diverged]) is False
+    assert vanishes([diverged, unknown]) is False
+    assert vanishes([unknown, nonzero]) is False
+    assert [decided(r) for r in (zero, unknown, diverged)] == [True, None, False]

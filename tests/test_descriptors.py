@@ -232,6 +232,13 @@ def test_schema_rejects_bad_documents():
     with pytest.raises(DomainError, match=r"\$\.measure"):
         validate_descriptor({"schema": "nvk-1",
                              "measure": {"type": "atomic", "atoms": [[0.0]]}})
+    with pytest.raises(DomainError, match=r"at \$: expected an object"):
+        validate_descriptor([])
+
+
+def test_only_parsed_densities_are_written():
+    with pytest.raises(DomainError, match="parsed from expressions"):
+        measure_to_json(LebesgueDensity(1, lambda t: 1.0 / (1.0 + t * t)))
 
 
 def test_load_reports_line_and_column(tmp_path):

@@ -15,7 +15,15 @@ from nvk.ladder import (
     verify_main_theorem,
     verify_step,
 )
-from nvk.measures import Atomic, Product, PushforwardLadder, integrate, lebesgue, zero_measure
+from nvk.measures import (
+    Atomic,
+    LebesgueDensity,
+    Product,
+    PushforwardLadder,
+    integrate,
+    lebesgue,
+    zero_measure,
+)
 from nvk.quadrature import QuadratureConfig
 from nvk.representation import RepresentationData, evaluate
 from nvk.sampling import (
@@ -244,6 +252,24 @@ def test_ladder_suite_rows_cover_every_rung():
 def test_verify_step_preconditions(cfg):
     with pytest.raises(DomainError):
         verify_step(2, 0, (1.0,), (1j, 1j), (0.0,), cfg)
+    with pytest.raises(DomainError, match="first m - 1"):
+        verify_step(3, 0, (1.0, 1.0), (1j, 1j, 1j), (0.0,), cfg)
+
+
+def test_ladder_closed_form_preconditions(pi_delta0):
+    with pytest.raises(DomainError, match="atomic base"):
+        ladder_closed_form((1j, 1j), PushforwardLadder(lebesgue(), (1.0,), 1.0))
+    with pytest.raises(DomainError, match="dimension"):
+        ladder_closed_form((1j, 1j, 1j), PushforwardLadder(pi_delta0, (1.0,), 1.0))
+
+
+def test_main_theorem_preconditions(pi_delta0, cfg):
+    two = RepresentationData(0.0, (0.0, 0.0), Product((pi_delta0, pi_delta0)))
+    with pytest.raises(DomainError, match="one-variable"):
+        verify_main_theorem(two, (0.5, 0.5), [(1j, 1j)], cfg)
+    density = RepresentationData(0.0, (0.0,), LebesgueDensity(1, lambda t: 1.0 / (1.0 + t * t)))
+    with pytest.raises(DomainError, match="atomic base"):
+        verify_main_theorem(density, (0.5, 0.5), [(1j, 1j)], cfg)
 
 
 @pytest.mark.parametrize("n, k, z", [

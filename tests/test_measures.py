@@ -542,3 +542,10 @@ def test_a_line_whose_variable_enters_no_argument_is_decided_without_a_solve(mon
     # A constant that is not finite fails as it would in a solve.
     with pytest.raises(IntegrandError):
         integrate(mu, lambda u, v: np.full(np.broadcast(u, v).shape, math.inf) + 0j)
+
+
+def test_product_factors_must_be_atomic_or_densities(cfg):
+    # A one-dimensional product is a valid measure, but not a factor.
+    nested = Product((Product((lebesgue(),)),))
+    with pytest.raises(DomainError, match="product factors"):
+        integrate(nested, lambda t: 1.0 / (1.0 + t * t), cfg)

@@ -565,3 +565,10 @@ def test_companion_rides_along_without_changing_the_values(lo, hi):
     gauss = integrate_rows(lambda x, rows: 1e30 * np.exp(-(x - rows) ** 2) + 0j, 3, cfg,
                            lo=lo, hi=hi)
     assert np.allclose(both.modulus[:2], gauss.value.real[:2], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("center, halfwidth", [(0.0, 0.0), (math.nan, 1.0), (0.0, np.array([1.0, -1.0]))])
+def test_rows_need_a_finite_center_and_a_positive_halfwidth(center, halfwidth):
+    with pytest.raises(DomainError, match="positive halfwidth"):
+        integrate_rows(lambda x, rows: 1.0 / (1.0 + x * x), 2, DEFAULT_CONFIG,
+                       center=center, halfwidth=halfwidth)
