@@ -371,7 +371,7 @@ def derive_traits(mu1: Measure, cfg: QuadratureConfig = DEFAULT_CONFIG,
 def growth_inner_rational(alpha: float, beta: float, gamma: float, delta: float,
                           t1: float) -> RationalFunction:
     """tau |-> 1/((a t1 + b tau - i)(a t1 + b tau + i)(g t1 + d tau - i)(g t1 + d tau + i))."""
-    return RationalFunction.from_linear_factors(1.0, [
+    return RationalFunction((1.0,), [
         (alpha * t1 - 1j, beta, 1),
         (alpha * t1 + 1j, beta, 1),
         (gamma * t1 - 1j, delta, 1),
@@ -397,7 +397,7 @@ def growth_inner_value(alpha: float, beta: float, gamma: float, delta: float,
 def nevanlinna_inner_rational(alpha: float, beta: float, gamma: float, delta: float,
                               t1: float, z1: complex, z2: complex) -> RationalFunction:
     """tau |-> 1/((a t1 + b tau - z1)^2 (g t1 + d tau - conj(z2))^2)."""
-    return RationalFunction.from_linear_factors(1.0, [
+    return RationalFunction((1.0,), [
         (alpha * t1 - complex(z1), beta, 2),
         (gamma * t1 - complex(z2).conjugate(), delta, 2),
     ])

@@ -1,10 +1,15 @@
-"""Contour integration of rational functions with numeric coefficients.
+"""Contour integration of rational functions given as linear factors.
 
 This is the oracle side of every closed-form identity in the package: for a
 rational function f with deg(den) >= deg(num) + 2 and no real poles, the
 line integral over R equals 2*pi*i times the sum of the upper-half-plane
 residues, and also minus 2*pi*i times the lower sum.  Both are computed and
-must agree, which catches bad roots or multiplicities.
+must agree.
+
+The denominator is stored as the linear factors (c0 + c1 x)^k it is built
+from, so no root is ever searched for: the poles are the factors' roots
+-c0/c1, and each residue is a Taylor coefficient read off the numerator and
+the other factors at the pole.
 
 Coefficients are numbers, not symbols: parameters are bound to values
 before the oracle runs, and identities are validated at many random
@@ -15,201 +20,114 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import DomainError, InconsistencyError
 
 __all__ = ["RationalFunction", "find_poles", "residue_at", "line_integral"]
 
-# Roots closer than this (relative, single linkage) are candidates for one
-# multiple pole.  Companion-matrix eigenvalues scatter an exact m-fold root
-# by about eps^(1/m) (1e-4 for m = 4), so the radius must sit far above the
-# simple-root accuracy; candidate clusters are verified through deflation
-# remainders and fall back to separate simple poles when the verification
-# fails.  Inputs are expected to keep genuinely distinct poles well apart.
-_CLUSTER_RADIUS = 1e-3
-# Real-axis guard and numerator/denominator common-root cancellation.
 _REAL_AXIS_TOL = 1e-9
-_CANCEL_TOL = 1e-10
+# Roots closer than this (relative) are one pole: proportional factors give
+# the same root up to rounding.
+_SAME_ROOT = 1e-12
 
 
-def _trim(c: np.ndarray) -> np.ndarray:
-    c = np.atleast_1d(np.asarray(c, dtype=complex))
-    nz = np.nonzero(np.abs(c) > 0)[0]
-    return c[: nz[-1] + 1] if nz.size else np.zeros(1, dtype=complex)
+def _same_root(p: complex, q: complex) -> bool:
+    return abs(p - q) <= _SAME_ROOT * max(abs(p), abs(q))
+
+
+def _horner(coeffs, x):
+    """The polynomial with ascending coefficients ``coeffs`` at ``x``."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """num(x)/den(x) with complex coefficients in ascending degree."""
+    """num(x) / prod (c0 + c1 x)^k.
+
+    ``num`` holds the numerator's complex coefficients in ascending degree,
+    ``factors`` one ``(c0, c1, k)`` per denominator factor, with k >= 1.  A
+    factor with c1 = 0 is a nonzero constant.
+    """
 
     num: tuple[complex, ...]
-    den: tuple[complex, ...]
+    factors: tuple[tuple[complex, complex, int], ...]
 
     def __post_init__(self):
-        num = _trim(self.num)
-        den = _trim(self.den)
-        if den.size == 1 and den[0] == 0:
-            raise DomainError("denominator must not be identically zero")
+        num = [complex(c) for c in self.num]
+        while num and num[-1] == 0:
+            num.pop()
+        for c0, c1, k in self.factors:
+            if (c0 == 0 and c1 == 0) or k != int(k) or k < 1:
+                raise DomainError("each factor (c0, c1, k) needs c0 or c1 nonzero and an integer k >= 1")
         object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", tuple(den))
-
-    @classmethod
-    def from_linear_factors(cls, numerator: complex,
-                            factors: Sequence[tuple[complex, complex, int]]) -> "RationalFunction":
-        """Build numerator / prod (c0 + c1 x)^power from linear factors."""
-        den = np.ones(1, dtype=complex)
-        for c0, c1, power in factors:
-            for _ in range(power):
-                den = P.polymul(den, np.array([c0, c1], dtype=complex))
-        return cls((complex(numerator),), tuple(den))
+        object.__setattr__(self, "factors",
+                           tuple((complex(c0), complex(c1), int(k)) for c0, c1, k in self.factors))
 
     def __call__(self, x):
-        return P.polyval(x, np.asarray(self.num)) / P.polyval(x, np.asarray(self.den))
+        den = 1.0
+        for c0, c1, k in self.factors:
+            den = den * (c0 + c1 * x) ** k
+        return _horner(self.num, x) / den
 
     @property
     def num_degree(self) -> int:
-        return len(self.num) - 1 if any(c != 0 for c in self.num) else -1
+        return len(self.num) - 1
 
     @property
     def den_degree(self) -> int:
-        return len(self.den) - 1
-
-
-def _roots(coeffs: np.ndarray) -> np.ndarray:
-    c = _trim(coeffs)
-    if c.size <= 1:
-        return np.zeros(0, dtype=complex)
-    return P.polyroots(c)
-
-
-def _newton_polish(coeffs: np.ndarray, x: complex, derivative_order: int,
-                   iterations: int = 4) -> complex:
-    """Polish a root of the given derivative of the polynomial."""
-    p = coeffs
-    for _ in range(derivative_order):
-        p = P.polyder(p)
-    dp = P.polyder(p)
-    for _ in range(iterations):
-        d = P.polyval(x, dp)
-        if d == 0:
-            break
-        x = x - P.polyval(x, p) / d
-    return complex(x)
+        return sum(k for _, c1, k in self.factors if c1 != 0)
 
 
 def find_poles(f: RationalFunction) -> list[tuple[complex, int]]:
-    """Denominator roots with multiplicities, common roots cancelled first.
+    """The factors' roots -c0/c1 with their orders.
 
-    Root finding goes through companion-matrix eigenvalues; nearby roots are
-    clustered into multiple poles and the cluster centre is polished.
+    Factors whose roots agree to 1e-12 relative count as one pole, their
+    powers summed.  A root shared with the numerator is still reported; its
+    residue is 0.
     """
-    den = np.asarray(f.den)
-    den_roots = list(_roots(den))
-    if not den_roots:
-        return []
-
-    num_roots = list(_roots(np.asarray(f.num)))
-    remaining = []
-    for r in den_roots:
-        hit = None
-        for i, s in enumerate(num_roots):
-            if abs(r - s) <= _CANCEL_TOL * max(1.0, abs(r)):
-                hit = i
-                break
-        if hit is None:
-            remaining.append(r)
-        else:
-            num_roots.pop(hit)
-
-    clusters: list[list[complex]] = []
-    for r in sorted(remaining, key=lambda v: (v.real, v.imag)):
-        for cl in clusters:
-            if any(abs(r - s) <= _CLUSTER_RADIUS * max(1.0, abs(s)) for s in cl):
-                cl.append(r)
-                break
-        else:
-            clusters.append([r])
-
-    poles = []
-    for cl in clusters:
-        m = len(cl)
-        if m == 1:
-            poles.append((_newton_polish(den, cl[0], 0), 1))
+    poles: list[list] = []
+    for c0, c1, k in f.factors:
+        if c1 == 0:
             continue
-        centre = _newton_polish(den, complex(np.mean(cl)), m - 1)
-        if _confirm_multiplicity(den, centre, m):
-            poles.append((centre, m))
+        root = -c0 / c1
+        for pole in poles:
+            if _same_root(pole[0], root):
+                pole[1] += k
+                break
         else:
-            # Nearby but genuinely distinct roots: keep them simple.
-            for r in cl:
-                poles.append((_newton_polish(den, r, 0), 1))
-    return poles
-
-
-def _local_scale(coeffs: np.ndarray, p: complex) -> float:
-    mags = np.abs(np.asarray(coeffs))
-    return float(np.sum(mags * max(1.0, abs(p)) ** np.arange(len(mags))))
-
-
-def _confirm_multiplicity(den: np.ndarray, p: complex, m: int) -> bool:
-    """(x - p)^m divides den up to rounding, and (x - p)^{m+1} does not."""
-    q = np.asarray(den, dtype=complex)
-    tol = 1e-9 * _local_scale(den, p)
-    for _ in range(m):
-        q, rem = _deflate(q, p)
-        if abs(rem) > tol:
-            return False
-    return abs(P.polyval(p, q)) > tol
-
-
-def _deflate(coeffs: np.ndarray, pole: complex) -> tuple[np.ndarray, complex]:
-    """Synthetic division by (x - pole); returns (quotient, remainder)."""
-    c = np.asarray(coeffs, dtype=complex)
-    n = len(c) - 1
-    q = np.zeros(n, dtype=complex)
-    acc = c[n]
-    for i in range(n - 1, -1, -1):
-        q[i] = acc
-        acc = c[i] + acc * pole
-    return q, acc
+            poles.append([root, k])
+    return [(p, m) for p, m in poles]
 
 
 def residue_at(f: RationalFunction, pole: complex, multiplicity: int = 1) -> complex:
     """Residue of f at a pole of the stated multiplicity.
 
-    Simple poles use the limit formula num(p)/den'(p) with the pole factor
-    removed; higher orders differentiate num/(den deflated by (x-p)^m)
-    exactly in coefficient space.
+    With u = x - pole, f = num(pole + u) * prod_other (a + c1 u)^-k /
+    (prod_at_pole c1^k * u^m), a = c0 + c1 pole, so the residue is the
+    u^(m-1) coefficient of the numerator's Taylor series times one binomial
+    series per other factor, all truncated after m terms.
     """
     if multiplicity < 1:
         raise DomainError("multiplicity must be >= 1")
-    den = np.asarray(f.den, dtype=complex)
-    scale = _local_scale(den, pole)
-    q = den
-    for _ in range(multiplicity):
-        q, rem = _deflate(q, pole)
-        if abs(rem) > 1e-7 * scale:
-            raise InconsistencyError("stated pole/multiplicity does not divide the denominator")
-    if abs(P.polyval(pole, q)) <= 1e-7 * scale:
-        raise InconsistencyError("stated multiplicity is lower than the actual one")
-
-    num = np.asarray(f.num, dtype=complex)
-    if multiplicity == 1:
-        return complex(P.polyval(pole, num) / P.polyval(pole, q))
-
-    # residue = 1/(m-1)! * d^{m-1}/dx^{m-1} [ num/q ] at the pole,
-    # via exact rational differentiation (N/D)' = (N'D - N D')/D^2.
-    n_cur, d_cur = num, q
-    for _ in range(multiplicity - 1):
-        n_cur = P.polysub(P.polymul(P.polyder(n_cur), d_cur),
-                          P.polymul(n_cur, P.polyder(d_cur)))
-        d_cur = P.polymul(d_cur, d_cur)
-    value = P.polyval(pole, n_cur) / P.polyval(pole, d_cur)
-    return complex(value / math.factorial(multiplicity - 1))
+    m = multiplicity
+    if not any(_same_root(p, pole) and order == m for p, order in find_poles(f)):
+        raise InconsistencyError(f"{pole} is not a pole of order {m}")
+    # The j-th Taylor coefficient of num at the pole is num^(j)(pole) / j!.
+    series = [_horner([math.comb(i, j) * f.num[i] for i in range(j, len(f.num))], pole)
+              for j in range(m)]
+    leading = 1.0
+    for c0, c1, k in f.factors:
+        if c1 != 0 and _same_root(-c0 / c1, pole):
+            leading *= c1 ** k
+            continue
+        # (a + c1 u)^-k = a^-k sum_j C(k+j-1, j) (-c1/a)^j u^j.
+        a = c0 + c1 * pole
+        binomial = [math.comb(k + j - 1, j) * (-c1 / a) ** j / a ** k for j in range(m)]
+        series = [sum(series[i] * binomial[j - i] for i in range(j + 1)) for j in range(m)]
+    return complex(series[m - 1] / leading)
 
 
 def line_integral(f: RationalFunction) -> complex:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .measures import Atomic
 from .representation import RepresentationData
@@ -70,8 +69,7 @@ def draw_admissible_rational(rng: np.random.Generator,
                 roots.append(r)
         if deg_den > 2 and (all(r.imag > 0 for r in roots) or all(r.imag < 0 for r in roots)):
             continue  # integral would be trivially zero
-        den = P.polyfromroots(roots)
         num = rng.normal(size=deg_num + 1) + 1j * rng.normal(size=deg_num + 1)
-        f = RationalFunction(tuple(num), tuple(den))
+        f = RationalFunction(tuple(num), tuple((-r, 1.0, 1) for r in roots))
         if abs(line_integral(f)) >= 1e-3:
             return f

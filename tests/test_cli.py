@@ -115,6 +115,12 @@ def test_transform_matches_golden(inverse_descriptor, tmp_path):
     assert out_path.read_text() == (GOLDEN / "transform_half.json").read_text()
 
 
+def test_transform_without_out_prints_the_descriptor(inverse_descriptor):
+    rc, out = run_main(["transform", inverse_descriptor, "--k", "0.5,0.5"])
+    assert rc == 0
+    assert out == (GOLDEN / "transform_half.json").read_text()
+
+
 def test_transform_roundtrip_evaluates(inverse_descriptor, tmp_path):
     out_path = tmp_path / "out.json"
     run_main(["transform", inverse_descriptor, "--k", "0.5,0.25,0.25",
@@ -220,6 +226,15 @@ def test_verify_env_seed(tmp_path, monkeypatch):
               "--out", str(b)])
     assert a.read_text() == b.read_text()
     assert json.loads(a.read_text())["seed"] == 31
+
+
+def test_verify_without_out_prints_the_report(tmp_path):
+    path = tmp_path / "r.json"
+    argv = ["verify", "--suite", "kernels", "--samples", "4", "--seed", "31"]
+    run_main(argv + ["--out", str(path)])
+    rc, out = run_main(argv)
+    assert rc == 0
+    assert out == path.read_text()
 
 
 def test_verify_csv_format(tmp_path):
@@ -330,28 +345,31 @@ def test_classification_evidence_matches_per_point_loop(fixture):
     assert evidence["nevanlinna_scale"] == scale
 
 
-def test_cli_import_leaves_out_multiprocessing():
-    # The process pool is imported only when --jobs asks for one.
+def _cli_import_loads(module):
+    """Whether a fresh ``import nvk.cli`` puts ``module`` in ``sys.modules``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(nvk.__file__).parents[1])] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, nvk.cli; print('multiprocessing' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, nvk.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # The process pool is imported only when --jobs asks for one.
+    assert not _cli_import_loads("multiprocessing")
+
+
+def test_cli_import_leaves_out_numpy_polynomial():
+    # The residue oracle evaluates its polynomials by Horner's rule.
+    assert not _cli_import_loads("numpy.polynomial")
 
 
 def test_cli_import_leaves_out_jsonschema():
     # Descriptors are checked by the package's own reader.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(nvk.__file__).parents[1])] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, nvk.cli; print('jsonschema' in sys.modules)"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert not _cli_import_loads("jsonschema")
 
 
 _BASE = {"type": "atomic", "atoms": [[0, 1]]}

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from nvk.errors import DomainError
+from nvk.errors import DomainError, QuadratureFailure
 from nvk.kernels import kernel_1d, ladder_kernel_full, ladder_weight, ladder_z_sum
 from nvk.ladder import (
     ladder_closed_form,
@@ -254,6 +254,14 @@ def test_verify_step_preconditions(cfg):
         verify_step(2, 0, (1.0,), (1j, 1j), (0.0,), cfg)
     with pytest.raises(DomainError, match="first m - 1"):
         verify_step(3, 0, (1.0, 1.0), (1j, 1j, 1j), (0.0,), cfg)
+
+
+def test_unconverged_rung_raises_quadrature_failure():
+    # One subdivision cannot resolve a rung with poles 0.01 off the line: the
+    # verifier raises rather than compare an unconverged value.
+    cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=1)
+    with pytest.raises(QuadratureFailure, match="the \\(3,0\\) ladder rung"):
+        verify_step(3, 0, (1.0, 1.0), (0.3 + 0.01j, -0.5 + 0.01j, 4 + 1e-3j), (0.2, -0.3), cfg)
 
 
 def test_ladder_closed_form_preconditions(pi_delta0):

@@ -24,7 +24,7 @@ def test_squared_lorentzian_matches_residue_oracle():
     f = lambda t: 1.0 / (1.0 + t * t) ** 2
     from nvk.residues import RationalFunction
 
-    oracle = line_integral(RationalFunction((1,), (1, 0, 2, 0, 1)))
+    oracle = line_integral(RationalFunction((1,), [(-1j, 1, 2), (1j, 1, 2)]))
     assert abs(oracle - math.pi / 2) < 1e-14
     r = integrate(lebesgue(), f)
     assert r.converged
@@ -565,6 +565,22 @@ def test_companion_rides_along_without_changing_the_values(lo, hi):
     gauss = integrate_rows(lambda x, rows: 1e30 * np.exp(-(x - rows) ** 2) + 0j, 3, cfg,
                            lo=lo, hi=hi)
     assert np.allclose(both.modulus[:2], gauss.value.real[:2], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("companion", [lambda x, rows: 3.0,
+                                       lambda x, rows: np.full(rows.shape, 3.0)])
+def test_companion_broadcasts_to_the_nodes(companion):
+    # A scalar or per-panel companion gives the bits of the node-shaped one,
+    # also in the divergence scan, which calls the integrand directly.
+    # Row 1 runs to infinity on 1 + 1/(1+x^2), diverges and is scanned.
+    f = lambda x, rows: 1.0 / (1.0 + x * x) + (rows == 1)
+    hi = np.array([1.0, math.inf])
+    full = integrate_rows(lambda x, rows: (f(x, rows), np.full(x.shape, 3.0)), 2, lo=0.0, hi=hi)
+    got = integrate_rows(lambda x, rows: (f(x, rows), companion(x, rows)), 2, lo=0.0, hi=hi)
+    for name in ("value", "error_estimate", "converged", "diverged", "modulus"):
+        assert np.array_equal(getattr(got, name), getattr(full, name))
+    assert list(got.diverged) == [False, True]
+    assert abs(got.modulus[0] - 3.0) < 1e-14
 
 
 @pytest.mark.parametrize("center, halfwidth", [(0.0, 0.0), (math.nan, 1.0), (0.0, np.array([1.0, -1.0]))])
