@@ -17,10 +17,11 @@ contiguous elements at a time.  All rows share one config.  Every row has
 its own segment [lo, hi] (the whole line unless stated) and its own
 substitution centre and halfwidth; it keeps its own panels, running total
 and error and stops by its own rules: tolerance met, subdivision cap, or
-noise floor.  No rule stops a row because its total is large, so a heavy
-integrand converges like a light one.  The initial panels of all rows are
-evaluated first; after that each round splits the worst panel of every row
-still running and evaluates all new panels.  A batch of panels goes to
+noise floor.  A panel too narrow to split is parked and stops no row.  No
+rule stops a row because its total is large, so a heavy integrand
+converges like a light one.  The initial panels of all rows are evaluated
+first; after that each round splits the worst panel of every row still
+running and evaluates all new panels.  A batch of panels goes to
 ``f`` in blocks of at most ``_PANEL_BLOCK`` panels, sized so that one
 call's arrays stay in a per-core L2 cache; each panel's sums then run on a
 panel-major copy of the block's values.  A row's arithmetic does not
@@ -37,13 +38,11 @@ panels then integrate the companion with the Kronrod weights in place of
 |value|.  The channel is a passenger: splitting, convergence, the error
 estimates and the divergence scan read the values alone.
 
-Two steps take a common-case path beside the general one, chosen from the
+One step takes a common-case path beside the general one, chosen from the
 input alone: a block whose panels all have positive width and a nonzero
-variation skips the masks of the panel estimate, and a solve with the
-scalar centre 0 and halfwidth 1 (every line of a ``Product`` of Lebesgue
-factors or of ``lebesgue()``) substitutes x = tan(theta) without per-panel
-centres and halfwidths.  Each common-case path puts every panel through the
-same operations as the general one, so it computes the same bits.
+variation skips the masks of the panel estimate.  It puts every panel
+through the same operations as the general path, so it computes the same
+bits.
 
 Divergence cannot be proven numerically.  It is declared heuristically,
 from how the integral grows rather than how large it gets: the rows that
@@ -269,14 +268,21 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
     Panels live in tables with one slot per (insertion step, row): each round
     fills two new slots of every row still running, so slot order is
     insertion order in every row.  The float table ``pf`` holds, for every
-    slot, the panel's left and right edge, its priority, its error
-    estimate (0 for a panel at floating-point resolution, -inf for a free
-    slot or a panel already split), and its modulus, so that one compress
-    and one growth serve all four; ``pv`` holds the panels' values.  The
+    slot, the panel's left and right edge, its priority and its modulus, so
+    that one compress and one growth serve all four; ``pv`` holds the
+    panels' values.  A panel's priority is its error estimate, 0 once it
+    is parked, and -inf for a free slot or a panel already split.  The
     moduli ride along: they only add up to each row's modulus total.  The
     first maximum of a row's priorities is the panel a heap keyed on
-    (error, insertion order) would pop.  No array test of the subdivision
-    cap runs while every row could split so far.
+    (error, insertion order) would pop.
+
+    Every round splits the selected panel of every running row in one
+    ``_panels`` call.  A panel at floating-point resolution (its midpoint
+    on an endpoint) splits into itself and an empty half; it is parked at
+    priority 0, so its row splits its other panels first, and it is
+    evaluated again whenever it is selected.  The subdivision cap counts
+    every round, parked or not, and no array test of it runs before the
+    cap's round.
     """
     p0 = _P0
     # Equispaced edges of every row, by np.linspace's arithmetic (without
@@ -303,20 +309,13 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
     # (a one-row ``sum`` would add them pairwise).
     total, total_err = np.add.accumulate(v)[-1], np.add.accumulate(e)[-1]
     total_mod = np.add.accumulate(mo)[-1]
-    # Rounds in which each row could not split; None until one could not.
-    pushed = None
     history = np.empty((_NOISE_ROUNDS + 1, nrows))
     value, error, modulus = np.empty(nrows, dtype=complex), np.empty(nrows), np.empty(nrows)
     converged = np.zeros(nrows, dtype=bool)
     stale = True
     for rounds in itertools.count():
         conv = total_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-        if pushed is not None:
-            done = conv | (rounds - pushed >= cfg.max_subdivisions)
-        elif rounds >= cfg.max_subdivisions:
-            done = np.ones(conv.shape, dtype=bool)
-        else:
-            done = conv
+        done = conv if rounds < cfg.max_subdivisions else np.ones(conv.shape, dtype=bool)
         # Noise floor: when fifty further rounds have not reduced the error
         # estimate, the integrand is rough at round-off level (typically an
         # inner quadrature feeding this one) and refinement cannot help.
@@ -333,8 +332,6 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
             keep = ~done
             ids, total, total_err = ids[keep], total[keep], total_err[keep]
             total_mod = total_mod[keep]
-            if pushed is not None:
-                pushed = pushed[keep]
             # compress returns C-contiguous copies, as the flat views need.
             history, pv = history.compress(keep, axis=1), pv.compress(keep, axis=1)
             pf = pf.compress(keep, axis=2)
@@ -363,29 +360,19 @@ def _adaptive(g: Callable, nrows: int, lo, hi, cfg: QuadratureConfig):
         # The new panels' edges: left halves (a, mid), right halves (mid, b).
         amb = np.concatenate((a, mid, b))
         left, right = amb[:2 * n], amb[n:]
-        narrow = span / p0 * 0.5 ** rounds <= resolution
-        stuck = (mid <= a) | (mid >= b) if narrow else None
-        if not (narrow and np.count_nonzero(stuck)):
-            v, e, mo = _panels(g, left, right, ids2)
-            k = e
-        else:
-            # A panel at floating-point resolution cannot be split: it moves
-            # to the back of its row's queue with priority 0, next to a free
-            # slot, and leaves the row's total and error unchanged.
-            if pushed is None:
-                pushed = np.zeros(n, dtype=int)
-            pushed += stuck
-            v = np.concatenate((v_old, np.zeros(n, dtype=complex)))
-            e = np.concatenate((e_old, np.zeros(n)))
-            mo = np.concatenate((m_old, np.zeros(n)))
-            s = np.flatnonzero(~stuck)
-            if s.size:
-                s2 = np.concatenate((s, s + n))
-                v[s2], e[s2], mo[s2] = _panels(g, left[s2], right[s2], ids2[s2])
-            k = np.where(np.concatenate((stuck, stuck)), np.repeat([0.0, -np.inf], n), e)
-            right = np.concatenate((np.where(stuck, b, mid), b))
+        v, e, mo = _panels(g, left, right, ids2)
+        k, de = e, e[:n] + e[n:] - e_old
+        if span / p0 * 0.5 ** rounds <= resolution:
+            # A panel at floating-point resolution splits into itself and an
+            # empty half, which together give back its value, error and
+            # modulus.  It is parked with priority 0, behind every panel that
+            # can still split.  Its error stays in the row's total once,
+            # however often it is selected again (the table holds 0 for it).
+            stuck = (mid <= a) | (mid >= b)
+            k = np.where(np.concatenate((stuck, stuck)), 0.0, e)
+            de[stuck] = 0.0
         total += v[:n] + v[n:] - v_old
-        total_err += e[:n] + e[n:] - e_old
+        total_err += de
         total_mod += mo[:n] + mo[n:] - m_old
         new = slice(u * n, (u + 2) * n)
         fa[new], fb[new], fv[new], fk[new], fm[new] = left, right, v, k, mo
@@ -451,13 +438,6 @@ def _solve(f: Callable, nrows: int, cfg: QuadratureConfig, lo, hi,
         w = halfwidth[rows] if w_rows else halfwidth
         return _times(f(c + w * u, rows), w * (1.0 + u * u))
 
-    def g_unit(theta, rows):
-        # The shared unit substitution x = tan(theta): c + w * u is 0.0 + u
-        # and w * (1.0 + u * u) is 1.0 + u * u, bit for bit (adding 0.0
-        # turns -0.0 into 0.0 in both).
-        u = np.tan(theta)
-        return _times(f(0.0 + u, rows), 1.0 + u * u)
-
     # theta with x = center + halfwidth * tan(theta); arctan(+-inf) is +-pi/2.
     # A segment more than about 1e16 halfwidths from the centre maps to a
     # theta interval of zero width, where no node can resolve it.
@@ -466,10 +446,7 @@ def _solve(f: Callable, nrows: int, cfg: QuadratureConfig, lo, hi,
     if np.any((theta_lo >= theta_hi) & np.less(lo, hi)):
         raise DomainError("segment too far from its center for the substitution; "
                           "center it on the segment")
-    unit = (not (c_rows or w_rows) and center == 0.0 and halfwidth == 1.0
-            and math.copysign(1.0, center) > 0.0)
-    value, err, converged, modulus = _adaptive(g_unit if unit else g, nrows, theta_lo, theta_hi,
-                                               cfg)
+    value, err, converged, modulus = _adaptive(g, nrows, theta_lo, theta_hi, cfg)
     diverged = np.zeros(nrows, dtype=bool)
     if not converged.all():
         # A near-zero non-converged estimate cannot hide a divergence, so

@@ -278,6 +278,56 @@ def test_rows_stuck_at_floating_point_resolution_beside_a_row_that_splits():
         assert (one.value[0], one.error_estimate[0]) == (r.value[i], r.error_estimate[i])
 
 
+def test_rows_at_floating_point_resolution_keep_their_values():
+    # The inputs of the two tests above, which compare rows only with each
+    # other.  A parked panel leaves its row's totals as they were, however
+    # often it is selected again, so these bits pin both the values and the
+    # estimates.
+    from nvk.quadrature import _adaptive
+
+    def g(t, rows):
+        rough = np.where(rows == 0, t > 1.0, t < 1.0)
+        return np.where(rough, np.cos(7e15 * t), 0.0) + 1.0 + 0j
+
+    value, err, _, _ = _adaptive(g, 2, 1.0 - 1e-15, 1.0 + 1e-15,
+                                 QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300))
+    assert list(value) == [2.1668332992958406e-15, 2.117033611971899e-15]
+    assert list(err) == [6.409494854920721e-30, 3.007368214636035e-17]
+
+    def f(x, rows):
+        return np.where(x >= 1.0, np.exp(np.minimum(1e15 * (x - 1.0), 50.0)), np.cos(x))
+
+    r = integrate_rows(f, 2, QuadratureConfig(rel_tol=1e-17, abs_tol=1e-300),
+                       lo=np.array([1.0, 0.0]), hi=np.array([1.0 + 40 * math.ulp(1.0), 1.0]))
+    assert list(r.value) == [7.316442247031142e-12, 0.8414709848078941]
+    assert list(r.error_estimate) == [2.0901868085913878e-26, 8.414709848078941e-16]
+
+
+@pytest.mark.parametrize("ulps", [8, 40])
+def test_subdivision_cap_counts_rounds_with_a_parked_panel(ulps):
+    # A row on [1, 1 + ulps ulp] with a steep integrand cannot meet its
+    # tolerance.  At 8 ulp every first panel is one ulp wide, so the row
+    # parks a panel in every round; 40 ulp is row 0 of the stuck-row test.
+    # The cap counts every round, and each round hands the integrand one
+    # block (a parked panel is evaluated again), so the first panels and
+    # ten rounds make exactly 11 blocks; the noise floor needs 50 rounds.
+    cfg = QuadratureConfig(rel_tol=1e-17, abs_tol=1e-300, max_subdivisions=10)
+    blocks = []
+
+    def f(x, rows):
+        blocks.append(x.shape[1])
+        return np.where(x >= 1.0, np.exp(np.minimum(1e15 * (x - 1.0), 50.0)), np.cos(x))
+
+    r = integrate_rows(f, 1, cfg, lo=1.0, hi=1.0 + ulps * math.ulp(1.0))
+    assert not r.converged[0] and len(blocks) == 1 + cfg.max_subdivisions
+    if ulps == 8:
+        # Only parked panels: the totals are those of the first panels.
+        first = integrate_rows(f, 1, QuadratureConfig(rel_tol=1e-17, abs_tol=1e-300,
+                                                      max_subdivisions=1),
+                               lo=1.0, hi=1.0 + ulps * math.ulp(1.0))
+        assert (first.value[0], first.error_estimate[0]) == (r.value[0], r.error_estimate[0])
+
+
 def test_rows_beyond_one_panel_block_match_one_at_a_time():
     # 70 rows start with 560 panels, more than two blocks of panels; blocks
     # cut across rows, which must stay independent.
@@ -345,9 +395,9 @@ def test_panel_block_common_and_general_paths_agree():
     (np.array([0.0, -math.inf, -math.inf, 2.0]), np.array([math.inf, 0.0, math.inf, math.inf])),
 ])
 def test_unit_substitution_matches_per_row_arrays(lo, hi):
-    # Scalar center 0 and halfwidth 1 take the shared unit substitution;
-    # per-row zeros and ones take the general one, with the same bits.  Row
-    # 3 decays like 1/|x| and goes through the divergence scan.
+    # Scalar center 0 and halfwidth 1 and per-row zeros and ones go through
+    # the one substitution, with the same bits.  Row 3 decays like 1/|x| and
+    # goes through the divergence scan.
     c = np.array([0.3, -1.0, 2.0, 0.0])
     f = lambda x, rows: (np.where(rows == 3, 1.0 / (1.0 + np.abs(x)), 0.0)
                          + 1.0 / (1.0 + (x - c[rows]) ** 2) / (x - 1j))
