@@ -9,7 +9,8 @@ Subcommands
 ``classify``   classify a planar pushforward measure and print the verdict
                with its numerical evidence.
 
-Exit codes: 0 success, 2 usage or domain error, 3 numerical failure.
+Exit codes: 0 success, 1 a failed verify suite, 2 usage or domain error or
+an unreadable or unwritable path, 3 numerical failure.
 Reports are deterministic under a fixed seed; the environment variable
 NVK_SEED overrides the built-in default seed, and --seed overrides both.
 """
@@ -24,7 +25,7 @@ import json
 import os
 import sys
 from math import pi
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import conditions as cond
 from .descriptors import (
@@ -53,16 +54,6 @@ from .sampling import (
 from .transform import transform
 
 __all__ = ["main"]
-
-SUITES = ("ladder", "main", "conditions", "kernels")
-
-# Pass tolerance on a report row, per suite.
-SUITE_PASS_TOL = {
-    "ladder": 1e-7,
-    "main": 1e-7,
-    "kernels": 1e-12,
-    "conditions": 0.5,
-}
 
 # Classification fixtures: name, coefficients, base-measure kind, expected case.
 CLASSIFICATION_FIXTURES = (
@@ -176,8 +167,7 @@ def cmd_transform(args) -> int:
 
 # --- verification suites ----------------------------------------------------
 
-def _row(index: int, inputs: str, lhs: complex, rhs: complex,
-         scale_floor: float = 1e-12) -> dict:
+def _row(index: int, inputs: str, lhs: complex, rhs: complex, scale_floor: float) -> dict:
     lhs, rhs = complex(lhs), complex(rhs)
     rel = abs(lhs - rhs) / max(abs(rhs), scale_floor)
     return {
@@ -197,72 +187,79 @@ def _fmt_cvec(v) -> str:
     return "/".join(format_complex(complex(x)) for x in v)
 
 
+# Each suite yields the (inputs, lhs, rhs, scale_floor) rows of one sample,
+# drawing its inputs from ``rng``.
+
+def _kernels_rows(rng, n, index, cfg):
+    n_k = 1 + index % 4
+    z = draw_upper_point(rng, n_k)
+    t = tuple(rng.uniform(-3, 3, n_k))
+    yield (f"n={n_k};z={_fmt_cvec(z)};t={_fmt_vec(t)}",
+           kernel_nd_sum(z, t), kernel_nd_rational(z, t), 1.0)
+
+
+def _ladder_rows(rng, n, index, cfg):
+    b = draw_ladder_coefficients(rng, n)
+    z = draw_upper_point(rng, n)
+    for m in range(n, 2, -1):
+        t = tuple(rng.uniform(-2, 2, m - 1))
+        yield (f"rung=({m},{n - m});b={_fmt_vec(b)};z={_fmt_cvec(z)};t={_fmt_vec(t)}",
+               *verify_step(m, n - m, b, z, t, cfg), 1e-12)
+    t1 = float(rng.uniform(-2, 2))
+    tail = f"b={_fmt_vec(b)};z={_fmt_cvec(z)};t1={t1!r}"
+    yield f"rung=final;{tail}", *verify_final_step(n, b, z, t1, cfg), 1e-12
+    if n == 3:  # at n = 2 the full reduction is the final rung again
+        yield f"rung=full;{tail}", *verify_full_reduction(n, b, z, t1, cfg), 1e-12
+
+
+def _main_rows(rng, n, index, cfg):
+    data = draw_atomic_data(rng)
+    ks = draw_convex_coefficients(rng, n)
+    z_points = [draw_upper_point(rng, n) for _ in range(3)]
+    report = verify_main_theorem(data, ks, z_points, cfg, quadrature=(n == 2))
+    for z, (reference, closed, quad) in zip(z_points, report.samples):
+        inputs = f"k={_fmt_vec(ks)};z={_fmt_cvec(z)};path="
+        yield inputs + "closed", closed, reference, 1.0
+        if n == 2:
+            yield inputs + "quadrature", quad, reference, 1.0
+
+
+def _conditions_rows(rng, n, index, cfg):
+    name, coeffs, kind, expected_case, expected_rep = \
+        CLASSIFICATION_FIXTURES[index % len(CLASSIFICATION_FIXTURES)]
+    classification, _ = classification_evidence(fixture_base_measure(kind), coeffs, 9, cfg)
+    agrees = classification.representing == expected_rep and classification.case == expected_case
+    yield (f"fixture={name};coeffs={_fmt_vec(coeffs)};mu={kind};expected={expected_case.value}",
+           float(agrees), 1.0, 1.0)
+
+
+class _Suite(NamedTuple):
+    rows: Callable  # (rng, n, index, cfg) -> rows of one sample
+    pass_tol: float  # on a row's rel_error
+    needs_two_variables: bool  # --n >= 2
+    samples: Optional[int]  # fixed sample count, or None for --samples
+    config: tuple[float, float]  # default (rel_tol, abs_tol)
+
+
+_SUITES = {
+    "ladder": _Suite(_ladder_rows, 1e-7, True, None, (1e-10, 1e-13)),
+    "main": _Suite(_main_rows, 1e-7, True, None, (1e-10, 1e-13)),
+    # Evidence integrals only need the 1e-8 zero threshold.
+    "conditions": _Suite(_conditions_rows, 0.5, False, len(CLASSIFICATION_FIXTURES), (1e-8, 1e-10)),
+    "kernels": _Suite(_kernels_rows, 1e-12, False, None, (1e-10, 1e-13)),
+}
+SUITES = tuple(_SUITES)
+SUITE_PASS_TOL = {name: suite.pass_tol for name, suite in _SUITES.items()}
+
+
 def suite_rows(suite: str, n: int, seed: int, index: int,
                tol: Optional[float]) -> list[dict]:
     """All report rows contributed by one sample index (worker entry point)."""
-    rng = rng_for(seed, index)
-    if suite == "conditions":
-        # Evidence integrals only need the 1e-8 zero threshold.
-        cfg = _config(tol, rel_default=1e-8, abs_default=1e-10)
-    else:
-        cfg = _config(tol)
-    rows: list[dict] = []
-
-    if suite == "kernels":
-        n_k = 1 + index % 4
-        z = draw_upper_point(rng, n_k)
-        t = tuple(rng.uniform(-3, 3, n_k))
-        lhs = kernel_nd_sum(z, t)
-        rhs = kernel_nd_rational(z, t)
-        inputs = f"n={n_k};z={_fmt_cvec(z)};t={_fmt_vec(t)}"
-        rows.append(_row(index, inputs, lhs, rhs, scale_floor=1.0))
-        return rows
-
-    if suite == "ladder":
-        b = draw_ladder_coefficients(rng, n)
-        z = draw_upper_point(rng, n)
-        for m in range(n, 2, -1):
-            d = n - m
-            t = tuple(rng.uniform(-2, 2, m - 1))
-            lhs, rhs = verify_step(m, d, b, z, t, cfg)
-            inputs = f"rung=({m},{d});b={_fmt_vec(b)};z={_fmt_cvec(z)};t={_fmt_vec(t)}"
-            rows.append(_row(index, inputs, lhs, rhs))
-        t1 = float(rng.uniform(-2, 2))
-        lhs, rhs = verify_final_step(n, b, z, t1, cfg)
-        rows.append(_row(index, f"rung=final;b={_fmt_vec(b)};z={_fmt_cvec(z)};t1={t1!r}",
-                         lhs, rhs))
-        if n == 3:  # at n = 2 the full reduction is the final rung again
-            lhs, rhs = verify_full_reduction(n, b, z, t1, cfg)
-            rows.append(_row(index, f"rung=full;b={_fmt_vec(b)};z={_fmt_cvec(z)};t1={t1!r}",
-                             lhs, rhs))
-        return rows
-
-    if suite == "main":
-        data = draw_atomic_data(rng)
-        ks = draw_convex_coefficients(rng, n)
-        z_points = [draw_upper_point(rng, n) for _ in range(3)]
-        report = verify_main_theorem(data, ks, z_points, cfg, quadrature=(n == 2))
-        for z, (reference, closed, quad) in zip(z_points, report.samples):
-            inputs = f"k={_fmt_vec(ks)};z={_fmt_cvec(z)};path=closed"
-            rows.append(_row(index, inputs, closed, reference, scale_floor=1.0))
-            if n == 2:
-                rows.append(_row(index, inputs.replace("closed", "quadrature"),
-                                 quad, reference, scale_floor=1.0))
-        return rows
-
-    if suite == "conditions":
-        name, coeffs, kind, expected_case, expected_rep = \
-            CLASSIFICATION_FIXTURES[index % len(CLASSIFICATION_FIXTURES)]
-        mu1 = fixture_base_measure(kind)
-        classification, evidence = classification_evidence(mu1, coeffs, 9, cfg)
-        agrees = 1.0 if (classification.representing == expected_rep
-                         and classification.case == expected_case) else 0.0
-        inputs = (f"fixture={name};coeffs={_fmt_vec(coeffs)};mu={kind};"
-                  f"expected={expected_case.value}")
-        rows.append(_row(index, inputs, complex(agrees), complex(1.0), scale_floor=1.0))
-        return rows
-
-    raise DomainError(f"unknown suite {suite!r}")
+    if suite not in _SUITES:
+        raise DomainError(f"unknown suite {suite!r}")
+    spec = _SUITES[suite]
+    rows = spec.rows(rng_for(seed, index), n, index, _config(tol, *spec.config))
+    return [_row(index, *row) for row in rows]
 
 
 def classification_evidence(mu1, coeffs, grid_count: int, cfg: QuadratureConfig):
@@ -309,31 +306,28 @@ def cmd_verify(args) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("NVK_SEED", DEFAULT_SEED))
-    samples = args.samples
-    if samples < 1:
+    spec = _SUITES[args.suite]
+    if args.samples < 1:
         raise DomainError("--samples must be at least 1")
-    if args.suite in ("ladder", "main") and args.n < 2:
+    if spec.needs_two_variables and args.n < 2:
         raise DomainError(f"--n must be at least 2 for the {args.suite} suite")
-    if args.suite == "conditions":
-        samples = len(CLASSIFICATION_FIXTURES)
+    samples = args.samples if spec.samples is None else spec.samples
 
-    if args.jobs > 1:
+    work = ([args.suite] * samples, [args.n] * samples, [seed] * samples,
+            range(samples), [args.tol] * samples)
+    jobs = min(args.jobs, samples)  # a pool may start all its workers at once
+    if jobs > 1:
         # Imported here: multiprocessing is heavy, and only --jobs needs it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(
-                suite_rows,
-                [args.suite] * samples, [args.n] * samples,
-                [seed] * samples, range(samples), [args.tol] * samples,
-            ))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(suite_rows, *work))
     else:
-        chunks = [suite_rows(args.suite, args.n, seed, i, args.tol)
-                  for i in range(samples)]
+        chunks = list(map(suite_rows, *work))
 
     rows = [row for chunk in chunks for row in chunk]
     max_rel = float(max((row["rel_error"] for row in rows), default=0.0))
-    tol = SUITE_PASS_TOL[args.suite]
+    tol = spec.pass_tol
     passed = bool(max_rel <= tol)
 
     if args.format == "json":
@@ -400,7 +394,7 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else 2
     try:
         return args.func(args)
-    except DomainError as e:
+    except (DomainError, OSError) as e:  # an OSError names the unreadable or unwritable path
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NvkError as e:

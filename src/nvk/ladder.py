@@ -56,14 +56,26 @@ class MainTheoremReport:
     samples: tuple[tuple[complex, complex, complex], ...]  # (reference, closed, quad)
 
 
-# Lebesgue measure on the line, whose integration plan the rungs share.
+# Lebesgue measure on the line and on the plane, whose integration plans
+# the checks share; the last variable is innermost.
 _LINE = lebesgue()
+_PLANE = Product((_LINE, _LINE))
 
 
-def _require_converged(r, what: str) -> complex:
+def _reduced(zs, b: Sequence[float], m: int, d: int, fixed, cfg: QuadratureConfig,
+             what: str) -> tuple[complex, tuple]:
+    """The integral of the (m, d) kernel over the coordinates after
+    ``fixed``, and ``fixed`` as a tuple, which is formed after the kernel's
+    checks.  Raises ``QuadratureFailure`` naming ``what`` unless the
+    integral converged."""
+    _check_ladder(zs, b, m, d)
+    fixed = tuple(fixed)
+    kernel = _ladder_core(zs, b, m, d)
+    mu = _LINE if m - len(fixed) == 1 else _PLANE
+    r = integrate(mu, lambda *rest: kernel(fixed + rest), cfg)
     if r.diverged or not r.converged:
         raise QuadratureFailure(f"quadrature failed while verifying {what}")
-    return r.value
+    return r.value, fixed
 
 
 def _combined_point(b: Sequence[float], zs: Sequence[complex]) -> tuple[complex, float]:
@@ -86,14 +98,8 @@ def verify_step(m: int, d: int, b: Sequence[float], z: Sequence[complex],
         raise DomainError("middle rungs need m >= 3")
     if len(t) != m - 1:
         raise DomainError("t must fix the first m - 1 coordinates")
-    _check_ladder(zs, b, m, d)
-    ts = tuple(float(x) for x in t)
-
-    kernel = _ladder_core(zs, b, m, d)
-    r = integrate(_LINE, lambda x: kernel(ts + (x,)), cfg)
-    lhs = _require_converged(r, f"the ({m},{d}) ladder rung")
-    rhs = pi / b[m - 2] * _ladder_core(zs, b, m - 1, d + 1)(ts)
-    return lhs, rhs
+    lhs, ts = _reduced(zs, b, m, d, (float(x) for x in t), cfg, f"the ({m},{d}) ladder rung")
+    return lhs, pi / b[m - 2] * _ladder_core(zs, b, m - 1, d + 1)(ts)
 
 
 def verify_final_step(n: int, b: Sequence[float], z: Sequence[complex],
@@ -102,11 +108,7 @@ def verify_final_step(n: int, b: Sequence[float], z: Sequence[complex],
     """The last rung: integrate the (2, n-2) kernel over t2 and compare with
     pi * (prod_{j=2}^{n-1} b_j / beta_n) * K_1(sum k_l z_l, t1)."""
     zs = require_upper_half(z)
-    _check_ladder(zs, b, 2, n - 2)
-
-    kernel = _ladder_core(zs, b, 2, n - 2)
-    r = integrate(_LINE, lambda x: kernel((t1, x)), cfg)
-    lhs = _require_converged(r, "the final ladder rung")
+    lhs, _ = _reduced(zs, b, 2, n - 2, (t1,), cfg, "the final ladder rung")
     s, beta = _combined_point(b, zs)
     return lhs, pi * float(np.prod(b[1:])) / beta * kernel_1d(s, t1)
 
@@ -121,12 +123,7 @@ def verify_full_reduction(n: int, b: Sequence[float], z: Sequence[complex],
     if n not in (2, 3):
         raise DomainError("full quadrature is limited to n in {2, 3}; "
                           "verify rung by rung for larger n")
-    _check_ladder(zs, b, n, 0)
-    kernel = _ladder_core(zs, b, n, 0)
-
-    # t2 outermost, t_n innermost.
-    r = integrate(Product((lebesgue(),) * (n - 1)), lambda *rest: kernel((t1,) + rest), cfg)
-    lhs = _require_converged(r, "the full ladder reduction")
+    lhs, _ = _reduced(zs, b, n, 0, (t1,), cfg, "the full ladder reduction")
     s, beta = _combined_point(b, zs)
     return lhs, pi ** (n - 1) / beta * kernel_1d(s, t1)
 
@@ -159,14 +156,6 @@ def ladder_closed_form(z: Sequence[complex], mu: PushforwardLadder) -> complex:
     for (x,), w in mu.base.atoms:
         acc += w * kernel_1d(s, x)
     return mu.scale * pi ** (len(zs) - 1) / beta * acc
-
-
-def _closed_form_evaluate(data_nvar: RepresentationData, z: Sequence[complex]) -> complex:
-    zs = require_upper_half(z)
-    linear = data_nvar.a + sum(bl * zl for bl, zl in zip(data_nvar.b, zs))
-    if is_zero_measure(data_nvar.mu):
-        return linear
-    return linear + ladder_closed_form(zs, data_nvar.mu) / pi ** data_nvar.n
 
 
 def verify_main_theorem(data: RepresentationData, k: Sequence[float],
@@ -205,7 +194,9 @@ def verify_main_theorem(data: RepresentationData, k: Sequence[float],
 
         closed = complex("nan")
         if strict:
-            closed = _closed_form_evaluate(tilde, zs)
+            closed = tilde.a + sum(bl * zl for bl, zl in zip(tilde.b, zs))
+            if not is_zero_measure(tilde.mu):
+                closed += ladder_closed_form(zs, tilde.mu) / pi ** tilde.n
             max_closed = max(max_closed, abs(closed - reference) / scale)
 
         quad = complex("nan")

@@ -270,6 +270,62 @@ def test_verify_unknown_suite_usage_error():
     assert rc == 2
 
 
+def test_suite_rows_rejects_an_unknown_suite():
+    # The worker entry point checks the name itself: it is not behind the parser.
+    with pytest.raises(errors.DomainError, match="unknown suite 'nope'"):
+        cli.suite_rows("nope", 3, 1, 0, None)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and maps
+    in this process."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("samples, workers", [(2, [2]), (1, [])])
+def test_verify_jobs_start_at_most_one_worker_per_sample(tmp_path, monkeypatch, samples, workers):
+    import concurrent.futures
+
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+    args = ["verify", "--suite", "kernels", "--samples", str(samples), "--seed", "4"]
+    assert run_main(args + ["--out", str(serial)])[0] == 0
+    assert run_main(args + ["--jobs", "8", "--out", str(pooled)])[0] == 0
+    assert _SerialPool.sizes == workers  # one sample runs serially, without a pool
+    assert pooled.read_text() == serial.read_text()
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["eval", "{missing}", "--z", "0+1i"], "missing"),
+    (["transform", "{missing}", "--k", "0.5,0.5"], "missing"),
+    (["transform", "{descriptor}", "--k", "0.5,0.5", "--out", "{unwritable}"], "unwritable"),
+    (["classify", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta", "-1",
+      "--mu", "{missing}"], "missing"),
+    (["verify", "--suite", "kernels", "--samples", "1", "--out", "{unwritable}"], "unwritable"),
+], ids=["eval", "transform-in", "transform-out", "classify", "verify"])
+def test_file_errors_exit_2_naming_the_path(argv, bad, inverse_descriptor, tmp_path, capsys):
+    paths = {"missing": str(tmp_path / "missing.json"),
+             "unwritable": str(tmp_path / "no_dir" / "out.json"),
+             "descriptor": inverse_descriptor}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and paths[bad] in err
+    assert len(err.splitlines()) == 1  # no traceback
+
+
 def test_main_builds_its_parser_once(inverse_descriptor, monkeypatch, capsys):
     from nvk import cli
 

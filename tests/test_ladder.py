@@ -264,6 +264,18 @@ def test_unconverged_rung_raises_quadrature_failure():
         verify_step(3, 0, (1.0, 1.0), (0.3 + 0.01j, -0.5 + 0.01j, 4 + 1e-3j), (0.2, -0.3), cfg)
 
 
+@pytest.mark.parametrize("verify, what", [
+    (verify_final_step, "the final ladder rung"),
+    (verify_full_reduction, "the full ladder reduction"),
+])
+def test_unconverged_reduction_raises_quadrature_failure(verify, what):
+    # The final rung and the full reduction share the middle rung's check:
+    # each names itself when one subdivision cannot resolve the poles.
+    cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=1)
+    with pytest.raises(QuadratureFailure, match=what):
+        verify(3, (1.0, 1.0), (0.3 + 0.01j, -0.5 + 0.01j, 4 + 1e-3j), 0.2, cfg)
+
+
 def test_ladder_closed_form_preconditions(pi_delta0):
     with pytest.raises(DomainError, match="atomic base"):
         ladder_closed_form((1j, 1j), PushforwardLadder(lebesgue(), (1.0,), 1.0))

@@ -1,10 +1,12 @@
 """The digest lines of ``tools/op_digest.py``."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
 
+import nvk.cli
 import nvk.measures
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,3 +45,18 @@ def test_error_estimates_alone_move_only_the_results_lines(monkeypatch, capsys):
     after = _lines(monkeypatch, capsys)
     changed = sorted(name for name in before if before[name] != after[name])
     assert changed == ["classify-results", "convex_atomic-results", "ladder_verify-results"]
+
+
+def test_suite_lines_are_the_digests_of_reports_written_by_main(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    assert op_digest.main([str(ROOT), "--suites"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = []
+    for i, args in enumerate(op_digest.SUITE_RUNS):
+        out = tmp_path / f"{i}.json"
+        assert nvk.cli.main(["verify", *args, "--out", str(out)]) == 0
+        expected.append(f"verify {' '.join(args)} {hashlib.sha256(out.read_bytes()).hexdigest()}")
+    assert lines == expected
+    assert [line.split()[2] for line in lines] == \
+        ["conditions", "kernels", "ladder", "ladder", "main", "main"]

@@ -2,6 +2,7 @@
 compute the same bits.
 
     python3 tools/op_digest.py ROOT [--seed N] [--ops N]
+    python3 tools/op_digest.py ROOT --suites
 
 ``ROOT`` is a source tree of the package (``src/nvk`` beside
 ``perfbench``).  The script imports that tree's ``perfbench/workloads.py``
@@ -22,6 +23,12 @@ every list that ``nvk.measures.integrate_many`` returns during its ops: the
 value, error estimate, flags and modulus of every integral, including those
 that an op reads and does not return.  For the run the function is wrapped
 under every ``nvk`` name bound to it, and put back afterwards.
+
+With ``--suites`` the script prints, instead, one line per ``nvk verify``
+configuration in ``SUITE_RUNS``: its arguments and the sha256 of the JSON
+report that the tree's ``nvk.cli.main`` writes for them, run in process at
+the default seed (``NVK_SEED`` applies), with the report in a temporary
+directory.
 """
 
 from __future__ import annotations
@@ -33,6 +40,29 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+
+# The verify configurations whose reports a bit-for-bit change keeps.
+SUITE_RUNS = (
+    ("--suite", "conditions"),
+    ("--suite", "kernels"),
+    ("--suite", "ladder", "--n", "2"),
+    ("--suite", "ladder", "--n", "3"),
+    ("--suite", "main", "--n", "2"),
+    ("--suite", "main", "--n", "3"),
+)
+
+
+def suite_lines(cli_main) -> list[str]:
+    """``verify ARGS SHA256`` for each of ``SUITE_RUNS``, the report written
+    by ``cli_main``."""
+    lines = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for i, args in enumerate(SUITE_RUNS):
+            out = Path(workdir) / f"{i}.json"  # a run that writes none fails to read it
+            cli_main(["verify", *args, "--out", str(out)])
+            lines.append(f"verify {' '.join(args)} {hashlib.sha256(out.read_bytes()).hexdigest()}")
+    return lines
 
 
 def digest(workload, ops: int, views=(repr,)) -> list[str]:
@@ -94,10 +124,17 @@ def main(argv=None) -> int:
     p.add_argument("root", type=Path, help="source tree with src/nvk and perfbench")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--ops", type=int, default=120)
+    p.add_argument("--suites", action="store_true",
+                   help="digest the nvk verify reports of SUITE_RUNS instead")
     args = p.parse_args(argv)
     root = args.root.resolve()
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    if args.suites:
+        from nvk.cli import main as cli_main
+
+        print("\n".join(suite_lines(cli_main)), flush=True)
+        return 0
     import workloads
 
     for name in sorted(workloads.WORKLOADS):
