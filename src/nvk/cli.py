@@ -117,17 +117,22 @@ def build_parser() -> argparse.ArgumentParser:
         p_cl.add_argument(f"--{name}", type=float, required=True)
     p_cl.add_argument("--mu", required=True, help="descriptor file with a 1-dim measure")
     p_cl.add_argument("--grid", type=int, default=25, help="z-grid size for the evidence")
-    p_cl.add_argument("--tol", type=float, default=None)
+    p_cl.add_argument("--tol", type=float, default=None,
+                      help="rel_tol; abs_tol is min(1e-10, TOL*1e-3) (default 1e-8, 1e-10)")
     p_cl.set_defaults(func=cmd_classify)
 
     return parser
 
 
-def _config(tol: Optional[float], rel_default: float = 1e-10,
-            abs_default: float = 1e-13) -> QuadratureConfig:
+# The default of ``eval`` and of every suite but ``conditions``.
+_FINE = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
+
+
+def _config(tol: Optional[float], default: QuadratureConfig = _FINE) -> QuadratureConfig:
+    """``default``, or ``--tol T`` as (T, min(default abs_tol, T * 1e-3))."""
     if tol is None:
-        return QuadratureConfig(rel_tol=rel_default, abs_tol=abs_default)
-    return QuadratureConfig(rel_tol=tol, abs_tol=min(abs_default, tol * 1e-3))
+        return default
+    return QuadratureConfig(rel_tol=tol, abs_tol=min(default.abs_tol, tol * 1e-3))
 
 
 def cmd_eval(args) -> int:
@@ -238,15 +243,15 @@ class _Suite(NamedTuple):
     pass_tol: float  # on a row's rel_error
     needs_two_variables: bool  # --n >= 2
     samples: Optional[int]  # fixed sample count, or None for --samples
-    config: tuple[float, float]  # default (rel_tol, abs_tol)
+    config: QuadratureConfig  # without --tol
 
 
 _SUITES = {
-    "ladder": _Suite(_ladder_rows, 1e-7, True, None, (1e-10, 1e-13)),
-    "main": _Suite(_main_rows, 1e-7, True, None, (1e-10, 1e-13)),
-    # Evidence integrals only need the 1e-8 zero threshold.
-    "conditions": _Suite(_conditions_rows, 0.5, False, len(CLASSIFICATION_FIXTURES), (1e-8, 1e-10)),
-    "kernels": _Suite(_kernels_rows, 1e-12, False, None, (1e-10, 1e-13)),
+    "ladder": _Suite(_ladder_rows, 1e-7, True, None, _FINE),
+    "main": _Suite(_main_rows, 1e-7, True, None, _FINE),
+    "conditions": _Suite(_conditions_rows, 0.5, False, len(CLASSIFICATION_FIXTURES),
+                         cond.EVIDENCE_CONFIG),
+    "kernels": _Suite(_kernels_rows, 1e-12, False, None, _FINE),
 }
 SUITES = tuple(_SUITES)
 SUITE_PASS_TOL = {name: suite.pass_tol for name, suite in _SUITES.items()}
@@ -258,7 +263,7 @@ def suite_rows(suite: str, n: int, seed: int, index: int,
     if suite not in _SUITES:
         raise DomainError(f"unknown suite {suite!r}")
     spec = _SUITES[suite]
-    rows = spec.rows(rng_for(seed, index), n, index, _config(tol, *spec.config))
+    rows = spec.rows(rng_for(seed, index), n, index, _config(tol, spec.config))
     return [_row(index, *row) for row in rows]
 
 
@@ -303,9 +308,7 @@ def classification_evidence(mu1, coeffs, grid_count: int, cfg: QuadratureConfig)
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("NVK_SEED", DEFAULT_SEED))
+    seed = int(os.environ.get("NVK_SEED", DEFAULT_SEED)) if args.seed is None else args.seed
     spec = _SUITES[args.suite]
     if args.samples < 1:
         raise DomainError("--samples must be at least 1")
@@ -367,16 +370,13 @@ def cmd_classify(args) -> int:
     mu1 = validate_descriptor(load_descriptor(args.mu))
     if mu1.dimension != 1:
         raise DomainError("classification needs a one-dimensional base measure")
-    cfg = _config(args.tol)
     coeffs = (args.alpha, args.beta, args.gamma, args.delta)
-    classification, evidence = classification_evidence(mu1, coeffs, args.grid, cfg)
-    out = {
-        "case": classification.case.value,
-        "representing": (classification.representing
-                         if classification.representing is not None else "indeterminate"),
-        "evidence": evidence,
-    }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    classification, evidence = classification_evidence(
+        mu1, coeffs, args.grid, _config(args.tol, cond.EVIDENCE_CONFIG))
+    rep = classification.representing
+    print(json.dumps({"case": classification.case.value, "evidence": evidence,
+                      "representing": "indeterminate" if rep is None else rep},
+                     indent=2, sort_keys=True))
     return 0
 
 

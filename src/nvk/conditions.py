@@ -28,17 +28,20 @@ nonzero only when its error estimate keeps it on one side of that
 tolerance, and undecided otherwise.  ``decided`` reads a single integral
 as finite, infinite or undecided.  The cubic condition and the
 command-line evidence both read their integrals through these two, so an
-undecided integral is never read as decided.  ``nevanlinna_grid`` is the one
-entry point for the two-variable condition; a single point is a one-point
-grid.  A grid is one batched solve: the values at all points are the
-members of one ``measures.integrate_many`` call at one config, with the
-points' poles (z1, conj z2) as the layout hint, so every row's t2 lines
-sit on its own poles.  Each scale S is its value's ``modulus``: the
-integral of |f| that the quadrature carries over the value rows' own
-panels, so no second solve is needed.  The cubic condition reads its
-scales the same way, and the sign vectors of the n-variable sum are
-batched likewise.  The default grid's points are checked once, when the
-grid is built.
+undecided integral is never read as decided.  ``EVIDENCE_CONFIG`` solves
+them two orders below both constants of the zero tolerance, at (rel 1e-8,
+abs 1e-10): finer digits move no verdict, so ``nvk classify`` and the
+conditions suite of ``nvk verify`` take it as their default.
+``nevanlinna_grid`` is the one entry point for the two-variable condition;
+a single point is a one-point grid.  A grid is one batched solve: the
+values at all points are the members of one ``measures.integrate_many``
+call at one config, with the points' poles (z1, conj z2) as the layout
+hint, so every row's t2 lines sit on its own poles.  Each scale S is its
+value's ``modulus``: the integral of |f| that the quadrature carries over
+the value rows' own panels, so no second solve is needed.  The cubic
+condition reads its scales the same way, and the sign vectors of the
+n-variable sum are batched likewise.  The default grid's points are
+checked once, when the grid is built.
 
 The classifier for measures of the planar pushforward family decides from
 the affine coefficients and declared traits of the base measure which of
@@ -73,6 +76,7 @@ __all__ = [
     "nevanlinna_grid",
     "default_z_grid",
     "nevanlinna_zero_tolerance",
+    "EVIDENCE_CONFIG",
     "decided",
     "vanishes",
     "check_cubic_condition",
@@ -209,8 +213,14 @@ def check_nevanlinna_nvar(mu: Measure, z: Sequence[complex],
                             all(r.converged for r in terms), False)
 
 
+# The zero rule's absolute floor and its factor on the modulus; evidence is
+# solved two orders below both.
+_ZERO_ABS, _ZERO_REL = 1e-8, 1e-6
+EVIDENCE_CONFIG = QuadratureConfig(rel_tol=1e-2 * _ZERO_REL, abs_tol=1e-2 * _ZERO_ABS)
+
+
 def nevanlinna_zero_tolerance(scale: float) -> float:
-    return max(1e-8, 1e-6 * scale)
+    return max(_ZERO_ABS, _ZERO_REL * scale)
 
 
 def decided(r: QuadratureResult) -> Optional[bool]:

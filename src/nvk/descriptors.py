@@ -346,9 +346,13 @@ def data_from_json(obj) -> RepresentationData:
 
 def load_descriptor(path: str) -> dict:
     """Parse a descriptor file; ``data_from_json`` or ``validate_descriptor``
-    then reads and checks it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    then reads and checks it.  A file that is not UTF-8 text or not JSON is
+    a ``DomainError`` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise DomainError(f"{path}: not UTF-8 text at byte {e.start}: {e.reason}") from e
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:

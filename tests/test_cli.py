@@ -15,6 +15,7 @@ import nvk
 from nvk import cli, errors
 from nvk import conditions as cond
 from nvk.cli import CLASSIFICATION_FIXTURES, classification_evidence, fixture_base_measure, main
+from nvk.descriptors import measure_to_json
 from nvk.measures import LebesgueDensity, Pushforward2D
 from nvk.quadrature import QuadratureConfig
 
@@ -567,3 +568,71 @@ def test_ladder_suite_runs_the_full_reduction_at_three_variables(tmp_path):
     assert run_main(["verify", "--suite", "ladder", "--n", "2", "--samples", "2",
                      "--out", str(path)])[0] == 0
     assert "rung=full" not in path.read_text()
+
+
+def test_classify_and_the_conditions_suite_share_the_evidence_config():
+    assert cli._SUITES["conditions"].config is cond.EVIDENCE_CONFIG
+    assert cli._config(None, cond.EVIDENCE_CONFIG) is cond.EVIDENCE_CONFIG
+    # --tol T reads (T, min(abs default, T * 1e-3)): 1e-10 is the fine config.
+    assert cli._config(1e-10, cond.EVIDENCE_CONFIG) == QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
+    assert cli._config(1e-6, cond.EVIDENCE_CONFIG) == QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
+
+
+def _classify_argv(tmp_path, fixture):
+    """``nvk classify`` argv for a classification fixture, its base measure
+    written as a descriptor."""
+    name, coeffs, kind, expected_case, expected_rep = fixture
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"schema": "nvk-1",
+                                "measure": measure_to_json(fixture_base_measure(kind))}))
+    flags = ("--alpha", "--beta", "--gamma", "--delta")
+    return ["classify", "--mu", str(path), *[x for f, v in zip(flags, coeffs) for x in (f, repr(v))]]
+
+
+@pytest.mark.parametrize("fixture", CLASSIFICATION_FIXTURES, ids=lambda f: f[0])
+def test_classify_verdicts_are_the_same_at_the_default_and_at_tol_1e_10(tmp_path, fixture):
+    argv = _classify_argv(tmp_path, fixture)
+    verdicts = []
+    for extra in ([], ["--tol", "1e-10"]):
+        rc, out = run_main(argv + extra)
+        doc = json.loads(out)
+        ev = doc["evidence"]
+        verdicts.append((rc, doc["case"], doc["representing"], ev["evidence_representing"],
+                         ev["trait_conflict"], ev["growth_converged"]))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][:3] == (0, fixture[3].value, fixture[4])
+
+
+def test_fixture_i1_classify_takes_few_rounds(tmp_path, monkeypatch):
+    # At (1e-10, 1e-13) the grid rows were driven to an absolute 1e-14 at
+    # the t2 level, and i1 took 37 calls; the evidence config takes 24.
+    import nvk.quadrature as quadrature
+
+    calls = [0]
+    panels = quadrature._panels
+
+    def counted(*args):
+        calls[0] += 1
+        return panels(*args)
+
+    fixture = CLASSIFICATION_FIXTURES[0]
+    assert fixture[0] == "i1"
+    argv = _classify_argv(tmp_path, fixture)
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    rc, out = run_main(argv)
+    assert rc == 0 and json.loads(out)["evidence"]["evidence_representing"] is True
+    assert calls[0] <= 26
+
+
+@pytest.mark.parametrize("argv", [["eval", "{}", "--z", "0+1i"],
+                                  ["transform", "{}", "--k", "1"],
+                                  ["classify", "--mu", "{}", "--alpha", "1", "--beta", "1",
+                                   "--gamma", "1", "--delta", "1"]],
+                         ids=lambda argv: argv[0])
+def test_a_descriptor_that_is_not_utf8_is_a_domain_error(tmp_path, capsys, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00{}")
+    rc, out = run_main([str(path) if a == "{}" else a for a in argv])
+    assert rc == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text at byte 0")

@@ -8,6 +8,7 @@ import pytest
 
 from nvk.cli import CLASSIFICATION_FIXTURES, fixture_base_measure
 from nvk.conditions import (
+    EVIDENCE_CONFIG,
     Case,
     MeasureTraits,
     check_cubic_condition,
@@ -454,6 +455,17 @@ def test_nevanlinna_grid_matches_closed_form_on_the_default_grid(coeffs, cfg):
     for z, v, s in zip(grid, values, scales):
         want = w * nevanlinna_inner_value(*coeffs, x, *z)
         assert v.converged and abs(v.value - want) <= 1e-10 * s
+
+
+def test_evidence_config_sits_two_orders_below_the_zero_rule():
+    # The rule's floor is its value at scale 0, its factor its slope far
+    # above the floor.
+    floor = nevanlinna_zero_tolerance(0.0)
+    factor = nevanlinna_zero_tolerance(1e12) / 1e12
+    assert EVIDENCE_CONFIG.abs_tol == 1e-2 * floor
+    assert EVIDENCE_CONFIG.rel_tol == pytest.approx(1e-2 * factor, rel=1e-15)
+    assert (EVIDENCE_CONFIG.rel_tol, EVIDENCE_CONFIG.abs_tol) == (1e-8, 1e-10)
+    assert EVIDENCE_CONFIG.max_subdivisions == DEFAULT_CONFIG.max_subdivisions
 
 
 def test_grid_corner_takes_few_rounds(cfg, monkeypatch):

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import nvk.cli
+import nvk.conditions
 import nvk.measures
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,8 +27,8 @@ def _lines(monkeypatch, capsys) -> dict[str, str]:
 
 def test_two_runs_print_the_same_lines(monkeypatch, capsys):
     first = _lines(monkeypatch, capsys)
-    assert sorted(first) == ["classify", "classify-results", "classify-without-scale",
-                             "convex_atomic", "convex_atomic-results",
+    assert sorted(first) == ["classify", "classify-results", "classify-verdicts",
+                             "classify-without-scale", "convex_atomic", "convex_atomic-results",
                              "ladder_verify", "ladder_verify-results"]
     assert _lines(monkeypatch, capsys) == first
     assert nvk.measures.integrate_many is nvk.integrate_many  # put back
@@ -45,6 +46,22 @@ def test_error_estimates_alone_move_only_the_results_lines(monkeypatch, capsys):
     after = _lines(monkeypatch, capsys)
     changed = sorted(name for name in before if before[name] != after[name])
     assert changed == ["classify-results", "convex_atomic-results", "ladder_verify-results"]
+
+
+def test_grid_values_alone_move_the_reports_and_not_the_verdicts(monkeypatch, capsys):
+    # The nudge stays four orders below the 1e-8 zero floor, so it moves
+    # each report's nevanlinna_max_modulus and no verdict.
+    before = _lines(monkeypatch, capsys)
+    grid = nvk.conditions.nevanlinna_grid
+
+    def nudged(*args, **kwargs):
+        values, scales = grid(*args, **kwargs)
+        return [dataclasses.replace(v, value=v.value + 1e-12) for v in values], scales
+
+    monkeypatch.setattr(nvk.conditions, "nevanlinna_grid", nudged)
+    after = _lines(monkeypatch, capsys)
+    changed = sorted(name for name in before if before[name] != after[name])
+    assert changed == ["classify", "classify-without-scale"]
 
 
 def test_suite_lines_are_the_digests_of_reports_written_by_main(monkeypatch, capsys, tmp_path):

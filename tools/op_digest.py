@@ -13,10 +13,14 @@ results in order (an op that raises contributes its exception's type and
 message).  Two checkouts that print the same lines computed the same values,
 error estimates and flags, bit for bit.
 
-Classify gets a second line, ``classify-without-scale``, whose digest drops
+Classify gets two more lines.  ``classify-without-scale`` drops
 ``evidence.nevanlinna_scale`` from each report: two trees whose scales
 differ in the last bits, and in nothing else, differ on the first classify
-line and agree on the second.
+line and agree on this one.  ``classify-verdicts`` keeps only the verdicts:
+the exit code, ``case``, ``representing`` and the evidence's
+``evidence_representing``, ``trait_conflict`` and ``growth_converged``.
+Two trees that solve the evidence to different digits and reach the same
+verdicts differ on the first two lines and agree on this one.
 
 Each workload's last line, ``<workload>-results``, hashes the ``repr`` of
 every list that ``nvk.measures.integrate_many`` returns during its ops: the
@@ -107,16 +111,32 @@ def recording_results(h):
             setattr(mod, attr, original)
 
 
-def without_scale(value) -> str:
-    """A classify result, (exit code, stdout), with the report's
-    ``evidence.nevanlinna_scale`` dropped; any other result as ``repr``."""
-    try:
-        code, text = value
-        doc = json.loads(text)
-        doc["evidence"].pop("nevanlinna_scale")
-    except (TypeError, ValueError, KeyError):
-        return repr(value)
-    return repr((code, json.dumps(doc, sort_keys=True)))
+def _classify_view(keep):
+    """A view of a classify result, (exit code, stdout), that hashes
+    ``keep(code, report)``; any other result as ``repr``."""
+    def view(value) -> str:
+        try:
+            code, text = value
+            return repr(keep(code, json.loads(text)))
+        except (TypeError, ValueError, KeyError):
+            return repr(value)
+    return view
+
+
+def _drop_scale(code, doc):
+    doc["evidence"].pop("nevanlinna_scale")
+    return code, json.dumps(doc, sort_keys=True)
+
+
+def _verdicts(code, doc):
+    ev = doc["evidence"]
+    return (code, doc["case"], doc["representing"], ev["evidence_representing"],
+            ev["trait_conflict"], ev["growth_converged"])
+
+
+# The report without ``evidence.nevanlinna_scale``, and its verdicts alone.
+without_scale = _classify_view(_drop_scale)
+verdicts = _classify_view(_verdicts)
 
 
 def main(argv=None) -> int:
@@ -140,8 +160,9 @@ def main(argv=None) -> int:
     for name in sorted(workloads.WORKLOADS):
         with tempfile.TemporaryDirectory() as workdir:
             w = workloads.WORKLOADS[name](args.seed, workdir)
-            names = [name] + ([f"{name}-without-scale"] if name == "classify" else [])
-            views = (repr, without_scale)[:len(names)]
+            names = [name] + ([f"{name}-without-scale", f"{name}-verdicts"]
+                              if name == "classify" else [])
+            views = (repr, without_scale, verdicts)[:len(names)]
             results = hashlib.sha256()
             with recording_results(results):
                 hexdigests = digest(w, args.ops, views)
