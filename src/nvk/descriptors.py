@@ -14,10 +14,15 @@ where the measure object is one of
     {"type": "pushforward_ladder", "base": measure, "b": [...], "scale": s}
     {"type": "lebesgue_pad", "inner": measure, "axes": [...], "dimension": n}
 
+One table, ``_TYPES``, defines this format: per measure type, each field's
+key, whether it is required, its reader and its writer.
+``measure_from_json`` and ``measure_to_json`` both walk it.
+
 Density expressions use a deliberately tiny grammar over t1..tn: numbers,
 + - * / ^, unary minus, parentheses and exp(...).  Python's ``ast`` parses
-the text with ^ spelled **, and only these nodes compile; anything richer
-belongs in library embedding, not in descriptor files.
+the text with ^ spelled **, a whitelist of nodes checks the tree, and only
+a checked tree is compiled, to code that runs with no builtins; anything
+richer belongs in library embedding, not in descriptor files.
 
 Complex literals in flags and reports use the form "a+bi" with a mandatory
 sign between the parts, e.g. "0+1i" or "-1.5-2e-3i".
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 import ast
 import json
-import operator
 import re
 import sys
 from typing import Callable, Optional
@@ -99,7 +103,8 @@ def format_complex(z: complex) -> str:
 # + - * /, ^ for the power, unary minus, parentheses and exp(...).  With ^
 # spelled ** this is a subset of Python's expressions with Python's
 # precedence (^ binds tighter than unary minus and associates to the right),
-# so ``ast`` parses the text and a whitelist of nodes compiles the tree.
+# so ``ast`` parses the text, a whitelist of nodes checks the tree and
+# Python compiles it.
 
 # The first character outside the grammar's alphabet; ** is not in the
 # grammar either (and Python's tokenizer would drop a # comment unseen).
@@ -107,12 +112,14 @@ _BAD_CHAR_RE = re.compile(r"[^\w\s.+\-*/^()]|\*\*")
 _NUMBER_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+")
 _VARIABLE_RE = re.compile(r"t\d+")
 _EXP_CALL_RE = re.compile(r"exp *\(")
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_BINARY = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+# The globals of a density's code: ``exp`` and nothing else.
+_GLOBALS = {"__builtins__": {}, "exp": np.exp}
 
 
 def parse_density(text: str, dimension: int) -> Callable:
-    """Compile a density expression over t1..t<dimension> to a callable."""
+    """Compile a density expression over t1..t<dimension> to a callable
+    whose ``_nvk_source`` is ``text``."""
     bad = _BAD_CHAR_RE.search(text)
     if bad:
         raise DomainError(f"density expression: bad token at column {bad.start() + 1}")
@@ -129,116 +136,56 @@ def parse_density(text: str, dimension: int) -> Callable:
         # col_offset counts UTF-8 bytes.
         raise error(what, len(src.encode()[:node.col_offset].decode()))
 
-    def compile_node(node) -> Callable:
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            a, b, f = compile_node(node.left), compile_node(node.right), _BINARY[type(node.op)]
-            return lambda *t: f(a(*t), b(*t))
+    def check(node) -> None:
+        """Reject the first node under ``node`` outside the grammar; set
+        each number to the float of its text and each variable to its name."""
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _BINARY):
+            check(node.left)
+            return check(node.right)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            inner = compile_node(node.operand)
-            return lambda *t: -inner(*t)
+            return check(node.operand)
         # The node's own text: Python folds fullwidth letters into ASCII
         # names, reads 1_0 or 0x10 as numbers and calls (exp)(t1); the
         # grammar does none of these.
         seg = ast.get_source_segment(src, node)
         if isinstance(node, ast.Constant) and _NUMBER_RE.fullmatch(seg):
-            const = float(seg)
-            return lambda *t: const
-        if isinstance(node, ast.Name) and _VARIABLE_RE.fullmatch(seg):
-            axis = int(seg[1:]) - 1
-            if not 0 <= axis < dimension:
+            node.value = float(seg)
+        elif isinstance(node, ast.Name) and _VARIABLE_RE.fullmatch(seg):
+            if not 1 <= int(seg[1:]) <= dimension:
                 reject(node, f"variable {seg} out of range")
-            return lambda *t: t[axis]
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and _EXP_CALL_RE.match(seg) and len(node.args) == 1):
-            inner = compile_node(node.args[0])
-            return lambda *t: np.exp(inner(*t))
-        reject(node)
+            node.id = f"t{int(seg[1:])}"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and _EXP_CALL_RE.match(seg) and len(node.args) == 1 and not node.keywords):
+            check(node.args[0])
+        else:
+            reject(node)
 
-    too_deep = "density expression: too long or too deeply nested"
     try:
-        fn = compile_node(ast.parse(src, mode="eval").body)
+        tree = ast.parse(src, mode="eval")
+        check(tree.body)
+        code = compile(tree, "<density>", "eval")
     except SyntaxError as e:
         # Python gives no position for some errors at the end (``1 +``).
         raise error(e.msg, min(e.offset - 1, len(src)) if e.offset else len(src)) from None
     except (RecursionError, MemoryError):
         # Python's parser signals a nesting past its own stack as MemoryError.
-        raise DomainError(too_deep) from None
+        raise DomainError("density expression: too long or too deeply nested") from None
+    names = [f"t{k}" for k in range(1, dimension + 1)]
 
     def density(*t):
-        # The compiled closures recurse once per node, so a caller deep in
-        # the stack can run out of it where the parse did not.
-        try:
-            return fn(*t)
-        except RecursionError:
-            raise DomainError(too_deep) from None
+        return eval(code, _GLOBALS, dict(zip(names, t)))
 
+    density._nvk_source = text  # type: ignore[attr-defined]
     return density
 
 
-def measure_to_json(mu: Measure) -> dict:
-    if isinstance(mu, Atomic):
-        return {
-            "type": "atomic",
-            "dimension": mu.dimension,
-            "atoms": [[*loc, w] for loc, w in mu.atoms],
-        }
-    if isinstance(mu, LebesgueDensity):
-        if mu.density is not None and not hasattr(mu.density, "_nvk_source"):
-            raise DomainError("only densities parsed from expressions can be serialized")
-        src = getattr(mu.density, "_nvk_source", None)
-        return {"type": "lebesgue", "dimension": mu.dim, "density": src}
-    if isinstance(mu, Product):
-        return {"type": "product", "factors": [measure_to_json(f) for f in mu.factors]}
-    if isinstance(mu, Pushforward2D):
-        return {
-            "type": "pushforward2d",
-            "base": measure_to_json(mu.base),
-            "coefficients": [mu.alpha, mu.beta, mu.gamma, mu.delta],
-        }
-    if isinstance(mu, PushforwardLadder):
-        return {
-            "type": "pushforward_ladder",
-            "base": measure_to_json(mu.base),
-            "b": list(mu.b),
-            "scale": mu.scale,
-        }
-    if isinstance(mu, LebesguePad):
-        return {
-            "type": "lebesgue_pad",
-            "inner": measure_to_json(mu.inner),
-            "axes": list(mu.axes),
-            "dimension": mu.dim,
-        }
-    raise DomainError(f"cannot serialize measure {type(mu).__name__}")
-
-
-def data_to_json(data: RepresentationData) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "a": data.a,
-        "b": list(data.b),
-        "measure": measure_to_json(data.mu),
-    }
-
-
-# --- reading: each field is checked as it is read --------------------------
-
-# Per measure type: its required fields, then its optional ones.
-_MEASURE_FIELDS = {
-    "atomic": (("type", "atoms"), ("dimension",)),
-    "lebesgue": (("type", "dimension"), ("density",)),
-    "product": (("type", "factors"), ()),
-    "pushforward2d": (("type", "base", "coefficients"), ()),
-    "pushforward_ladder": (("type", "base", "b", "scale"), ()),
-    "lebesgue_pad": (("type", "inner", "axes", "dimension"), ()),
-}
-
+# --- the format: each field is checked as it is read ------------------------
 
 def _invalid(path: str, message: str) -> DomainError:
     return DomainError(f"descriptor invalid at {path}: {message}")
 
 
-def _fields(obj, path: str, required: tuple, optional: tuple) -> None:
+def _fields(obj, path: str, required, optional) -> None:
     if not isinstance(obj, dict):
         raise _invalid(path, f"expected an object, got {obj!r:.40}")
     for key in required:
@@ -263,14 +210,21 @@ def _integer(x, path: str, minimum: int = 0) -> int:
     return int(x)
 
 
+def _dimension(x, path: str, got: tuple) -> int:
+    return _integer(x, path, 1)
+
+
 def _array(x, path: str, min_items: int = 0) -> list:
     if not isinstance(x, list) or len(x) < min_items:
         raise _invalid(path, f"expected an array of at least {min_items} entries, got {x!r:.40}")
     return x
 
 
-def _numbers(x, path: str, min_items: int = 0) -> tuple:
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(_array(x, path, min_items)))
+def _each(read: Callable, min_items: int = 0) -> Callable:
+    """The reader of an array of at least ``min_items`` entries, each read
+    by ``read``."""
+    return lambda x, path, got=(): tuple(read(v, f"{path}[{i}]")
+                                         for i, v in enumerate(_array(x, path, min_items)))
 
 
 def _build(path: str, make: Callable, *args):
@@ -281,49 +235,98 @@ def _build(path: str, make: Callable, *args):
         raise type(e)(f"descriptor invalid at {path}: {e}") from None
 
 
+_ROW = _each(_number, 2)
+
+
+def _atom(x, path: str) -> tuple:
+    row = _ROW(x, path)
+    return row[:-1], row[-1]
+
+
+def _density(src, path: str, got: tuple):
+    if src is None:
+        return None
+    if not isinstance(src, str):
+        raise _invalid(path, f"expected a string or null, got {src!r:.40}")
+    return _build(path, parse_density, src, got[0])
+
+
+def _source(mu: LebesgueDensity) -> Optional[str]:
+    if mu.density is not None and not hasattr(mu.density, "_nvk_source"):
+        raise DomainError("only densities parsed from expressions can be serialized")
+    return getattr(mu.density, "_nvk_source", None)
+
+
+def _coefficients(x, path: str, got: tuple) -> tuple:
+    coefficients = _each(_number)(x, path)
+    if len(coefficients) != 4:
+        raise _invalid(path, f"expected 4 entries, got {len(coefficients)}")
+    return coefficients
+
+
+def _measure(x, path: str, got=()) -> Measure:
+    return measure_from_json(x, path)
+
+
+# Per measure type: its class, the constructor of a measure from the field
+# values in order, and one row per JSON field, in the order the reader
+# checks them: the key, whether it is required, the reader
+# ``read(value, path, values of the fields before it)`` (an absent optional
+# field reads as None) and the writer of the field from a measure.
+_TYPES = {
+    "atomic": (Atomic, Atomic, (
+        ("atoms", True, _each(_atom), lambda mu: [[*loc, w] for loc, w in mu.atoms]),
+        ("dimension", False, _dimension, lambda mu: mu.dimension))),
+    "lebesgue": (LebesgueDensity, LebesgueDensity, (
+        ("dimension", True, _dimension, lambda mu: mu.dim),
+        ("density", False, _density, _source))),
+    "product": (Product, Product, (
+        ("factors", True, _each(_measure, 1), lambda mu: [measure_to_json(f) for f in mu.factors]),)),
+    "pushforward2d": (Pushforward2D, lambda base, c: Pushforward2D(base, *c), (
+        ("base", True, _measure, lambda mu: measure_to_json(mu.base)),
+        ("coefficients", True, _coefficients, lambda mu: list(mu.coefficients)))),
+    "pushforward_ladder": (PushforwardLadder, PushforwardLadder, (
+        ("base", True, _measure, lambda mu: measure_to_json(mu.base)),
+        ("b", True, _each(_number, 1), lambda mu: list(mu.b)),
+        ("scale", True, lambda x, path, got: _number(x, path), lambda mu: mu.scale))),
+    "lebesgue_pad": (LebesguePad, LebesguePad, (
+        ("inner", True, _measure, lambda mu: measure_to_json(mu.inner)),
+        ("axes", True, _each(_integer), lambda mu: list(mu.axes)),
+        ("dimension", True, _dimension, lambda mu: mu.dim))),
+}
+
+
+def measure_to_json(mu: Measure) -> dict:
+    for kind, (cls, _, fields) in _TYPES.items():
+        if isinstance(mu, cls):
+            return {"type": kind, **{key: write(mu) for key, _, _, write in fields}}
+    raise DomainError(f"cannot serialize measure {type(mu).__name__}")
+
+
 def measure_from_json(obj, path: str = "$.measure") -> Measure:
     """Read a measure object; a bad field raises ``DomainError`` naming its
     JSON path, e.g. ``descriptor invalid at $.measure.b[1]: ...``."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise _invalid(path, f"expected a measure object with a 'type' field, got {obj!r:.40}")
     kind = obj["type"]
-    if not (isinstance(kind, str) and kind in _MEASURE_FIELDS):
+    if not (isinstance(kind, str) and kind in _TYPES):
         raise _invalid(f"{path}.type", f"unknown measure type {kind!r:.40}")
-    _fields(obj, path, *_MEASURE_FIELDS[kind])
+    _, make, fields = _TYPES[kind]
+    _fields(obj, path, ["type"] + [key for key, required, _, _ in fields if required],
+            [key for key, required, _, _ in fields if not required])
+    values: tuple = ()
+    for key, _, read, _ in fields:
+        values += (read(obj[key], f"{path}.{key}", values) if key in obj else None,)
+    return _build(path, make, *values)
 
-    if kind == "atomic":
-        rows = [_numbers(row, f"{path}.atoms[{i}]", 2)
-                for i, row in enumerate(_array(obj["atoms"], f"{path}.atoms"))]
-        dim = _integer(obj["dimension"], f"{path}.dimension", 1) if "dimension" in obj else None
-        return _build(path, Atomic, tuple((row[:-1], row[-1]) for row in rows), dim)
-    if kind == "lebesgue":
-        dim, src = _integer(obj["dimension"], f"{path}.dimension", 1), obj.get("density")
-        if src is None:
-            return LebesgueDensity(dim)
-        if not isinstance(src, str):
-            raise _invalid(f"{path}.density", f"expected a string or null, got {src!r:.40}")
-        fn = _build(f"{path}.density", parse_density, src, dim)
-        fn._nvk_source = src  # type: ignore[attr-defined]
-        return LebesgueDensity(dim, density=fn)
-    if kind == "product":
-        factors = _array(obj["factors"], f"{path}.factors", 1)
-        return _build(path, Product, tuple(measure_from_json(f, f"{path}.factors[{i}]")
-                                           for i, f in enumerate(factors)))
-    if kind == "pushforward2d":
-        base = measure_from_json(obj["base"], f"{path}.base")
-        coefficients = _numbers(obj["coefficients"], f"{path}.coefficients")
-        if len(coefficients) != 4:
-            raise _invalid(f"{path}.coefficients", f"expected 4 entries, got {len(coefficients)}")
-        return _build(path, Pushforward2D, base, *coefficients)
-    if kind == "pushforward_ladder":
-        base = measure_from_json(obj["base"], f"{path}.base")
-        return _build(path, PushforwardLadder, base, _numbers(obj["b"], f"{path}.b", 1),
-                      _number(obj["scale"], f"{path}.scale"))
-    inner = measure_from_json(obj["inner"], f"{path}.inner")
-    axes = tuple(_integer(a, f"{path}.axes[{i}]")
-                 for i, a in enumerate(_array(obj["axes"], f"{path}.axes")))
-    return _build(path, LebesguePad, inner, axes,
-                  _integer(obj["dimension"], f"{path}.dimension", 1))
+
+def data_to_json(data: RepresentationData) -> dict:
+    return {
+        "schema": SCHEMA_VERSION,
+        "a": data.a,
+        "b": list(data.b),
+        "measure": measure_to_json(data.mu),
+    }
 
 
 def validate_descriptor(obj) -> Measure:
@@ -333,7 +336,7 @@ def validate_descriptor(obj) -> Measure:
     if obj["schema"] != SCHEMA_VERSION:
         raise _invalid("$.schema", f"expected {SCHEMA_VERSION!r}, got {obj['schema']!r:.40}")
     _number(obj.get("a", 0), "$.a")
-    _numbers(obj.get("b", []), "$.b")
+    _each(_number)(obj.get("b", []), "$.b")
     return measure_from_json(obj["measure"])
 
 

@@ -40,13 +40,13 @@ from nvk.quadrature import QuadratureConfig
 from nvk.representation import RepresentationData, check_herglotz, evaluate
 from nvk.residues import line_integral
 from nvk.sampling import (
-    draw_admissible_rational,
     draw_atomic_data,
     draw_convex_coefficients,
     draw_ladder_coefficients,
     draw_upper_point,
     rng_for,
 )
+from rational_draws import draw_admissible_rational
 from nvk.transform import (
     coefficients_to_ladder,
     ladder_matrix,

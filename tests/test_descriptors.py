@@ -1,5 +1,6 @@
 """JSON descriptors, the density grammar and complex literals."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -27,6 +28,7 @@ from nvk.measures import (
     Atomic,
     LebesgueDensity,
     LebesguePad,
+    Measure,
     Product,
     Pushforward2D,
     PushforwardLadder,
@@ -80,6 +82,11 @@ def test_density_grammar():
     ("t1.real", "unexpected token"),
     ("(1, 2)", "bad token"),
     ("01", "leading zeros"),
+    ("__import__(t1)", "unexpected token at column 1"),
+    ("t1(t1)", "unexpected token at column 1"),
+    ("exp(t1)(t1)", "unexpected token at column 1"),
+    ("exp.__class__", "unexpected token at column 1"),
+    ("(exp)(t1)", "unexpected token at column 1"),
 ])
 def test_density_grammar_errors(expr, match):
     with pytest.raises(DomainError, match=match):
@@ -90,11 +97,17 @@ def test_density_grammar_errors(expr, match):
 # ("exp", x) and (op, x, y) for op in + - * / ^.
 _NUMBERS = st.from_regex(r"(0|[1-9][0-9]{0,2})(\.[0-9]{0,3})?([eE][+-]?[0-9]{1,2})?|\.[0-9]{1,3}",
                          fullmatch=True)
-_TREES = st.recursive(
-    st.one_of(_NUMBERS.map(lambda s: ("num", s)), st.sampled_from([("var", 0), ("var", 1)])),
-    lambda sub: st.one_of(st.tuples(st.sampled_from("+-*/^"), sub, sub),
-                          st.tuples(st.sampled_from(["neg", "exp"]), sub)),
-    max_leaves=12)
+
+
+def _trees(variables: int):
+    return st.recursive(
+        st.one_of(_NUMBERS.map(lambda s: ("num", s)),
+                  st.sampled_from([("var", k) for k in range(variables)])),
+        lambda sub: st.one_of(st.tuples(st.sampled_from("+-*/^"), sub, sub),
+                              st.tuples(st.sampled_from(["neg", "exp"]), sub)),
+        max_leaves=12)
+
+
 # How tightly each node binds; a node sits in parentheses where its place
 # needs a tighter one (the base of ^ needs an atom, its exponent a unary).
 _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "num": 5, "var": 5, "exp": 5}
@@ -103,8 +116,9 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.t
 
 
 @st.composite
-def _expressions(draw):
-    """A tree and its text, with random spaces, tabs and redundant parentheses."""
+def _expressions(draw, variables: int = 2):
+    """A tree over t1..t<variables> and its text, with random spaces, tabs
+    and redundant parentheses."""
     def space():
         return draw(st.sampled_from(["", "", " ", "  ", "\t"]))
 
@@ -127,7 +141,7 @@ def _expressions(draw):
             text = "(" + space() + text + space() + ")"
         return text
 
-    tree = draw(_TREES)
+    tree = draw(_trees(variables))
     return tree, space() + render(tree, 0) + space()
 
 
@@ -174,16 +188,14 @@ def test_density_too_deep_to_parse(text):
 
 
 def test_density_too_deep_to_evaluate():
-    # The density parses, and evaluates with the stack it has here; called
-    # deep inside ``evaluate`` with 200 frames to spare, it runs out.
+    # The density's code evaluates in one frame, so it evaluates deep inside
+    # ``evaluate`` with 200 frames to spare.
     f = parse_density("+".join(["1/(1+t1^2)"] * 300), 1)
     data = RepresentationData(0.0, (0.0,), LebesgueDensity(1, density=f))
-    assert abs(evaluate(data, (1j,)) - 150j) <= 1e-10 * 150
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 200)
     try:
-        with pytest.raises(DomainError, match="too long or too deeply nested"):
-            evaluate(data, (1j,))
+        assert abs(evaluate(data, (1j,)) - 150j) <= 1e-10 * 150
     finally:
         sys.setrecursionlimit(limit)
 
@@ -234,6 +246,61 @@ def test_schema_rejects_bad_documents():
                              "measure": {"type": "atomic", "atoms": [[0.0]]}})
     with pytest.raises(DomainError, match=r"at \$: expected an object"):
         validate_descriptor([])
+
+
+def test_parsed_density_writes_its_source():
+    mu = LebesgueDensity(1, parse_density("1/(1+t1^2)", 1))
+    assert measure_to_json(mu) == {"type": "lebesgue", "dimension": 1, "density": "1/(1+t1^2)"}
+
+
+_REALS = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(1e-3, 1e3)
+_POINTS = (np.array([-2.5, -0.0, 0.3, 7.0]), np.array([0.5, 2.0, 0.0, -0.7]),
+           np.array([1.5, -3.0, 0.2, 1.0]))
+
+
+def _measures(dim: int, depth: int):
+    """Measures on R^dim, nested at most ``depth`` levels below the top."""
+    rows = st.lists(st.tuples(st.tuples(*[_REALS] * dim), _POSITIVE), max_size=3)
+    densities = st.none() | _expressions(dim).map(lambda case: parse_density(case[1], dim))
+    leaves = [st.builds(Atomic, rows.map(tuple), st.just(dim)),
+              st.builds(LebesgueDensity, st.just(dim), densities)]
+    if not depth:
+        return st.one_of(leaves)
+    line = _measures(1, depth - 1)
+    nested = [st.lists(line, min_size=dim, max_size=dim).map(tuple).map(Product),
+              st.sets(st.integers(0, dim - 1), min_size=1).map(sorted).flatmap(
+                  lambda axes: st.builds(LebesguePad, _measures(len(axes), depth - 1),
+                                         st.just(tuple(axes)), st.just(dim)))]
+    if dim == 2:
+        nested.append(st.builds(Pushforward2D, line, _REALS, _REALS, _REALS, _REALS))
+    if dim >= 2:
+        nested.append(st.builds(PushforwardLadder, line, st.tuples(*[_POSITIVE] * (dim - 1)),
+                                _POSITIVE))
+    # Hypothesis draws the first options more often: the nested ones first.
+    return st.one_of(nested + leaves)
+
+def _same(a, b, dim: int = 0) -> bool:
+    """Equal measures; two densities on R^dim are equal when their sources
+    and their bits on ``_POINTS`` are."""
+    if isinstance(a, Measure):
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name), a.dimension)
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(_same(u, v) for u, v in zip(a, b))
+    if callable(a):
+        return (a._nvk_source == b._nvk_source
+                and _bits(a, _POINTS[:dim]) == _bits(b, _POINTS[:dim]))
+    return a == b
+
+
+@given(st.integers(1, 3).flatmap(lambda dim: _measures(dim, 2)))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_measure_trees_roundtrip(mu):
+    j = measure_to_json(mu)
+    read = measure_from_json(j)
+    assert measure_to_json(read) == j
+    assert _same(read, mu)
 
 
 def test_only_parsed_densities_are_written():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -77,3 +78,34 @@ def test_suite_lines_are_the_digests_of_reports_written_by_main(monkeypatch, cap
     assert lines == expected
     assert [line.split()[2] for line in lines] == \
         ["conditions", "kernels", "ladder", "ladder", "main", "main"]
+
+
+def test_descriptor_lines_are_the_digests_of_what_main_writes(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    assert op_digest.main([str(ROOT), "--descriptors"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert op_digest.main([str(ROOT), "--descriptors"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+    def digest(argv):
+        code = nvk.cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0 and not err, argv
+        return out, hashlib.sha256(repr((code, out, err)).encode()).hexdigest()
+
+    expected = []
+    data, output = tmp_path / "data.json", tmp_path / "output.json"
+    for name, measure in op_digest.DESCRIPTOR_BASES.items():
+        data.write_text(json.dumps({"schema": "nvk-1", "a": 0.25, "b": [0.5], "measure": measure}))
+        for k in op_digest.DESCRIPTOR_KS:
+            text, sha = digest(["transform", str(data), "--k", k])
+            expected.append(f"transform {name} {k} {sha}")
+            if (name, k) in op_digest._SLOW_EVALS:
+                continue
+            output.write_text(text)
+            point = ",".join(op_digest.DESCRIPTOR_POINT[:k.count(",") + 1])
+            _, sha = digest(["eval", str(output), "--z", point, "--tol", "1e-6"])
+            expected.append(f"eval {name} {k} {sha}")
+    assert lines == expected
+    assert len(lines) == 3 * 2 * 6 - 1

@@ -10,7 +10,8 @@ from nvk.errors import DomainError, IntegrandError
 from nvk.measures import Product, integrate, lebesgue
 from nvk.quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, integrate_rows
 from nvk.residues import line_integral
-from nvk.sampling import draw_admissible_rational, rng_for
+from nvk.sampling import rng_for
+from rational_draws import draw_admissible_rational
 
 
 def test_arctangent_integral():
@@ -78,6 +79,21 @@ def test_config_rejects_non_finite_tolerances(field, bad):
 def test_non_finite_integrand_raises():
     with pytest.raises(IntegrandError, match="integrand not finite"):
         integrate(lebesgue(), lambda t: np.where(np.abs(t) < 1, np.nan, 0.0))
+
+
+@pytest.mark.xfail(strict=True, raises=(IntegrandError, RuntimeWarning),
+                   reason="a node lands on an interior singularity off the substitution's "
+                   "centre (ROADMAP item 3)")
+def test_interior_singularity_off_centre_is_honest():
+    f = lambda x, rows: 1 / np.sqrt(np.abs(x - 0.3)) / (1 + x * x)
+    # The reference: two half-line rows split at the singularity.
+    halves = integrate_rows(f, 2, lo=np.array([-np.inf, 0.3]), hi=np.array([0.3, np.inf]),
+                            center=np.array([-0.7, 1.3]))
+    assert halves.converged.all()
+    ref = halves.value.sum()
+    r = integrate_rows(f, 1)
+    assert not r.diverged[0]
+    assert not r.converged[0] or abs(r.value[0] - ref) <= r.error_estimate[0]
 
 
 def test_segment_indicator():

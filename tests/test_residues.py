@@ -10,7 +10,8 @@ from nvk.errors import DomainError, InconsistencyError
 from nvk.kernels import ladder_kernel, ladder_kernel_full
 from nvk.measures import integrate, lebesgue
 from nvk.residues import RationalFunction, find_poles, line_integral, residue_at
-from nvk.sampling import draw_admissible_rational, rng_for
+from nvk.sampling import rng_for
+from rational_draws import draw_admissible_rational
 
 PI = math.pi
 

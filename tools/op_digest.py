@@ -3,6 +3,7 @@ compute the same bits.
 
     python3 tools/op_digest.py ROOT [--seed N] [--ops N]
     python3 tools/op_digest.py ROOT --suites
+    python3 tools/op_digest.py ROOT --descriptors
 
 ``ROOT`` is a source tree of the package (``src/nvk`` beside
 ``perfbench``).  The script imports that tree's ``perfbench/workloads.py``
@@ -33,6 +34,14 @@ configuration in ``SUITE_RUNS``: its arguments and the sha256 of the JSON
 report that the tree's ``nvk.cli.main`` writes for them, run in process at
 the default seed (``NVK_SEED`` applies), with the report in a temporary
 directory.
+
+With ``--descriptors`` it prints, instead, one line per ``nvk transform``
+of each base in ``DESCRIPTOR_BASES`` by each k in ``DESCRIPTOR_KS``, and
+one line per ``nvk eval`` of that output at the first n coordinates of
+``DESCRIPTOR_POINT``: the command, the base, k and the sha256 of the exit
+code, stdout and stderr of the tree's ``nvk.cli.main``, run in process.
+The eval of the 4-variable density output is left out: it takes about
+30 s, at any tolerance.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -66,6 +76,51 @@ def suite_lines(cli_main) -> list[str]:
             out = Path(workdir) / f"{i}.json"  # a run that writes none fails to read it
             cli_main(["verify", *args, "--out", str(out)])
             lines.append(f"verify {' '.join(args)} {hashlib.sha256(out.read_bytes()).hexdigest()}")
+    return lines
+
+
+# The transforms and evals whose output a bit-for-bit change keeps.  Each
+# base is the measure of the data a = 0.25, b = (0.5,).
+DESCRIPTOR_BASES = {
+    "atomic": {"type": "atomic", "atoms": [[0.3, 1.5], [-1.0, 0.5]]},
+    "zero": {"type": "atomic", "dimension": 1, "atoms": []},
+    "density": {"type": "lebesgue", "dimension": 1, "density": "1/(1+t1^2)"},
+}
+DESCRIPTOR_KS = ("0.5,0,0.5", "1,0", "0,1", "0.2,0.3,0.5", "0.5,0.5", "0.5,0,0,0.5")
+DESCRIPTOR_POINT = ("0.3+1i", "-0.5+0.7i", "1+2i", "0.1+0.4i")
+_SLOW_EVALS = {("density", "0.5,0,0,0.5")}
+
+
+def _run(cli_main, argv) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``cli_main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _sha256(run: tuple) -> str:
+    return hashlib.sha256(repr(run).encode()).hexdigest()
+
+
+def descriptor_lines(cli_main) -> list[str]:
+    """``transform BASE K SHA256`` and ``eval BASE K SHA256`` for each base
+    and k, the runs made through ``cli_main``."""
+    lines = []
+    with tempfile.TemporaryDirectory() as workdir:
+        data, output = Path(workdir) / "data.json", Path(workdir) / "output.json"
+        for name, measure in DESCRIPTOR_BASES.items():
+            data.write_text(json.dumps({"schema": "nvk-1", "a": 0.25, "b": [0.5],
+                                        "measure": measure}))
+            for k in DESCRIPTOR_KS:
+                run = _run(cli_main, ["transform", str(data), "--k", k])
+                lines.append(f"transform {name} {k} {_sha256(run)}")
+                if (name, k) in _SLOW_EVALS:
+                    continue
+                output.write_text(run[1])
+                point = ",".join(DESCRIPTOR_POINT[:len(k.split(","))])
+                run = _run(cli_main, ["eval", str(output), "--z", point, "--tol", "1e-6"])
+                lines.append(f"eval {name} {k} {_sha256(run)}")
     return lines
 
 
@@ -146,14 +201,17 @@ def main(argv=None) -> int:
     p.add_argument("--ops", type=int, default=120)
     p.add_argument("--suites", action="store_true",
                    help="digest the nvk verify reports of SUITE_RUNS instead")
+    p.add_argument("--descriptors", action="store_true",
+                   help="digest the nvk transform and eval runs of DESCRIPTOR_BASES instead")
     args = p.parse_args(argv)
     root = args.root.resolve()
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    if args.suites:
+    if args.suites or args.descriptors:
         from nvk.cli import main as cli_main
 
-        print("\n".join(suite_lines(cli_main)), flush=True)
+        lines = suite_lines(cli_main) if args.suites else descriptor_lines(cli_main)
+        print("\n".join(lines), flush=True)
         return 0
     import workloads
 
