@@ -71,14 +71,13 @@ CLASSIFICATION_FIXTURES = (
 )
 
 
+# The base measure of each fixture kind.
+_FIXTURE_MEASURES = {"pi_delta0": Atomic.single(pi, 0.0), "zero": zero_measure(1),
+                     "lebesgue": lebesgue()}
+
+
 def fixture_base_measure(kind: str):
-    if kind == "pi_delta0":
-        return Atomic.single(pi, 0.0)
-    if kind == "zero":
-        return zero_measure(1)
-    if kind == "lebesgue":
-        return lebesgue()
-    raise DomainError(f"unknown fixture measure {kind!r}")
+    return _FIXTURE_MEASURES[kind]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,23 +245,21 @@ class _Suite(NamedTuple):
     config: QuadratureConfig  # without --tol
 
 
-_SUITES = {
+SUITES = {
     "ladder": _Suite(_ladder_rows, 1e-7, True, None, _FINE),
     "main": _Suite(_main_rows, 1e-7, True, None, _FINE),
     "conditions": _Suite(_conditions_rows, 0.5, False, len(CLASSIFICATION_FIXTURES),
                          cond.EVIDENCE_CONFIG),
     "kernels": _Suite(_kernels_rows, 1e-12, False, None, _FINE),
 }
-SUITES = tuple(_SUITES)
-SUITE_PASS_TOL = {name: suite.pass_tol for name, suite in _SUITES.items()}
 
 
 def suite_rows(suite: str, n: int, seed: int, index: int,
                tol: Optional[float]) -> list[dict]:
     """All report rows contributed by one sample index (worker entry point)."""
-    if suite not in _SUITES:
+    if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}")
-    spec = _SUITES[suite]
+    spec = SUITES[suite]
     rows = spec.rows(rng_for(seed, index), n, index, _config(tol, spec.config))
     return [_row(index, *row) for row in rows]
 
@@ -309,29 +306,27 @@ def classification_evidence(mu1, coeffs, grid_count: int, cfg: QuadratureConfig)
 
 def cmd_verify(args) -> int:
     seed = int(os.environ.get("NVK_SEED", DEFAULT_SEED)) if args.seed is None else args.seed
-    spec = _SUITES[args.suite]
+    spec = SUITES[args.suite]
     if args.samples < 1:
         raise DomainError("--samples must be at least 1")
     if spec.needs_two_variables and args.n < 2:
         raise DomainError(f"--n must be at least 2 for the {args.suite} suite")
     samples = args.samples if spec.samples is None else spec.samples
 
-    work = ([args.suite] * samples, [args.n] * samples, [seed] * samples,
-            range(samples), [args.tol] * samples)
+    rows_of = functools.partial(suite_rows, args.suite, args.n, seed, tol=args.tol)
     jobs = min(args.jobs, samples)  # a pool may start all its workers at once
     if jobs > 1:
         # Imported here: multiprocessing is heavy, and only --jobs needs it.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(suite_rows, *work))
+            chunks = list(pool.map(rows_of, range(samples)))
     else:
-        chunks = list(map(suite_rows, *work))
+        chunks = list(map(rows_of, range(samples)))
 
     rows = [row for chunk in chunks for row in chunk]
     max_rel = float(max((row["rel_error"] for row in rows), default=0.0))
-    tol = spec.pass_tol
-    passed = bool(max_rel <= tol)
+    passed = bool(max_rel <= spec.pass_tol)
 
     if args.format == "json":
         report = json.dumps({
@@ -340,16 +335,14 @@ def cmd_verify(args) -> int:
             "n": args.n,
             "seed": seed,
             "samples": samples,
-            "tolerance": tol,
+            "tolerance": spec.pass_tol,
             "max_rel_error": max_rel,
             "passed": passed,
             "rows": rows,
         }, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=[
-            "index", "inputs", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "rel_error",
-        ])
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))  # the keys of ``_row``
         writer.writeheader()
         writer.writerows(rows)
         report = buf.getvalue()
@@ -368,8 +361,6 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     mu1 = validate_descriptor(load_descriptor(args.mu))
-    if mu1.dimension != 1:
-        raise DomainError("classification needs a one-dimensional base measure")
     coeffs = (args.alpha, args.beta, args.gamma, args.delta)
     classification, evidence = classification_evidence(
         mu1, coeffs, args.grid, _config(args.tol, cond.EVIDENCE_CONFIG))

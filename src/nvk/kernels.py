@@ -154,12 +154,18 @@ def kernel_nd_rational(z: Sequence[complex], t: Sequence):
 
 
 
-def require_ladder_coefficients(b: Sequence[float]) -> None:
-    """Reject ladder coefficients that are not finite and strictly positive
-    or whose reciprocal overflows (b_j below about 5.6e-309)."""
-    if not all(0 < bj < math.inf and 1.0 / bj < math.inf for bj in map(float, b)):
+def require_ladder_coefficients(b: Sequence[float]) -> tuple[float, ...]:
+    """The ladder coefficients ``b`` as a tuple of floats.  Rejects anything
+    but a non-empty flat sequence, and coefficients that are not finite and
+    strictly positive or whose reciprocal overflows (b_j below about
+    5.6e-309)."""
+    bs = np.asarray(b, dtype=float)
+    if bs.ndim != 1 or bs.size < 1:
+        raise DomainError("ladder needs at least one coefficient, as a flat sequence")
+    if not all(0 < bj < math.inf and 1.0 / bj < math.inf for bj in bs.tolist()):
         raise DomainError("ladder coefficients must be finite and strictly positive, "
                           "with finite reciprocals")
+    return tuple(bs.tolist())
 
 
 def ladder_weight(m: int, d: int, b: Sequence[float]) -> float:

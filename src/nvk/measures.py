@@ -278,12 +278,9 @@ class PushforwardLadder(Measure):
     scale: float
 
     def __post_init__(self):
-        object.__setattr__(self, "b", tuple(float(x) for x in self.b))
         if self.base.dimension != 1:
             raise DimensionMismatchError("base measure must be one-dimensional")
-        if not self.b:
-            raise DomainError("ladder needs at least one coefficient")
-        require_ladder_coefficients(self.b)
+        object.__setattr__(self, "b", require_ladder_coefficients(self.b))
         if not 0 < self.scale < math.inf:
             raise DomainError("scale must be finite and strictly positive")
 

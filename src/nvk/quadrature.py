@@ -62,7 +62,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -514,7 +514,6 @@ def integrate_rows(f: Callable, nrows: int, cfg: QuadratureConfig = DEFAULT_CONF
         part = slice(start, min(start + _ROW_CHUNK, nrows))
         parts.append(_solve(lambda x, rows, s=start: f(x, rows + s), part.stop - start, cfg,
                             *(v[part] if np.ndim(v) else v for v in (lo, hi, center, halfwidth))))
-    return RowResults(*(np.concatenate([getattr(p, name) for p in parts])
-                        for name in ("value", "error_estimate", "converged", "diverged",
-                                     "modulus")))
+    return RowResults(*(np.concatenate([getattr(p, field.name) for p in parts])
+                        for field in fields(RowResults)))
 

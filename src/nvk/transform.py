@@ -62,7 +62,7 @@ def coefficients_to_ladder(k: Sequence[float]) -> np.ndarray:
 
 def ladder_to_coefficients(b: Sequence[float]) -> np.ndarray:
     """Inverse map: k_l = prod(b) / (b_l beta_n), k_n = prod(b) / beta_n."""
-    bs = _validate_ladder(b)
+    bs = np.asarray(require_ladder_coefficients(b))
     beta = ladder_normalization(bs)
     prod = float(np.prod(bs))
     ks = np.empty(len(bs) + 1)
@@ -71,17 +71,9 @@ def ladder_to_coefficients(b: Sequence[float]) -> np.ndarray:
     return ks
 
 
-def _validate_ladder(b: Sequence[float]) -> np.ndarray:
-    bs = np.asarray(b, dtype=float)
-    if bs.ndim != 1 or bs.size < 1:
-        raise DomainError("need at least one ladder coefficient")
-    require_ladder_coefficients(bs)
-    return bs
-
-
 def ladder_matrix(b: Sequence[float]) -> np.ndarray:
     """n x n matrix with rows e1 - b_j e_{j+1} (j < n) and a final row of ones."""
-    bs = _validate_ladder(b)
+    bs = require_ladder_coefficients(b)
     n = len(bs) + 1
     m = np.zeros((n, n))
     m[:, 0] = 1.0
@@ -93,7 +85,7 @@ def ladder_matrix(b: Sequence[float]) -> np.ndarray:
 
 def ladder_normalization(b: Sequence[float]) -> float:
     """det of the ladder matrix: sum_j prod_{i != j} b_i + prod_i b_i."""
-    bs = _validate_ladder(b)
+    bs = require_ladder_coefficients(b)
     prod = float(np.prod(bs))
     return float(sum(prod / bj for bj in bs) + prod)
 
@@ -125,7 +117,7 @@ def transform(data: RepresentationData, k: Sequence[float]) -> RepresentationDat
         # positive k reaches the ladder exactly as given.
         positive = ks[support]
         bs = coefficients_to_ladder(positive if support.size == n else positive / positive.sum())
-        mu_tilde = PushforwardLadder(data.mu, tuple(bs), ladder_normalization(bs))
+        mu_tilde = PushforwardLadder(data.mu, bs, ladder_normalization(bs))
         if support.size < n:
             mu_tilde = LebesguePad(mu_tilde, tuple(support.tolist()), n)
     return RepresentationData(data.a, b_tilde, mu_tilde)

@@ -553,7 +553,7 @@ def test_main_suite_rows(n):
         rows = cli.suite_rows("main", n, 12345, index, None)
         paths = [row["inputs"].rsplit("=", 1)[1] for row in rows]
         assert paths == (["closed", "quadrature"] if n == 2 else ["closed"]) * 3
-        assert max(row["rel_error"] for row in rows) <= cli.SUITE_PASS_TOL["main"]
+        assert max(row["rel_error"] for row in rows) <= cli.SUITES["main"].pass_tol
 
 
 def test_ladder_suite_runs_the_full_reduction_at_three_variables(tmp_path):
@@ -563,7 +563,7 @@ def test_ladder_suite_runs_the_full_reduction_at_three_variables(tmp_path):
     assert rungs == ["rung=final"]
     rows = cli.suite_rows("ladder", 3, 12345, 0, None)
     assert [row["inputs"].split(";")[0] for row in rows] == ["rung=(3,0)", "rung=final", "rung=full"]
-    assert rows[-1]["rel_error"] <= cli.SUITE_PASS_TOL["ladder"]
+    assert rows[-1]["rel_error"] <= cli.SUITES["ladder"].pass_tol
     path = tmp_path / "ladder2.json"
     assert run_main(["verify", "--suite", "ladder", "--n", "2", "--samples", "2",
                      "--out", str(path)])[0] == 0
@@ -571,7 +571,7 @@ def test_ladder_suite_runs_the_full_reduction_at_three_variables(tmp_path):
 
 
 def test_classify_and_the_conditions_suite_share_the_evidence_config():
-    assert cli._SUITES["conditions"].config is cond.EVIDENCE_CONFIG
+    assert cli.SUITES["conditions"].config is cond.EVIDENCE_CONFIG
     assert cli._config(None, cond.EVIDENCE_CONFIG) is cond.EVIDENCE_CONFIG
     # --tol T reads (T, min(abs default, T * 1e-3)): 1e-10 is the fine config.
     assert cli._config(1e-10, cond.EVIDENCE_CONFIG) == QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)

@@ -12,14 +12,17 @@ from nvk.conditions import (
     nevanlinna_grid,
     nevanlinna_inner_value,
 )
+from nvk.descriptors import measure_to_json
 from nvk.errors import DomainError
 from nvk.kernels import kernel_1d, kernel_nd_rational, kernel_nd_sum, ladder_kernel
 from nvk.measures import (
     Atomic,
     LebesgueDensity,
     LebesguePad,
+    Measure,
     Product,
     PushforwardLadder,
+    integrate,
     lebesgue,
 )
 from nvk.representation import RepresentationData
@@ -27,10 +30,18 @@ from nvk.transform import ladder_to_coefficients, transform, validate_convex_coe
 
 _ATOM = Atomic.single(math.pi, 0.0)
 
+
+class _BareMeasure(Measure):
+    """A measure variant that no integrator and no writer knows."""
+
+    dimension = 1
+
+
 _REJECTED = {
     "product_no_factors": (lambda: Product(()), "at least one factor"),
     "product_2d_factor": (lambda: Product((_ATOM, lebesgue(2))), "one-dimensional"),
     "ladder_empty_b": (lambda: PushforwardLadder(_ATOM, (), 1.0), "at least one coefficient"),
+    "ladder_nested_b": (lambda: PushforwardLadder(_ATOM, ((1.0,),), 1.0), "flat sequence"),
     "ladder_2d_base": (lambda: PushforwardLadder(lebesgue(2), (1.0,), 1.0), "one-dimensional"),
     "pad_unsorted_axes": (lambda: LebesguePad(lebesgue(2), (1, 0), 3), "ascending"),
     "pad_axis_out_of_range": (lambda: LebesguePad(lebesgue(), (3,), 3), "out of range"),
@@ -59,6 +70,9 @@ _REJECTED = {
     "cubic_condition_dimension": (lambda: check_cubic_condition(1.0, 1.0, 1.0, lebesgue(2)),
                                   "one-dimensional"),
     "derive_traits_dimension": (lambda: derive_traits(lebesgue(2)), "one-dimensional"),
+    "integrate_unknown_variant": (lambda: integrate(_BareMeasure(), lambda t: t),
+                                  "unknown measure variant"),
+    "serialize_unknown_variant": (lambda: measure_to_json(_BareMeasure()), "cannot serialize"),
     "inner_value_beta_delta_zero": (lambda: nevanlinna_inner_value(1.0, 0.0, 1.0, 0.0, 0.0, 1j, 1j),
                                     "beta = delta = 0"),
 }

@@ -240,13 +240,13 @@ def test_main_theorem_zero_coefficient_routes_through_general(pi_delta0, cfg_nes
 def test_ladder_suite_rows_cover_every_rung():
     # Each sample of the n = 4 ladder suite checks the rungs (4,0), (3,1)
     # and the final (2,2) on its own random draw.
-    from nvk.cli import SUITE_PASS_TOL, suite_rows
+    from nvk.cli import SUITES, suite_rows
 
     for index in range(4):
         rows = suite_rows("ladder", 4, 3, index, None)
         assert [row["inputs"].split(";")[0] for row in rows] == \
             ["rung=(4,0)", "rung=(3,1)", "rung=final"]
-        assert max(row["rel_error"] for row in rows) <= SUITE_PASS_TOL["ladder"]
+        assert max(row["rel_error"] for row in rows) <= SUITES["ladder"].pass_tol
 
 
 def test_verify_step_preconditions(cfg):

@@ -72,12 +72,13 @@ def test_suite_lines_are_the_digests_of_reports_written_by_main(monkeypatch, cap
     lines = capsys.readouterr().out.splitlines()
     expected = []
     for i, args in enumerate(op_digest.SUITE_RUNS):
-        out = tmp_path / f"{i}.json"
+        out = tmp_path / f"{i}.report"
         assert nvk.cli.main(["verify", *args, "--out", str(out)]) == 0
         expected.append(f"verify {' '.join(args)} {hashlib.sha256(out.read_bytes()).hexdigest()}")
     assert lines == expected
     assert [line.split()[2] for line in lines] == \
-        ["conditions", "kernels", "ladder", "ladder", "main", "main"]
+        ["conditions", "kernels", "ladder", "ladder", "main", "main", "ladder"]
+    assert lines[-1].split()[5:7] == ["--format", "csv"]
 
 
 def test_descriptor_lines_are_the_digests_of_what_main_writes(monkeypatch, capsys, tmp_path):

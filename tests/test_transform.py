@@ -180,3 +180,23 @@ def test_ladder_entry_points_reject_bad_coefficients(bad):
                 entry((bad, 1.0))
         with pytest.raises(DomainError, match="ladder coefficients"):
             PushforwardLadder(Atomic.single(1.0, 0.0), (1.0, bad), 1.0)
+
+
+_ATOMS = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 3.0)), min_size=1, max_size=3)
+# k in the simplex at n = 2 and 3, zero coefficients included (normalised in the test).
+_K = st.sampled_from([2, 3]).flatmap(lambda n: st.lists(
+    st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=n, max_size=n)).filter(any)
+_UPPER = st.builds(complex, st.floats(-3.0, 3.0), st.floats(0.1, 3.0))
+
+
+@given(st.floats(-2.0, 2.0), st.floats(0.0, 2.0), _ATOMS, _K, st.data())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_transformed_atoms_match_the_combined_point_within_their_estimate(a, b, atoms, k, data):
+    # Two routes to q(k1 z1 + ... + kn zn): nested quadrature of the
+    # transformed data, and the exact one-variable atomic sum at the point.
+    ks = [kl / sum(k) for kl in k]
+    z = data.draw(st.tuples(*[_UPPER] * len(ks)))
+    base = RepresentationData(a, (b,), Atomic(tuple(((x,), w) for x, w in atoms)))
+    value, err = evaluate(transform(base, ks), z, full_output=True)
+    reference = evaluate(base, (sum(kl * zl for kl, zl in zip(ks, z)),))
+    assert abs(value - reference) <= err + 1e-13 * max(1.0, abs(reference))

@@ -30,10 +30,10 @@ that an op reads and does not return.  For the run the function is wrapped
 under every ``nvk`` name bound to it, and put back afterwards.
 
 With ``--suites`` the script prints, instead, one line per ``nvk verify``
-configuration in ``SUITE_RUNS``: its arguments and the sha256 of the JSON
-report that the tree's ``nvk.cli.main`` writes for them, run in process at
-the default seed (``NVK_SEED`` applies), with the report in a temporary
-directory.
+configuration in ``SUITE_RUNS``: its arguments and the sha256 of the report
+that the tree's ``nvk.cli.main`` writes for them (JSON, or CSV for the run
+with ``--format csv``), run in process at the default seed (``NVK_SEED``
+applies), with the report in a temporary directory.
 
 With ``--descriptors`` it prints, instead, one line per ``nvk transform``
 of each base in ``DESCRIPTOR_BASES`` by each k in ``DESCRIPTOR_KS``, and
@@ -64,6 +64,7 @@ SUITE_RUNS = (
     ("--suite", "ladder", "--n", "3"),
     ("--suite", "main", "--n", "2"),
     ("--suite", "main", "--n", "3"),
+    ("--suite", "ladder", "--n", "3", "--format", "csv"),
 )
 
 
@@ -73,7 +74,7 @@ def suite_lines(cli_main) -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory() as workdir:
         for i, args in enumerate(SUITE_RUNS):
-            out = Path(workdir) / f"{i}.json"  # a run that writes none fails to read it
+            out = Path(workdir) / f"{i}.report"  # a run that writes none fails to read it
             cli_main(["verify", *args, "--out", str(out)])
             lines.append(f"verify {' '.join(args)} {hashlib.sha256(out.read_bytes()).hexdigest()}")
     return lines
