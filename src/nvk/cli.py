@@ -140,9 +140,6 @@ def cmd_eval(args) -> int:
     results = []
     for spec in args.z:
         zs = tuple(parse_complex(p) for p in spec.split(","))
-        if len(zs) != data.n:
-            raise DomainError(
-                f"point has {len(zs)} coordinates, descriptor has {data.n} variables")
         value, err = evaluate(data, zs, cfg, full_output=True)
         results.append({
             "z": [format_complex(z) for z in zs],

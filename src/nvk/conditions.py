@@ -162,10 +162,9 @@ def nevanlinna_grid(mu: Measure, zs: Sequence[Sequence[complex]],
     batched solve; each scale is its value's ``modulus``, integrated over
     the value's own panels.
     """
-    pts = [require_upper_half(z) for z in zs]
-    if mu.dimension != 2 or any(len(z) != 2 for z in pts):
-        raise DimensionMismatchError("the two-variable Nevanlinna integral needs a "
-                                     "two-dimensional measure and two-coordinate points")
+    if mu.dimension != 2:
+        raise DimensionMismatchError("the Nevanlinna grid needs a two-dimensional measure")
+    pts = [require_upper_half(z, 2) for z in zs]
     z1 = np.array([z[0] for z in pts], dtype=complex)
     z2c = np.array([z[1] for z in pts], dtype=complex).conj()
 
@@ -188,11 +187,8 @@ def check_nevanlinna_nvar(mu: Measure, z: Sequence[complex],
     """The n-variable Nevanlinna sum at one sample point: every sign vector
     containing both -1 and +1 contributes one integral (3^n - 2*2^n + 1
     terms in total), each a member of one ``integrate_many`` call."""
-    zs = require_upper_half(z)
-    n = len(zs)
-    if mu.dimension != n:
-        raise DomainError("measure dimension must match the sample point")
-    choice = np.array(list(_mixed_sign_vectors(n))) + 1  # rho_j + 1, one row per term
+    zs = require_upper_half(z, mu.dimension)
+    choice = np.array(list(_mixed_sign_vectors(len(zs)))) + 1  # rho_j + 1, one row per term
 
     def f(*args):
         *ts, k = args
@@ -210,7 +206,8 @@ def check_nevanlinna_nvar(mu: Measure, z: Sequence[complex],
         return diverged
     return QuadratureResult(sum((r.value for r in terms), 0j),
                             sum(r.error_estimate for r in terms),
-                            all(r.converged for r in terms), False)
+                            all(r.converged for r in terms), False,
+                            sum(r.modulus for r in terms))
 
 
 # The zero rule's absolute floor and its factor on the modulus; evidence is
@@ -273,7 +270,7 @@ def _z_grid(n: int, count: int) -> tuple[tuple[complex, ...], ...]:
     # check them again.
     return tuple(
         require_upper_half(tuple((-10.0 + 20.0 * row[2 * j]) + 1j * (0.1 + 9.9 * row[2 * j + 1])
-                                 for j in range(n)))
+                                 for j in range(n)), n)
         for row in _halton(2 * n, count))
 
 
@@ -299,7 +296,8 @@ def check_cubic_condition(coeff_det: float, delta: float, beta: float,
         raise DomainError("the cubic condition needs alpha*delta - beta*gamma != 0")
     if mu1.dimension != 1:
         raise DomainError("the cubic condition applies to a one-dimensional measure")
-    points = [require_upper_half(z) for z in (default_z_grid(2) if z_samples is None else z_samples)]
+    points = [require_upper_half(z, 2)
+              for z in (default_z_grid(2) if z_samples is None else z_samples)]
     if not points:
         raise DomainError("the cubic condition needs at least one sample point")
     w = np.array([-delta * z1 + beta * z2.conjugate() for z1, z2 in points])

@@ -17,13 +17,14 @@ evaluated by ``kernel_nd_rational``; d = 0, m = n is the composed kernel.
 All evaluators broadcast when one of the real coordinates arrives as a
 numpy array, which is how the adaptive quadrature drives them.
 
-Points are checked by ``require_upper_half``, once per call and never per
-node: it rejects points outside the poly-upper half-plane and warns when a
-coordinate lies within ``POLE_PROXIMITY`` of the real axis.  The kernels
-have their poles at t_j = z_j and t_j = +-i, and for real t the distance
-|t_j - z_j| is at least Im z_j, so no real node comes closer to a pole than
-that check allows.  A point it returns is marked as checked, and passing
-it on to another kernel neither converts nor warns again.
+Points are read by ``require_upper_half(z, n)``, once per call and never per
+node: it rejects points of another dimension than n and points outside the
+poly-upper half-plane, and warns when a coordinate lies within
+``POLE_PROXIMITY`` of the real axis.  The kernels have their poles at
+t_j = z_j and t_j = +-i, and for real t the distance |t_j - z_j| is at
+least Im z_j, so no real node comes closer to a pole than that check
+allows.  A point it returns is marked as checked, and passing it on to
+another kernel costs one type test and one length comparison.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -60,13 +61,17 @@ class _UpperPoint(tuple):
     __slots__ = ()
 
 
-def require_upper_half(z: Sequence[complex]) -> tuple[complex, ...]:
-    """Validate that every coordinate is finite with strictly positive
-    imaginary part; warn once when one lies within ``POLE_PROXIMITY`` of the
-    real axis.  A scalar is a one-coordinate point."""
-    if type(z) is _UpperPoint:
+def require_upper_half(z: Sequence[complex], n: int) -> tuple[complex, ...]:
+    """Validate that ``z`` has ``n`` coordinates, each finite with strictly
+    positive imaginary part; warn once when one lies within
+    ``POLE_PROXIMITY`` of the real axis.  A scalar is a one-coordinate
+    point.  This is the one reader of points: every function that takes a
+    point reads it here, with the dimension it expects."""
+    if type(z) is _UpperPoint and len(z) == n:
         return z
     zs = tuple(complex(v) for v in (z if isinstance(z, (tuple, list)) or np.ndim(z) else (z,)))
+    if len(zs) != n:
+        raise DimensionMismatchError(f"point has {len(zs)} coordinates, but the dimension is {n}")
     if not zs:
         raise DomainError("a point needs at least one coordinate")
     if any(v.imag <= 0 for v in zs):
@@ -88,10 +93,7 @@ def kernel_1d(z: complex, t):
 
     ``z`` is a number or a one-coordinate point from ``require_upper_half``.
     """
-    zs = require_upper_half(z)
-    if len(zs) != 1:
-        raise DimensionMismatchError("the one-variable kernel takes one coordinate")
-    z = zs[0]
+    z, = require_upper_half(z, 1)
     return 1.0 / (t - z) - t / (1.0 + t * t)
 
 
@@ -101,10 +103,8 @@ def kernel_nd_sum(z: Sequence[complex], t: Sequence):
     i * ( 2/(2i)^n * prod_j (1/(t_j - z_j) - 1/(t_j + i))
           - 1/(2i)^n * prod_j (1/(t_j - i) - 1/(t_j + i)) ).
     """
-    zs = require_upper_half(z)
-    n = len(zs)
-    if len(t) != n:
-        raise DimensionMismatchError("z and t must have the same length")
+    n = len(t)
+    zs = require_upper_half(z, n)
     two_i_n = (2j) ** n
     p1 = 1.0 + 0.0j
     p2 = 1.0 + 0.0j
@@ -130,10 +130,8 @@ def kernel_nd_rational(z: Sequence[complex], t: Sequence):
     w = i^(3n+1) prod_j (z_j + i) / 2^(n-1), with the products accumulated in
     place and one complex division.
     """
-    zs = require_upper_half(z)
-    n = len(zs)
-    if len(t) != n:
-        raise DimensionMismatchError("z and t must have the same length")
+    n = len(t)
+    zs = require_upper_half(z, n)
     w = _I_POW[(3 * n + 1) % 4] * math.prod(zj + 1j for zj in zs) / 2.0 ** (n - 1)
     # np.broadcast takes at most 32 operands on numpy 1.x (64 on 2.x).
     shape = (np.broadcast(*t).shape if n <= 32
@@ -153,14 +151,23 @@ def kernel_nd_rational(z: Sequence[complex], t: Sequence):
     return p1 if shape else complex(p1)
 
 
+def _array(v, dtype) -> Optional[np.ndarray]:
+    """numpy's array of the outside vector ``v``, or None when numpy cannot
+    build one (a ragged sequence, or an entry that is not a number); the
+    shared first step of the vector readers."""
+    try:
+        return np.asarray(v, dtype=dtype)
+    except (TypeError, ValueError):
+        return None
+
 
 def require_ladder_coefficients(b: Sequence[float]) -> tuple[float, ...]:
     """The ladder coefficients ``b`` as a tuple of floats.  Rejects anything
-    but a non-empty flat sequence, and coefficients that are not finite and
-    strictly positive or whose reciprocal overflows (b_j below about
-    5.6e-309)."""
-    bs = np.asarray(b, dtype=float)
-    if bs.ndim != 1 or bs.size < 1:
+    but a non-empty flat sequence of numbers, and coefficients that are not
+    finite and strictly positive or whose reciprocal overflows (b_j below
+    about 5.6e-309)."""
+    bs = _array(b, float)
+    if bs is None or bs.ndim != 1 or bs.size < 1:
         raise DomainError("ladder needs at least one coefficient, as a flat sequence")
     if not all(0 < bj < math.inf and 1.0 / bj < math.inf for bj in bs.tolist()):
         raise DomainError("ladder coefficients must be finite and strictly positive, "
@@ -179,32 +186,31 @@ def ladder_z_sum(m: int, d: int, b: Sequence[float], z: Sequence[complex]) -> co
     return tail + complex(z[m + d - 1])
 
 
-def _check_ladder(z: Sequence[complex], b: Sequence[float], m: int, d: int) -> _UpperPoint:
+def _check_ladder(z, b, m: int, d: int) -> tuple[_UpperPoint, tuple[float, ...]]:
     """The checks of ``ladder_kernel`` that do not involve t; returns the
-    checked point."""
-    zs = require_upper_half(z)
-    n = len(zs)
-    if m < 1 or d < 0 or m + d != n or n < 2:
-        raise DomainError("need m >= 1, d >= 0 and m + d = len(z) >= 2")
-    if len(b) != n - 1:
+    checked point and coefficients, which the ladder's arithmetic uses."""
+    if m < 1 or d < 0 or m + d < 2:
+        raise DomainError("need m >= 1, d >= 0 and m + d >= 2")
+    zs = require_upper_half(z, m + d)
+    bs = require_ladder_coefficients(b)
+    if len(bs) != m + d - 1:
         raise DimensionMismatchError("need n - 1 ladder coefficients")
-    require_ladder_coefficients(b)
-    return zs
+    return zs, bs
 
 
-def _ladder_core(zs: _UpperPoint, b: Sequence[float], m: int, d: int) -> Callable:
+def _ladder_core(zs: _UpperPoint, bs: tuple[float, ...], m: int, d: int) -> Callable:
     """The ladder kernel at a point and coefficients that ``_check_ladder``
-    has passed, as a function of t = (t1, ..., tm) of length m.
+    returned, as a function of t = (t1, ..., tm) of length m.
 
     The reduced point and the weight F are formed once, so an integrand
     built on this pays only the arithmetic per call; ``kernel_nd_rational``
     is looked up at call time."""
     if d:
-        f_w = ladder_weight(m, d, b)
-        reduced = _UpperPoint(zs[:m - 1] + (ladder_z_sum(m, d, b, zs) / f_w,))
+        f_w = ladder_weight(m, d, bs)
+        reduced = _UpperPoint(zs[:m - 1] + (ladder_z_sum(m, d, bs, zs) / f_w,))
 
     def kernel(t):
-        u = [t[0] - b[j] * t[j + 1] for j in range(m - 1)]
+        u = [t[0] - bs[j] * t[j + 1] for j in range(m - 1)]
         if d == 0:
             u.append(sum(t[1:], start=t[0]))
             return kernel_nd_rational(zs, u)
@@ -227,10 +233,10 @@ def ladder_kernel(z: Sequence[complex], t: Sequence, b: Sequence[float],
 
     Requires m >= 1, d >= 0, m + d = len(z) >= 2 and all b_j > 0.
     """
-    zs = _check_ladder(z, b, m, d)
+    zs, bs = _check_ladder(z, b, m, d)
     if len(t) != m:
         raise DimensionMismatchError("t must have length m")
-    return _ladder_core(zs, b, m, d)(t)
+    return _ladder_core(zs, bs, m, d)(t)
 
 
 def ladder_kernel_full(z: Sequence[complex], t: Sequence, b: Sequence[float]):

@@ -19,23 +19,36 @@ identity is kept to n in {2, 3}; for larger n the rung-by-rung checks and
 the telescoping of the prefactors substitute.  Each verifier checks z, b
 and the dimensions once, before any integration, and integrates the
 kernel's unchecked core, the arithmetic ``ladder_kernel`` runs after its
-checks.
+checks; that arithmetic and every closed form use the coefficients as the
+check returned them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import pi, prod
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure
-from .kernels import _check_ladder, _ladder_core, kernel_1d, require_upper_half
+from .kernels import (
+    _check_ladder,
+    _ladder_core,
+    kernel_1d,
+    require_ladder_coefficients,
+    require_upper_half,
+)
 from .measures import Atomic, Product, PushforwardLadder, integrate, is_zero_measure, lebesgue
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .representation import RepresentationData, evaluate
-from .transform import ZERO_COEFFICIENT_TOL, ladder_normalization, ladder_to_coefficients, transform
+from .transform import (
+    ZERO_COEFFICIENT_TOL,
+    ladder_normalization,
+    ladder_to_coefficients,
+    transform,
+    validate_convex_coefficients,
+)
 
 __all__ = [
     "MainTheoremReport",
@@ -62,27 +75,25 @@ _LINE = lebesgue()
 _PLANE = Product((_LINE, _LINE))
 
 
-def _reduced(zs, b: Sequence[float], m: int, d: int, fixed, cfg: QuadratureConfig,
-             what: str) -> tuple[complex, tuple]:
-    """The integral of the (m, d) kernel over the coordinates after
-    ``fixed``, and ``fixed`` as a tuple, which is formed after the kernel's
-    checks.  Raises ``QuadratureFailure`` naming ``what`` unless the
-    integral converged."""
-    _check_ladder(zs, b, m, d)
-    fixed = tuple(fixed)
-    kernel = _ladder_core(zs, b, m, d)
+def _reduced(z, b, m: int, d: int, fixed: tuple, cfg: QuadratureConfig, what: str):
+    """The point and coefficients as ``_check_ladder`` returns them, and the
+    integral of the (m, d) kernel over the coordinates after ``fixed``.
+    Raises ``QuadratureFailure`` naming ``what`` unless the integral
+    converged."""
+    zs, bs = _check_ladder(z, b, m, d)
+    kernel = _ladder_core(zs, bs, m, d)
     mu = _LINE if m - len(fixed) == 1 else _PLANE
     r = integrate(mu, lambda *rest: kernel(fixed + rest), cfg)
     if r.diverged or not r.converged:
         raise QuadratureFailure(f"quadrature failed while verifying {what}")
-    return r.value, fixed
+    return zs, bs, r.value
 
 
-def _combined_point(b: Sequence[float], zs: Sequence[complex]) -> tuple[complex, float]:
-    """(sum k_l z_l, beta_n) for the ladder coefficients ``b``, by the
+def _combined_point(bs: tuple[float, ...], zs: Sequence[complex]) -> tuple[complex, float]:
+    """(sum k_l z_l, beta_n) for the ladder coefficients ``bs``, by the
     transform's route rather than the ladder kernels."""
-    ks = ladder_to_coefficients(b)
-    return sum(k * zj for k, zj in zip(ks, zs)), ladder_normalization(b)
+    ks = ladder_to_coefficients(bs)
+    return sum(k * zj for k, zj in zip(ks, zs)), ladder_normalization(bs)
 
 
 def verify_step(m: int, d: int, b: Sequence[float], z: Sequence[complex],
@@ -93,13 +104,13 @@ def verify_step(m: int, d: int, b: Sequence[float], z: Sequence[complex],
 
     Requires m >= 3; the final rung (m = 2) has its own closed form.
     """
-    zs = require_upper_half(z)
     if m < 3:
         raise DomainError("middle rungs need m >= 3")
     if len(t) != m - 1:
         raise DomainError("t must fix the first m - 1 coordinates")
-    lhs, ts = _reduced(zs, b, m, d, (float(x) for x in t), cfg, f"the ({m},{d}) ladder rung")
-    return lhs, pi / b[m - 2] * _ladder_core(zs, b, m - 1, d + 1)(ts)
+    ts = tuple(float(x) for x in t)
+    zs, bs, lhs = _reduced(z, b, m, d, ts, cfg, f"the ({m},{d}) ladder rung")
+    return lhs, pi / bs[m - 2] * _ladder_core(zs, bs, m - 1, d + 1)(ts)
 
 
 def verify_final_step(n: int, b: Sequence[float], z: Sequence[complex],
@@ -107,10 +118,9 @@ def verify_final_step(n: int, b: Sequence[float], z: Sequence[complex],
                       ) -> tuple[complex, complex]:
     """The last rung: integrate the (2, n-2) kernel over t2 and compare with
     pi * (prod_{j=2}^{n-1} b_j / beta_n) * K_1(sum k_l z_l, t1)."""
-    zs = require_upper_half(z)
-    lhs, _ = _reduced(zs, b, 2, n - 2, (t1,), cfg, "the final ladder rung")
-    s, beta = _combined_point(b, zs)
-    return lhs, pi * float(np.prod(b[1:])) / beta * kernel_1d(s, t1)
+    zs, bs, lhs = _reduced(z, b, 2, n - 2, (t1,), cfg, "the final ladder rung")
+    s, beta = _combined_point(bs, zs)
+    return lhs, pi * float(np.prod(bs[1:])) / beta * kernel_1d(s, t1)
 
 
 def verify_full_reduction(n: int, b: Sequence[float], z: Sequence[complex],
@@ -119,12 +129,11 @@ def verify_full_reduction(n: int, b: Sequence[float], z: Sequence[complex],
     """Full (n-1)-fold quadrature of the composed kernel against the closed
     form (pi^{n-1} / beta_n) * K_1(sum k_l z_l, t1); limited to n in {2, 3}
     because the quadrature cost grows geometrically with n."""
-    zs = require_upper_half(z)
     if n not in (2, 3):
         raise DomainError("full quadrature is limited to n in {2, 3}; "
                           "verify rung by rung for larger n")
-    lhs, _ = _reduced(zs, b, n, 0, (t1,), cfg, "the full ladder reduction")
-    s, beta = _combined_point(b, zs)
+    zs, bs, lhs = _reduced(z, b, n, 0, (t1,), cfg, "the full ladder reduction")
+    s, beta = _combined_point(bs, zs)
     return lhs, pi ** (n - 1) / beta * kernel_1d(s, t1)
 
 
@@ -134,12 +143,10 @@ def rung_prefactors(b: Sequence[float]) -> tuple[float, float]:
     The middle rungs contribute pi/b_j for j = n-1 down to 2 and the final
     rung pi * prod_{j=2}^{n-1} b_j / beta_n, which telescopes.
     """
-    n = len(b) + 1
-    prod = 1.0
-    for j in range(n - 1, 1, -1):  # b_{n-1} ... b_2
-        prod *= pi / b[j - 1]
-    prod *= pi * float(np.prod(b[1:])) / ladder_normalization(b)
-    return prod, pi ** (n - 1) / ladder_normalization(b)
+    bs = require_ladder_coefficients(b)
+    middle = prod(pi / bj for bj in reversed(bs[1:]))  # b_{n-1} ... b_2
+    beta = ladder_normalization(bs)
+    return middle * (pi * float(np.prod(bs[1:])) / beta), pi ** len(bs) / beta
 
 
 def ladder_closed_form(z: Sequence[complex], mu: PushforwardLadder) -> complex:
@@ -148,9 +155,7 @@ def ladder_closed_form(z: Sequence[complex], mu: PushforwardLadder) -> complex:
     K_1(sum k_l z_l, x_i).  Exact up to rounding; no quadrature."""
     if not isinstance(mu.base, Atomic):
         raise DomainError("closed form requires an atomic base measure")
-    zs = require_upper_half(z)
-    if len(zs) != mu.dimension:
-        raise DomainError("z must match the measure dimension")
+    zs = require_upper_half(z, mu.dimension)
     s, beta = _combined_point(mu.b, zs)
     acc = 0.0 + 0.0j
     for (x,), w in mu.base.atoms:
@@ -177,7 +182,8 @@ def verify_main_theorem(data: RepresentationData, k: Sequence[float],
     if not isinstance(data.mu, Atomic):
         raise DomainError("verification requires an atomic base measure")
 
-    ks = np.asarray(k, dtype=float)
+    ks = validate_convex_coefficients(k)
+    points = [require_upper_half(z, len(ks)) for z in z_points]
     strict = bool(np.all(ks > ZERO_COEFFICIENT_TOL))
     if not (strict or quadrature):
         raise DomainError("a zero coefficient leaves only the quadrature path, which is off")
@@ -186,8 +192,7 @@ def verify_main_theorem(data: RepresentationData, k: Sequence[float],
     max_closed = 0.0
     max_quad = 0.0
     rows = []
-    for z in z_points:
-        zs = require_upper_half(z)
+    for zs in points:
         combined = sum(kl * zl for kl, zl in zip(ks, zs))
         reference = evaluate(data, (combined,), cfg)
         scale = max(1.0, abs(reference))

@@ -108,7 +108,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, IntegrandError
-from .kernels import ladder_weight, require_ladder_coefficients
+from .kernels import _array, ladder_weight, require_ladder_coefficients
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -448,7 +448,10 @@ def _one_dimensional_level(mu: Measure, what: str) -> Union[_Atoms, _Line]:
 
 
 def _compile(mu: Measure) -> _Plan:
-    """The plan of a measure; atomic ones only occur inside a ``LebesguePad``."""
+    """The plan of a measure.  An atomic measure is compiled as a
+    ``LebesguePad``'s inner measure, and as a ``Product`` factor or a
+    pushforward base through ``_one_dimensional_level``; ``integrate_many``
+    sums a top-level one itself."""
     if isinstance(mu, Atomic):
         points = np.array([loc for loc, _ in mu.atoms]).reshape(len(mu.atoms), mu.dimension)
         return _Plan((_Atoms(points, np.array([w for _, w in mu.atoms])),), _eye(mu.dimension))
@@ -743,8 +746,8 @@ def integrate(mu: Measure, f: Callable,
 def _member_poles(poles, m: int, dimension: int) -> Optional[np.ndarray]:
     if poles is None:
         return None
-    p = np.asarray(poles, dtype=complex)
-    if p.shape != (m, dimension):
+    p = _array(poles, complex)
+    if p is None or p.shape != (m, dimension):
         raise DimensionMismatchError("poles need one row per member and one column per argument")
     if not (np.isfinite(p).all() and (p.imag != 0).all()):
         raise DomainError("poles must be finite and off the real line")

@@ -59,10 +59,8 @@ def evaluate(data: RepresentationData, z: Sequence[complex],
     Raises ``GrowthConditionError`` when the representation integral
     diverges numerically.
     """
-    zs = require_upper_half(z)
     n = data.n
-    if len(zs) != n:
-        raise DimensionMismatchError("z must have one coordinate per variable")
+    zs = require_upper_half(z, n)
 
     if n == 1:
         kernel = lambda t: kernel_1d(zs, t)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .kernels import require_ladder_coefficients
+from .kernels import _array, require_ladder_coefficients
 from .measures import LebesguePad, Product, PushforwardLadder, is_zero_measure, lebesgue, zero_measure
 from .representation import RepresentationData
 
@@ -40,9 +40,9 @@ ZERO_COEFFICIENT_TOL = 1e-15
 
 
 def validate_convex_coefficients(k: Sequence[float]) -> np.ndarray:
-    ks = np.asarray(k, dtype=float)
-    if ks.ndim != 1 or ks.size < 2:
-        raise DomainError("need at least two convex coefficients")
+    ks = _array(k, float)
+    if ks is None or ks.ndim != 1 or ks.size < 2:
+        raise DomainError("need at least two convex coefficients, as a flat sequence")
     if not np.all(np.isfinite(ks)):
         raise DomainError("convex coefficients must be finite")
     if np.any(ks < 0):

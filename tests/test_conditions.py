@@ -119,6 +119,18 @@ def test_nevanlinna_nvar_three_variable_atom(cfg):
     assert abs(v.value) > 1e-3
 
 
+@pytest.mark.parametrize("coeffs, zero", [
+    ((1, 1, -1, -1), True), ((0, 1, 0, 1), False), ((1, 1, 1, 2), False)])
+def test_nevanlinna_nvar_carries_the_modulus_of_its_terms(pi_delta0, cfg_nested, coeffs, zero):
+    # The sum's modulus is the sum of its terms' moduli, so ``vanishes``
+    # reads a cancelling sum against it and not against its absolute floor
+    # alone (the modulus was nan).
+    r = check_nevanlinna_nvar(Pushforward2D(pi_delta0, *coeffs), (0.3 + 0.8j, -0.2 + 1.1j),
+                              cfg_nested)
+    assert math.isfinite(r.modulus) and r.modulus >= abs(r.value)
+    assert vanishes([r]) is zero
+
+
 def test_transformed_measure_passes_both_conditions(pi_delta0, cfg_nested):
     data = RepresentationData(0.0, (0.0,), pi_delta0)
     mu = transform(data, (0.5, 0.25, 0.25)).mu
@@ -574,7 +586,7 @@ def test_default_grid_holds_checked_points():
     from nvk.kernels import require_upper_half
 
     for n in (2, 3):
-        assert all(require_upper_half(z) is z for z in default_z_grid(n, 25))
+        assert all(require_upper_half(z, n) is z for z in default_z_grid(n, 25))
 
 
 def test_vanishes_leaves_the_cancelling_cubic_integrals_unknown():

@@ -260,8 +260,9 @@ def test_ladder_kernel_pinned_values():
 
 def test_require_upper_half_rejects_empty_point():
     for empty in ((), [], np.array([])):
-        with pytest.raises(DomainError):
-            require_upper_half(empty)
+        for n in (0, 1):
+            with pytest.raises(DomainError):
+                require_upper_half(empty, n)
 
 
 # b_j = inf or NaN, and a b_j whose reciprocal overflows, gave nan+nanj with

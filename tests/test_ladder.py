@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from nvk.errors import DomainError, QuadratureFailure
+from nvk import ladder
+from nvk.errors import DimensionMismatchError, DomainError, QuadratureFailure
 from nvk.kernels import kernel_1d, ladder_kernel_full, ladder_weight, ladder_z_sum
 from nvk.ladder import (
     ladder_closed_form,
@@ -290,6 +291,18 @@ def test_main_theorem_preconditions(pi_delta0, cfg):
     density = RepresentationData(0.0, (0.0,), LebesgueDensity(1, lambda t: 1.0 / (1.0 + t * t)))
     with pytest.raises(DomainError, match="atomic base"):
         verify_main_theorem(density, (0.5, 0.5), [(1j, 1j)], cfg)
+
+
+def test_main_theorem_reads_every_point_before_it_evaluates(pi_delta0, monkeypatch):
+    # A point of the wrong dimension after a good one stops the check
+    # before the good one is evaluated: no reference at a point that zip
+    # cut short.
+    calls = []
+    monkeypatch.setattr(ladder, "evaluate", lambda *args, **kwargs: calls.append(args))
+    data = RepresentationData(0.0, (0.0,), pi_delta0)
+    with pytest.raises(DimensionMismatchError, match="3 coordinates"):
+        verify_main_theorem(data, (0.5, 0.5), [(1j, 1j), (1j, 1j, 1j)])
+    assert calls == []
 
 
 @pytest.mark.parametrize("n, k, z", [

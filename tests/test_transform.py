@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nvk.errors import DomainError
-from nvk.measures import Atomic, LebesguePad, Product, PushforwardLadder, is_zero_measure, zero_measure
+from nvk.measures import (
+    Atomic,
+    LebesgueDensity,
+    LebesguePad,
+    Product,
+    PushforwardLadder,
+    is_zero_measure,
+    zero_measure,
+)
 from nvk.representation import RepresentationData, evaluate
 from nvk.sampling import draw_upper_point, rng_for
 from nvk.transform import (
@@ -199,4 +207,37 @@ def test_transformed_atoms_match_the_combined_point_within_their_estimate(a, b, 
     base = RepresentationData(a, (b,), Atomic(tuple(((x,), w) for x, w in atoms)))
     value, err = evaluate(transform(base, ks), z, full_output=True)
     reference = evaluate(base, (sum(kl * zl for kl, zl in zip(ks, z)),))
+    assert abs(value - reference) <= err + 1e-13 * max(1.0, abs(reference))
+
+
+# Lorentzian mixtures: component i has weight w_i, centre c_i and width s_i.
+_LORENTZIANS = st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(-30.0, 30.0),
+                                  st.floats(-2.5, 1.5).map(lambda e: 10.0 ** e)),
+                        min_size=1, max_size=3)
+# k at n = 1 (the data itself) and in the simplex at n = 2, zero coefficients
+# included (normalised in the test).
+_K12 = st.sampled_from([1, 2]).flatmap(lambda n: st.lists(
+    st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=n, max_size=n)).filter(any)
+_UPPER_NEAR = st.builds(complex, st.floats(-3.0, 3.0), st.floats(0.03, 3.0))
+
+
+@given(st.floats(-2.0, 2.0), st.floats(0.0, 2.0), _LORENTZIANS, _K12, st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_transformed_lorentzians_match_the_combined_point_within_their_estimate(a, b, parts, k,
+                                                                                 data):
+    # The density sum_i w_i s_i / (pi ((t - c_i)^2 + s_i^2)) represents
+    # q(x) = a + b x + sum_i (w_i/pi) (1/(c_i - i s_i - x) - Re 1/(c_i - i (1 + s_i))),
+    # evaluated by quadrature at n = 1 and through ``transform`` at n = 2.
+    ks = [kl / sum(k) for kl in k]
+    z = data.draw(st.tuples(*[_UPPER_NEAR] * len(ks)))
+
+    def density(t):
+        return sum(w * s / (math.pi * ((t - c) ** 2 + s * s)) for w, c, s in parts)
+
+    base = RepresentationData(a, (b,), LebesgueDensity(1, density))
+    value, err = evaluate(base if len(ks) == 1 else transform(base, ks), z, full_output=True)
+    x = sum(kl * zl for kl, zl in zip(ks, z))
+    reference = a + b * x + sum(w / math.pi * (1.0 / (c - 1j * s - x)
+                                               - (1.0 / (c - 1j * (1.0 + s))).real)
+                                for w, c, s in parts)
     assert abs(value - reference) <= err + 1e-13 * max(1.0, abs(reference))
